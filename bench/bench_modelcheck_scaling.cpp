@@ -23,16 +23,16 @@
 // verdict counts must agree exactly (full = orbit x m!) and the sweep runs
 // >= 5x faster.
 //
-// Part 5 — compressed state arenas: verbatim vs delta+varint row storage on
+// Part 5 — compressed state arenas: verbatim vs bit-packed row storage on
 // the reference config and on a deadlocking even-m config (so a
-// counterexample schedule is decoded through the compressed path). Verdicts,
+// counterexample schedule is decoded through the packed path). Verdicts,
 // state counts and counterexample schedules must be identical across
-// sequential-verbatim, sequential-compressed and parallel-compressed, and
-// the compressed footprint must stay <= 12 B per stored state; any
-// disagreement makes the bench exit nonzero.
+// sequential-verbatim, sequential-packed and parallel-packed, and the
+// packed footprint must stay <= 12 B per stored state; any disagreement
+// makes the bench exit nonzero.
 //
 // Part 6 — out-of-core spilling: the reference config re-verified with the
-// compressed arena capped at one third of its measured in-memory footprint,
+// packed arena capped at one third of its measured in-memory footprint,
 // on both BFS engines. Verdicts, state counts and counterexamples must be
 // bit-identical to the in-memory runs and the arena's resident high-water
 // mark must stay under budget + slack; any divergence exits nonzero.
@@ -473,16 +473,16 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part 5: compressed state arenas, verbatim vs delta+varint rows. The
+  // Part 5: compressed state arenas, verbatim vs bit-packed rows. The
   // deadlock config decodes a stuck-schedule counterexample through the
-  // compressed path; the reference config carries the <= 12 B/state bound.
+  // packed path; the reference config carries the <= 12 B/state bound.
   // -------------------------------------------------------------------
   bool arena_match = true;
   bool arena_bytes_ok = true;
   double compressed_bps = 0;
   if (run_part(5)) {
   ascii_table arena_table({"config", "engine", "states", "B/state",
-                           "keyframes", "verdict", "cex-len", "ms"});
+                           "epochs", "verdict", "cex-len", "ms"});
   struct arena_config {
     const char* name;
     int m;
@@ -503,8 +503,8 @@ int main(int argc, char** argv) {
       int workers;  // 0 = sequential explorer
     };
     for (const engine_spec es : {engine_spec{"seq verbatim", false, 0},
-                                 engine_spec{"seq compressed", true, 0},
-                                 engine_spec{"par compressed", true, 2}}) {
+                                 engine_spec{"seq packed", true, 0},
+                                 engine_spec{"par packed", true, 2}}) {
       mutex_check_result res;
       std::uint64_t row_bytes = 0, keyframes = 0;
       double t_best = 0;
@@ -558,7 +558,7 @@ int main(int argc, char** argv) {
   }
   arena_bytes_ok = compressed_bps > 0 && compressed_bps <= 12.0;
   std::cout << arena_table.render() << "\n";
-  std::cout << "compressed rows: " << compressed_bps
+  std::cout << "packed rows: " << compressed_bps
             << " B/state on the reference config (bound <= 12), "
             << "verdicts/states/counterexamples identical across engines: "
             << (arena_match ? "yes" : "NO — BUG") << "\n\n";
@@ -567,7 +567,7 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part 6: out-of-core spilling. Measure the in-memory compressed arena
+  // Part 6: out-of-core spilling. Measure the in-memory packed arena
   // footprint on the reference config, cap the resident budget at a third
   // of it, and re-verify on both engines: bit-identical results, real
   // spill traffic, and an arena high-water mark that respects the budget.
@@ -651,12 +651,15 @@ int main(int argc, char** argv) {
                     t_run, "s");
     }
     // Spill-counter assertion for the offset-ordered frontier expansion: the
-    // sequential explorer prefetches each frontier window's decode chains in
-    // arena-offset order, so a cold page faults back in at most once while
+    // sequential explorer prefetches each frontier window's rows as one
+    // arena page range, so a cold page faults back in at most once while
     // the window drains. If frontier expansion regressed to scattered access,
     // the clock would evict and re-fault the same pages repeatedly and
-    // faulted_pages would run a multiple of spilled_pages; measured today it
-    // is spilled + evicted (28 vs 22 on the reference config), well under 2x.
+    // faulted_pages would run a multiple of spilled_pages. Duplicate probes
+    // also read their matched rows, which on the reference config are spread
+    // over the whole arena, so once the budget covers every row byte this
+    // gate (and the high-water gate) fail at a one-third budget — see
+    // docs/modelcheck.md, "What the budget cannot fix".
     spill_refault_bounded = seq_spill.spilled_pages > 0 &&
                             seq_spill.faulted_pages <=
                                 2 * seq_spill.spilled_pages;

@@ -23,10 +23,11 @@
 // successor reuses its parent's row with at most two patched words (the
 // stepped machine, the written register) — no full-state copies anywhere on
 // the hot path. By default (options.compress_arena) the seen rows themselves
-// are stored delta-against-parent + varint encoded in arena pages
-// (row_store), decoded on demand through a bounded per-thread cache; the
-// opt-out keeps them verbatim. The reported result is bit-identical to the
-// original full-copy explorer in both modes.
+// are bit-packed in arena pages (row_store: each column in the bit width of
+// its largest id so far), so reading a stored row back is O(1) arithmetic
+// and needs nothing but its index; the opt-out keeps them verbatim. The
+// reported result is bit-identical to the original full-copy explorer in
+// both modes.
 //
 // The hot loop itself is a staged batch pipeline (options.batched_expansion,
 // on by default — see docs/modelcheck.md "hot-path pipeline"): the frontier
@@ -185,14 +186,18 @@ class explorer {
     /// the group action; machine types with neither trait get the trivial
     /// group, making this a no-op rather than a wrong answer.
     bool symmetry = false;
-    /// Store seen rows delta-against-parent + varint encoded in arena pages
-    /// (state_pool.hpp's row_store) instead of verbatim. Identical verdicts,
-    /// counts, and schedules either way; this only trades decode work for a
-    /// ~2.5x smaller per-state footprint. Opt out for maximum raw speed.
+    /// Store seen rows bit-packed in arena pages (state_pool.hpp's
+    /// row_store: each column in the bit width of its largest id so far)
+    /// instead of verbatim 4-byte words. Identical verdicts, counts and
+    /// schedules either way. Packed is the recommended default: on the
+    /// reference config it stores 4.8x fewer row bytes for about 6% more
+    /// CPU (docs/modelcheck.md, "the packed state arena"), and only packed
+    /// rows can spill; verbatim is the reference layout the differential
+    /// tests compare against.
     bool compress_arena = true;
-    /// Out-of-core mode (compressed arena only): resident budget in bytes
-    /// for the row arena; cold pages spill to an unlinked temp file under
-    /// spill_dir ("" = $TMPDIR or /tmp) and fault back on decode misses.
+    /// Out-of-core mode (packed arena only): resident budget in bytes for
+    /// the row arena; cold pages spill to an unlinked temp file under
+    /// spill_dir ("" = $TMPDIR or /tmp) and fault back when read.
     /// Verdicts, counts and counterexamples are bit-identical to in-memory
     /// runs. 0 keeps everything resident.
     std::uint64_t spill_budget_bytes = 0;
@@ -362,8 +367,8 @@ class explorer {
   /// bytes-per-state numerator; same accounting basis in both modes).
   std::uint64_t stored_row_bytes() const { return rows_.stored_bytes(); }
 
-  /// Keyframe rows in the compressed store (diagnostics; 0 in verbatim mode
-  /// where the notion does not apply).
+  /// Rows that opened a width epoch in the packed store (diagnostics; 0 in
+  /// verbatim mode where the notion does not apply).
   std::uint64_t keyframe_rows() const { return rows_.keyframes(); }
 
   /// Spill counters from the backing arena (all zero when spilling is off).
@@ -392,7 +397,6 @@ class explorer {
       ropt.spill.dir = opt_.spill_dir;
     }
     rows_.configure(stride(), opt_.compress_arena, ropt);
-    dcache_.configure(stride());
     // The opt-out reproduces the previous pipeline end to end, seen table
     // included: per-successor expansion probing the linear-probe table.
     use_linear_ = !opt_.batched_expansion;
@@ -431,12 +435,10 @@ class explorer {
     while (frontier < num_states()) {
       if (num_states() >= opt_.max_states) return false;  // incomplete
       if ((frontier & (kSpillWindow - 1)) == 0 && rows_.spill_enabled())
-        rows_.prefetch_rows(frontier, frontier + kSpillWindow, parent_.data(),
-                            dcache_);
+        rows_.prefetch_rows(frontier, frontier + kSpillWindow);
       const auto s = static_cast<std::int64_t>(frontier++);
       prow_.resize(stride());
-      rows_.load(static_cast<std::uint64_t>(s), parent_.data(), prow_.data(),
-                 dcache_);
+      rows_.load(static_cast<std::uint64_t>(s), prow_.data());
       fill_state(prow_.data(), scratch_);
       if (saved_.size() != n) saved_ = scratch_.procs;
       // Quiescent point: refresh the packed kernel's rank snapshots once
@@ -526,10 +528,10 @@ class explorer {
   /// The staged batch pipeline (options.batched_expansion = true). Same
   /// contract as run_unbatched, same observable effects bit for bit: the
   /// component pools intern in identical order (canonicalization is fused
-  /// into the generation stage), rows are appended in identical order with
-  /// identical delta bases, the max_states cap is re-checked before each
-  /// parent's probe group, and the first violating fresh state in staged
-  /// order matches the unbatched violation point.
+  /// into the generation stage), rows are appended in identical order, the
+  /// max_states cap is re-checked before each parent's probe group, and the
+  /// first violating fresh state in staged order matches the unbatched
+  /// violation point.
   bool run_batched(result& res, const state_predicate& is_bad) {
     const std::size_t m = static_cast<std::size_t>(registers_);
     const std::size_t n = initial_machines_.size();
@@ -552,16 +554,15 @@ class explorer {
       // Stage 1: decode the window's parent rows behind one batched
       // cold-page fault-in (BFS append order IS arena-offset order).
       if (rows_.spill_enabled())
-        rows_.prefetch_rows(wbegin, wbegin + wlen, parent_.data(), dcache_);
+        rows_.prefetch_rows(wbegin, wbegin + wlen);
       wrows_.resize(wlen * st);
       for (std::size_t k = 0; k < wlen; ++k)
-        rows_.load(wbegin + k, parent_.data(), wrows_.data() + k * st,
-                   dcache_);
+        rows_.load(wbegin + k, wrows_.data() + k * st);
       // Stage 2: generate every successor of the window into the flat
       // staging buffer. Canonicalization is fused here, successor by
       // successor, so the component pools intern in exactly the
-      // one-at-a-time order — pool id values feed the delta/varint row
-      // encoding, so reordering them would change stored bytes.
+      // one-at-a-time order — pool id values set the packed column widths,
+      // so reordering them would change stored bytes.
       staged_.clear();
       soff_.assign(wlen + 1, 0);
       if (packed_) pk_.maybe_refresh_ranks();
@@ -679,14 +680,12 @@ class explorer {
           return false;  // incomplete
         }
         const auto s = static_cast<std::int64_t>(wbegin + k);
-        const std::uint32_t* prow = wrows_.data() + k * st;
         for (const std::size_t gend = soff_[k + 1]; si < gend; ++si) {
           if (si + kPrefetchAhead < staged_.size())
             index_.prefetch(staged_[si + kPrefetchAhead].hash);
           const staged_succ& ss = staged_[si];
           const std::uint32_t* row = srows_.data() + si * st;
-          const auto [idx, fresh] =
-              intern_row(row, ss.hash, s, prow, ss.via, ss.elem);
+          const auto [idx, fresh] = intern_row(row, ss.hash, s, ss.via, ss.elem);
           if (!fresh) ++res.dedup_hits;
           edges_.emplace_back(static_cast<std::uint32_t>(s),
                               static_cast<std::uint32_t>(idx));
@@ -782,29 +781,24 @@ class explorer {
     return {w_out, vid_out};
   }
 
-  /// Dedup-insert wbuf_; returns (index, inserted-fresh). When `parent` >= 0
-  /// its decoded row must sit in prow_ (run_unbatched's invariant) —
-  /// compressed appends delta against it.
+  /// Dedup-insert wbuf_; returns (index, inserted-fresh).
   std::pair<std::int64_t, bool> intern_words(std::int64_t parent, int via,
                                              int elem) {
     return intern_row(wbuf_.data(), hash_words(wbuf_.data(), stride()),
-                      parent, prow_.data(), via, elem);
+                      parent, via, elem);
   }
 
-  /// Dedup-insert an explicit packed row with a precomputed hash; `prow` is
-  /// the parent's decoded row (the compressed store's delta base; ignored
-  /// for the parentless initial state).
+  /// Dedup-insert an explicit packed row with a precomputed hash.
   std::pair<std::int64_t, bool> intern_row(const std::uint32_t* row,
                                            std::size_t h, std::int64_t parent,
-                                           const std::uint32_t* prow, int via,
-                                           int elem) {
+                                           int via, int elem) {
     const bool verbatim = !rows_.compressed();
     const auto eq = [&](std::uint32_t i) {
       const std::uint32_t* cand;
       if (verbatim) {
         cand = rows_.verbatim_row(i);
       } else {
-        rows_.load(i, parent_.data(), cmp_.data(), dcache_);
+        rows_.load(i, cmp_.data());
         cand = cmp_.data();
       }
       return std::memcmp(cand, row, stride() * sizeof(std::uint32_t)) == 0;
@@ -815,7 +809,7 @@ class explorer {
     const std::uint64_t idx = num_states();
     ANONCOORD_REQUIRE(idx < flat_index::npos, "state index space exhausted");
     const std::uint64_t e0 = cycle_clock::now();
-    rows_.append(row, parent, parent >= 0 ? prow : nullptr);
+    rows_.append(row);
     pt_encode_ += cycle_clock::now() - e0;
     if (use_linear_)
       lindex_.insert(h, static_cast<std::uint32_t>(idx));
@@ -847,7 +841,7 @@ class explorer {
   /// Decode stored state `idx` into `out`, reusing its capacity.
   void load_state(std::uint64_t idx, state_type& out) const {
     rowtmp_.resize(stride());
-    rows_.load(idx, parent_.data(), rowtmp_.data(), dcache_);
+    rows_.load(idx, rowtmp_.data());
     fill_state(rowtmp_.data(), out);
   }
 
@@ -927,7 +921,7 @@ class explorer {
   symmetry_group<Machine> group_;
 
   state_pool<Machine> pool_;
-  row_store rows_;  ///< packed rows, compressed or verbatim per options
+  row_store rows_;  ///< seen rows, bit-packed or verbatim per options
   flat_index index_;          ///< group-probing seen table (batched mode)
   flat_index_linear lindex_;  ///< baseline seen table (the opt-out's)
   bool use_linear_ = false;
@@ -967,7 +961,6 @@ class explorer {
   std::uint64_t pt_expand_ = 0, pt_canon_ = 0, pt_probe_ = 0, pt_encode_ = 0;
   stopwatch cal_timer_;
   std::uint64_t cal_tick0_ = 0;
-  mutable row_decode_cache dcache_;
   mutable canonical_scratch<Machine> cs_;
   // Packed canonicalization kernel state (reduce + packed_canonicalization).
   bool packed_ = false;

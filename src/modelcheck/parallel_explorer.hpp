@@ -33,11 +33,11 @@
 // States are packed and interned (modelcheck/state_pool.hpp): register
 // values and machine local states are hash-consed into thread-safe component
 // pools, and a stored state is one row of (m + n) 32-bit pool ids. Merged
-// rows live in a row_store — delta-against-parent + varint compressed by
-// default (options.compress_arena), verbatim on opt-out — which only the
-// single-threaded merge appends to; workers decode rows through per-worker
-// caches, so the store is strictly read-only while they expand. The only
-// synchronization on the hot path is the seen-table CAS.
+// rows live in a row_store — bit-packed by default (options.compress_arena),
+// verbatim on opt-out — which only the single-threaded merge appends to;
+// workers read rows by index alone (O(1), no per-thread state), so the store
+// is strictly read-only while they expand. The only synchronization on the
+// hot path is the seen-table CAS.
 //
 // With options.symmetry successors are canonicalized to their orbit
 // representative under the configuration's automorphism group
@@ -92,7 +92,7 @@ class parallel_explorer {
     bool record_edges = true;
     /// Orbit-representative dedup; same contract as explorer::options.
     bool symmetry = false;
-    /// Compressed row store; same contract as explorer::options.
+    /// Bit-packed row store; same contract as explorer::options.
     bool compress_arena = true;
     /// Out-of-core mode; same contract as explorer::options. The budget is
     /// enforced on the append path (level merges), so within a level the
@@ -185,7 +185,6 @@ class parallel_explorer {
     for (auto& wd : workers_) {
       wd.value.cmp.assign(stride(), 0);
       wd.value.prow.assign(stride(), 0);
-      wd.value.dcache.configure(stride());
     }
     deques_ = std::make_unique<padded<ws_deque>[]>(
         static_cast<std::size_t>(nworkers));
@@ -348,8 +347,8 @@ class parallel_explorer {
   /// bytes-per-state numerator; same accounting basis in both modes).
   std::uint64_t stored_row_bytes() const { return rows_.stored_bytes(); }
 
-  /// Keyframe rows in the compressed store (diagnostics; 0 in verbatim mode
-  /// where the notion does not apply).
+  /// Rows that opened a width epoch in the packed store (diagnostics; 0 in
+  /// verbatim mode where the notion does not apply).
   std::uint64_t keyframe_rows() const { return rows_.keyframes(); }
 
   /// Spill counters from the backing arena (all zero when spilling is off).
@@ -408,7 +407,6 @@ class parallel_explorer {
     std::vector<std::uint32_t> wbuf;  ///< packed successor row
     std::vector<std::uint32_t> prow;  ///< decoded row of the expanded state
     std::vector<std::uint32_t> cmp;   ///< eq-probe decode buffer
-    row_decode_cache dcache;
     /// Batched mode: one parent's successors staged as flat rows + their
     /// provenance, hashed and probe-prefetched as a group before the probe
     /// loop; phase tick accumulators and probe counters ride per worker.
@@ -452,7 +450,6 @@ class parallel_explorer {
     workers_.clear();
     csr_offsets_.clear();
     csr_sources_.clear();
-    mcache_.configure(stride());
     mrow_.assign(stride(), 0);
     cell_count_ = 1024;
     cell_mask_ = cell_count_ - 1;
@@ -572,9 +569,9 @@ class parallel_explorer {
   }
 
   /// Decode merged state `global` into `out` (single-threaded callers; the
-  /// workers decode through their own caches in expand()).
+  /// workers decode into their own buffers in expand()).
   void load_state(std::uint64_t global, state_type& out) const {
-    rows_.load(global, parents_.data(), mrow_.data(), mcache_);
+    rows_.load(global, mrow_.data());
     fill_state(mrow_.data(), out);
   }
 
@@ -590,7 +587,7 @@ class parallel_explorer {
       std::size_t i = cell_start(frag);
       cells_[i].store(make_cell(frag, 0), std::memory_order_relaxed);
     }
-    rows_.append(wbuf.data(), -1, nullptr);
+    rows_.append(wbuf.data());
     parents_.push_back(-1);
     vias_.push_back(-1);
     elems_.push_back(elem);
@@ -607,7 +604,7 @@ class parallel_explorer {
     const std::size_t m = static_cast<std::size_t>(registers_);
     const bool reduce = !group_.is_trivial();
     state_type& scratch = wd.scratch;
-    rows_.load(g, parents_.data(), wd.prow.data(), wd.dcache);
+    rows_.load(g, wd.prow.data());
     fill_state(wd.prow.data(), scratch);
     if (wd.saved.size() != scratch.procs.size()) wd.saved = scratch.procs;
     const int nprocs = static_cast<int>(scratch.procs.size());
@@ -695,7 +692,7 @@ class parallel_explorer {
     const bool reduce = !group_.is_trivial();
     const std::uint64_t t0 = cycle_clock::now();
     state_type& scratch = wd.scratch;
-    rows_.load(g, parents_.data(), wd.prow.data(), wd.dcache);
+    rows_.load(g, wd.prow.data());
     fill_state(wd.prow.data(), scratch);
     if (wd.saved.size() != scratch.procs.size()) wd.saved = scratch.procs;
     const int nprocs = static_cast<int>(scratch.procs.size());
@@ -802,7 +799,7 @@ class parallel_explorer {
           if (t & kPendingBit) {
             other = pend_words_.data() + std::size_t{t & ~kPendingBit} * st;
           } else {
-            rows_.load(t, parents_.data(), wd.cmp.data(), wd.dcache);
+            rows_.load(t, wd.cmp.data());
             other = wd.cmp.data();
           }
           return std::memcmp(other, row, st * sizeof(std::uint32_t)) == 0;
@@ -877,7 +874,7 @@ class parallel_explorer {
           row = pend_words_.data() +
                 std::size_t{tagged & ~kPendingBit} * stride();
         } else {
-          rows_.load(tagged, parents_.data(), wd.cmp.data(), wd.dcache);
+          rows_.load(tagged, wd.cmp.data());
           row = wd.cmp.data();
         }
         if (std::memcmp(row, wd.wbuf.data(),
@@ -932,10 +929,7 @@ class parallel_explorer {
           (f.pve >> kElemBits) & ((1u << kViaBits) - 1));
       const auto elem = static_cast<std::int32_t>(
           f.pve & ((1u << kElemBits) - 1));
-      rows_.load(static_cast<std::uint64_t>(parent), parents_.data(),
-                 mrow_.data(), mcache_);
-      rows_.append(pend_words_.data() + std::size_t{f.eidx} * stride(),
-                   parent, mrow_.data());
+      rows_.append(pend_words_.data() + std::size_t{f.eidx} * stride());
       parents_.push_back(parent);
       vias_.push_back(via);
       elems_.push_back(elem);
@@ -1100,8 +1094,7 @@ class parallel_explorer {
   // reused by subsequent calls on the same run.
   mutable std::vector<std::uint32_t> csr_offsets_;
   mutable std::vector<std::uint32_t> csr_sources_;
-  // Single-threaded decode scratch (merge, load_state, check_progress).
-  mutable row_decode_cache mcache_;
+  // Single-threaded decode scratch (load_state, check_progress).
   mutable std::vector<std::uint32_t> mrow_;
 };
 

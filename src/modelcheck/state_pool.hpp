@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -42,7 +43,6 @@
 #include "util/check.hpp"
 #include "util/flat_index.hpp"
 #include "util/hash.hpp"
-#include "util/varint.hpp"
 
 namespace anoncoord {
 
@@ -336,75 +336,6 @@ class state_pool {
   detail::component_pool<Machine, machine_hasher> machines_;
 };
 
-/// Per-reader scratch for row_store::load in compressed mode: a direct-mapped
-/// cache of recently decoded rows, keyed by state index. Decoding walks the
-/// delta chain parent-ward and stops at the first cached ancestor, so BFS
-/// locality (a state's parent sits one level up and was decoded moments ago)
-/// collapses the expected chain walk to a step or two. The cache is a bounded
-/// scratch object owned by each reader thread — it is NOT part of the
-/// per-state storage and is not charged to bytes-per-state.
-class row_decode_cache {
- public:
-  static constexpr std::size_t kSlots = 1 << 15;  // 32768; pow2 for masking
-
-  void configure(std::size_t stride) {
-    stride_ = stride;
-    rows_.assign(kSlots * stride, 0);
-    tags_.assign(kSlots, 0);
-  }
-
-  void clear() {
-    if (!tags_.empty()) tags_.assign(tags_.size(), 0);
-  }
-
-  /// nullptr on miss; cached row words on hit.
-  const std::uint32_t* find(std::uint64_t idx) const {
-    const std::size_t slot = static_cast<std::size_t>(idx) & (kSlots - 1);
-    if (tags_[slot] != idx + 1) return nullptr;
-    return rows_.data() + slot * stride_;
-  }
-
-  void put(std::uint64_t idx, const std::uint32_t* row) {
-    const std::size_t slot = static_cast<std::size_t>(idx) & (kSlots - 1);
-    tags_[slot] = idx + 1;
-    std::memcpy(rows_.data() + slot * stride_, row,
-                stride_ * sizeof(std::uint32_t));
-  }
-
- private:
-  std::size_t stride_ = 0;
-  std::vector<std::uint32_t> rows_;
-  std::vector<std::uint64_t> tags_;
-};
-
-/// Append-only store of packed state rows (stride = m + n words each), the
-/// seen-set payload of both explorers. Two modes:
-///
-///   * verbatim — rows kept as flat 4·stride-byte runs (the pre-compression
-///     layout); load() is a memcpy and verbatim_row() exposes the bytes for
-///     memcmp-equality. This is the opt-out path (options.compress_arena =
-///     false).
-///   * compressed — each row is encoded into a byte_arena page either as a
-///     KEYFRAME (tag varint 0, then the stride words as varints) or as a
-///     DELTA against its BFS parent's row (tag varint = patch count, then per
-///     patch a position gap varint and the new word zigzag-encoded against
-///     the overwritten word). A BFS successor differs from its parent in one
-///     machine word and at most one register word, so a typical delta is a
-///     handful of bytes. Keyframes are forced at the roots, whenever the
-///     delta chain would exceed kMaxChain (bounding decode work), and
-///     whenever the delta would not actually be smaller.
-///
-/// Decoding a compressed row needs the BFS parent array (the explorers own
-/// it) and a row_decode_cache. Appends are single-threaded; loads may run
-/// concurrently from many threads provided no append is in flight and each
-/// thread uses its own cache — the same fork-join contract as byte_arena.
-///
-/// Offsets are 64-bit but stored block-relative to stay at 4 B per row: one
-/// u64 base per kOffBlock rows plus a u32 delta. This replaces the old
-/// whole-arena u32 cap (fail-fast at 4 GiB) — the arena can now grow past
-/// 4 GiB, and with spilling enabled (row_store_options) it no longer has to
-/// be resident either.
-
 /// Tuning for a row_store's backing arena. Defaults reproduce the in-memory
 /// behaviour; a nonzero spill budget turns on out-of-core paging. page_bits
 /// is exposed so tests can drive the spill machinery with tiny pages.
@@ -413,14 +344,35 @@ struct row_store_options {
   int page_bits = byte_arena::kPageBits;
 };
 
+/// Append-only store of packed state rows (stride = m + n words each), the
+/// seen-set payload of both explorers. Two modes:
+///
+///   * verbatim — rows kept as flat 4·stride-byte runs; load() is a memcpy
+///     and verbatim_row() exposes the words for memcmp-equality. This is the
+///     reference layout (options.compress_arena = false).
+///   * packed — column c (m register-value ids, then n machine ids) is
+///     stored in bit_width(largest id appended to column c so far) bits, the
+///     fields concatenated LSB-first into ceil(bits / 8) bytes per row and
+///     written and read as a stream of little-endian 32-bit chunks.
+///     Widths only grow, so rows are appended in WIDTH EPOCHS: a new epoch
+///     opens only when an appended id outgrows its column (at most 32 times
+///     per column). Within an epoch every row has the same byte size and
+///     rows fill arena pages back to back (byte_arena never splits a row
+///     across pages), so a row's offset follows from its epoch's base offset
+///     by arithmetic alone: no per-row offset, depth or parent data. Each
+///     page keeps kReadSlack bytes after its last row, so a row's final
+///     chunk never reaches past its page.
+///
+/// load() is O(1) in both modes. Appends are single-threaded; loads may run
+/// concurrently from many threads provided no append is in flight — the
+/// same fork-join contract as byte_arena. Every packed row byte lives in the
+/// arena, so a spill budget (row_store_options) bounds all of them; only the
+/// epoch table stays resident.
 class row_store {
  public:
-  /// Longest allowed parent-delta chain before a keyframe is forced.
-  static constexpr std::uint8_t kMaxChain = 24;
-  /// Rows per offset block: a block spans < 4 GiB of arena (each row consumes
-  /// at most two pages including the skipped tail), so the u32 delta fits.
-  static constexpr int kOffBlockBits = 12;
-  static constexpr std::uint64_t kOffBlock = std::uint64_t{1} << kOffBlockBits;
+  /// Bytes a packed row's final 32-bit chunk may run past the row's end;
+  /// every page keeps them free after its last row.
+  static constexpr std::uint32_t kReadSlack = 3;
 
   void configure(std::size_t stride, bool compress) {
     configure(stride, compress, row_store_options{});
@@ -440,183 +392,103 @@ class row_store {
   bool compressed() const { return compressed_; }
   std::uint64_t size() const { return count_; }
 
-  /// Append one row. `parent` is the row's BFS parent index (< 0 for roots)
-  /// and `parent_row` its decoded words (nullptr forces a keyframe). Returns
-  /// the new row's index == the previous size().
-  std::uint64_t append(const std::uint32_t* row, std::int64_t parent,
-                       const std::uint32_t* parent_row) {
-    const std::uint64_t idx = count_++;
+  /// Append one row (stride words); returns its index == the previous size().
+  std::uint64_t append(const std::uint32_t* row) {
+    ANONCOORD_REQUIRE(count_ < 0xFFFFFFFFull, "row store index space exhausted");
     if (!compressed_) {
       words_.insert(words_.end(), row, row + stride_);
-      return idx;
+      return count_++;
     }
-    const bool can_delta = parent >= 0 && parent_row != nullptr &&
-                           depth_[static_cast<std::size_t>(parent)] < kMaxChain;
-    std::size_t npatch = 0;
-    std::size_t delta_size = 0;
-    if (can_delta) {
-      for (std::size_t i = 0; i < stride_; ++i) {
-        if (row[i] == parent_row[i]) continue;
-        ++npatch;
-        delta_size += varint_size(i) +  // upper bound on the gap varint
-                      varint_size(zigzag_encode(
-                          static_cast<std::int64_t>(row[i]) -
-                          static_cast<std::int64_t>(parent_row[i])));
+    bool outgrown = force_epoch_ || epochs_.empty();
+    if (!outgrown) {
+      const std::uint8_t* w = widths_.data() + epochs_.back().widths;
+      for (std::size_t c = 0; c < stride_; ++c)
+        outgrown |= (std::uint64_t{row[c]} >> w[c]) != 0;
+    }
+    if (outgrown) open_epoch(row);
+    epoch& e = epochs_.back();
+    const std::uint8_t* w = widths_.data() + e.widths;
+    std::uint8_t* dst = arena_.reserve(e.row_bytes + kReadSlack);
+    std::uint64_t acc = 0;
+    std::uint32_t bits = 0;  // pending bits in acc, always < 32 here
+    for (std::size_t c = 0; c < stride_; ++c) {
+      acc |= std::uint64_t{row[c]} << bits;
+      bits += w[c];
+      if (bits >= 32) {
+        store_chunk(dst, acc);
+        dst += 4;
+        acc >>= 32;
+        bits -= 32;
       }
     }
-    std::size_t key_size = 0;
-    for (std::size_t i = 0; i < stride_; ++i) key_size += varint_size(row[i]);
-    const bool keyframe =
-        !can_delta || npatch == 0 ||
-        varint_size(npatch) + delta_size >= 1 + key_size;
-
-    std::uint8_t* out = arena_.reserve(1 + key_size + kMaxVarintBytes);
-    std::size_t n = 0;
-    if (keyframe) {
-      n += put_varint(out + n, 0);
-      for (std::size_t i = 0; i < stride_; ++i)
-        n += put_varint(out + n, row[i]);
-      depth_.push_back(0);
-    } else {
-      n += put_varint(out + n, npatch);
-      std::size_t prev = 0;
-      for (std::size_t i = 0; i < stride_; ++i) {
-        if (row[i] == parent_row[i]) continue;
-        n += put_varint(out + n, i - prev);
-        n += put_varint(out + n,
-                        zigzag_encode(static_cast<std::int64_t>(row[i]) -
-                                      static_cast<std::int64_t>(parent_row[i])));
-        prev = i;
-      }
-      depth_.push_back(
-          static_cast<std::uint8_t>(depth_[static_cast<std::size_t>(parent)] +
-                                    1));
+    if (bits > 0) store_chunk(dst, acc);
+    const std::uint64_t off = arena_.commit(e.row_bytes);
+    if (count_ == e.first) {  // the epoch's first row fixes its base
+      e.base = off;
+      e.head_rows = static_cast<std::uint32_t>(
+          (arena_.page_size() - (off & (arena_.page_size() - 1)) -
+           kReadSlack) /
+          e.row_bytes);
     }
-    const std::uint64_t off = arena_.commit(n);
-    if ((offs_.size() & (kOffBlock - 1)) == 0) off_bases_.push_back(off);
-    const std::uint64_t rel = off - off_bases_.back();
-    ANONCOORD_REQUIRE(rel <= 0xFFFFFFFFull,
-                      "arena offset block spans over 4 GiB (page size too "
-                      "large for block-relative offsets)");
-    offs_.push_back(static_cast<std::uint32_t>(rel));
-    return idx;
+    return count_++;
   }
 
-  /// Decode row `idx` into `out` (stride words). `parents` is the explorer's
-  /// BFS parent array; `cache` must belong to the calling thread. In spill
-  /// mode a decode-cache miss prefetches the whole delta chain's pages first:
-  /// the recursion consumes the chain keyframe-first, which would otherwise
-  /// fault pages one at a time in reverse order of use.
-  void load(std::uint64_t idx, const std::int64_t* parents, std::uint32_t* out,
-            row_decode_cache& cache) const {
-    if (compressed_ && arena_.spill_enabled() && cache.find(idx) == nullptr)
-      prefetch_chain(idx, parents, cache);
-    load_impl(idx, parents, out, cache);
-  }
-
-  /// Batch-fault the pages a whole frontier window [lo, hi) of rows will
-  /// decode through: every row's delta chain, stopping where load() will (a
-  /// keyframe or a cached ancestor), collected and faulted in ONE arena
-  /// pass. Row indices are arena-append order, so a window's own rows are
-  /// contiguous bytes and its chains cluster around shared ancestors —
-  /// batching turns the per-row cold-fault dribble under a tight spill
-  /// budget into one ascending-offset sweep, and the faulted pages' ref
-  /// bits keep the window resident across the interleaved appends'
-  /// second-chance evictions. No-op in verbatim or fully-resident mode.
-  void prefetch_rows(std::uint64_t lo, std::uint64_t hi,
-                     const std::int64_t* parents,
-                     const row_decode_cache& cache) const {
-    if (!compressed_ || !arena_.spill_enabled()) return;
-    hi = std::min(hi, count_);
-    if (lo >= hi) return;
-    std::vector<std::uint64_t> offs;
-    offs.reserve(static_cast<std::size_t>(hi - lo) * 2);
-    for (std::uint64_t idx = lo; idx < hi; ++idx) {
-      if (cache.find(idx) != nullptr) continue;
-      std::uint64_t cur = idx;
-      for (;;) {
-        offs.push_back(offset_of(cur));
-        if (depth_[static_cast<std::size_t>(cur)] == 0) break;  // keyframe
-        cur =
-            static_cast<std::uint64_t>(parents[static_cast<std::size_t>(cur)]);
-        if (cache.find(cur) != nullptr) break;
-      }
-    }
-    arena_.prefetch(offs.data(), offs.size());
-  }
-
- private:
-  void load_impl(std::uint64_t idx, const std::int64_t* parents,
-                 std::uint32_t* out, row_decode_cache& cache) const {
+  /// Decode row `idx` into `out` (stride words).
+  void load(std::uint64_t idx, std::uint32_t* out) const {
     if (!compressed_) {
       std::memcpy(out, words_.data() + idx * stride_,
                   stride_ * sizeof(std::uint32_t));
       return;
     }
-    if (const std::uint32_t* hit = cache.find(idx)) {
-      std::memcpy(out, hit, stride_ * sizeof(std::uint32_t));
-      return;
-    }
-    const std::uint8_t* in = arena_.at(offset_of(idx));
-    const std::uint64_t npatch = get_varint(in);
-    if (npatch == 0) {  // keyframe
-      for (std::size_t i = 0; i < stride_; ++i)
-        out[i] = static_cast<std::uint32_t>(get_varint(in));
-    } else {
-      load_impl(
-          static_cast<std::uint64_t>(parents[static_cast<std::size_t>(idx)]),
-          parents, out, cache);  // recursion bounded by kMaxChain
-      std::size_t pos = 0;
-      for (std::uint64_t p = 0; p < npatch; ++p) {
-        pos += static_cast<std::size_t>(get_varint(in));
-        out[pos] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(out[pos]) + zigzag_decode(get_varint(in)));
+    const epoch& e = epoch_of(idx);
+    const std::uint8_t* in = arena_.at(offset_of(e, idx));
+    const std::uint8_t* w = widths_.data() + e.widths;
+    std::uint64_t acc = 0;
+    std::uint32_t bits = 0;  // unread bits in acc
+    for (std::size_t c = 0; c < stride_; ++c) {
+      if (bits < w[c]) {
+        std::uint32_t chunk;
+        std::memcpy(&chunk, in, sizeof chunk);
+        in += 4;
+        acc |= std::uint64_t{chunk} << bits;
+        bits += 32;
       }
+      out[c] = static_cast<std::uint32_t>(acc &
+                                          ((std::uint64_t{1} << w[c]) - 1));
+      acc >>= w[c];
+      bits -= w[c];
     }
-    cache.put(idx, out);
   }
 
-  std::uint64_t offset_of(std::uint64_t idx) const {
-    return off_bases_[static_cast<std::size_t>(idx >> kOffBlockBits)] +
-           offs_[static_cast<std::size_t>(idx)];
+  /// Fault in the pages holding rows [lo, hi) in one pass. Row indices are
+  /// arena-append order, so a frontier window is one contiguous page range;
+  /// faulting it up front replaces the per-row cold-fault dribble under a
+  /// tight spill budget, and the faulted pages' ref bits keep the window
+  /// resident across the interleaved appends' second-chance evictions.
+  /// No-op in verbatim or fully-resident mode.
+  void prefetch_rows(std::uint64_t lo, std::uint64_t hi) const {
+    if (!compressed_ || !arena_.spill_enabled()) return;
+    hi = std::min(hi, count_);
+    if (lo >= hi) return;
+    const epoch& last = epoch_of(hi - 1);
+    arena_.prefetch_range(offset_of(epoch_of(lo), lo),
+                          offset_of(last, hi - 1) + last.row_bytes);
   }
 
-  /// Collect the delta chain's offsets (stopping where decoding will: at a
-  /// keyframe or a cached ancestor) and fault their pages in one pass.
-  void prefetch_chain(std::uint64_t idx, const std::int64_t* parents,
-                      const row_decode_cache& cache) const {
-    std::uint64_t offs[kMaxChain + 1];
-    std::size_t n = 0;
-    std::uint64_t cur = idx;
-    for (;;) {
-      offs[n++] = offset_of(cur);
-      if (depth_[static_cast<std::size_t>(cur)] == 0) break;  // keyframe
-      cur = static_cast<std::uint64_t>(parents[static_cast<std::size_t>(cur)]);
-      if (cache.find(cur) != nullptr) break;
-    }
-    arena_.prefetch(offs, n);
-  }
-
- public:
-  /// Direct row bytes; verbatim mode only (memcmp-equality fast path).
+  /// Direct row words; verbatim mode only (memcmp-equality fast path).
   const std::uint32_t* verbatim_row(std::uint64_t idx) const {
     return words_.data() + idx * stride_;
   }
 
-  /// Bytes of per-state row storage actually committed: encoded bytes plus
-  /// offset/depth side arrays in compressed mode, 4·stride per row verbatim.
+  /// Bytes of row storage actually committed: arena bytes (page tails
+  /// included) plus the epoch table when packed, 4·stride per row verbatim.
   std::uint64_t stored_bytes() const {
     if (!compressed_) return count_ * stride_ * sizeof(std::uint32_t);
-    return arena_.used() + count_ * (sizeof(std::uint32_t) + 1) +
-           off_bases_.size() * sizeof(std::uint64_t);
+    return arena_.used() + epochs_.size() * sizeof(epoch) + widths_.size();
   }
 
-  /// Keyframe count (diagnostics: the rest are parent deltas).
-  std::uint64_t keyframes() const {
-    std::uint64_t k = 0;
-    for (const std::uint8_t d : depth_) k += (d == 0);
-    return k;
-  }
+  /// Rows that opened a width epoch (0 in verbatim mode).
+  std::uint64_t keyframes() const { return epochs_.size(); }
 
   bool spill_enabled() const { return arena_.spill_enabled(); }
   arena_spill_stats spill_stats() const { return arena_.spill_stats(); }
@@ -627,33 +499,103 @@ class row_store {
 
   /// Test hook: pad the arena so subsequent rows land at or past
   /// `target_offset` (exercising offsets beyond 2^32 without writing
-  /// gigabytes). Only legal at an offset-block boundary, where the next
-  /// appended row starts a fresh block and re-bases the u32 deltas.
+  /// gigabytes). The next append opens a fresh epoch based past the hole.
   void pad_arena_for_test(std::uint64_t target_offset) {
-    ANONCOORD_REQUIRE(compressed_, "pad_arena_for_test needs compressed mode");
-    ANONCOORD_REQUIRE((offs_.size() & (kOffBlock - 1)) == 0,
-                      "pad_arena_for_test only at an offset-block boundary");
+    ANONCOORD_REQUIRE(compressed_, "pad_arena_for_test needs packed mode");
     arena_.pad_to(target_offset);
+    force_epoch_ = true;
   }
 
   void clear() {
     count_ = 0;
     words_.clear();
     arena_.clear();
-    offs_.clear();
-    off_bases_.clear();
-    depth_.clear();
+    epochs_.clear();
+    widths_.clear();
+    force_epoch_ = false;
   }
 
  private:
+  static_assert(std::endian::native == std::endian::little,
+                "packed rows assume little-endian chunk loads");
+
+  static void store_chunk(std::uint8_t* at, std::uint64_t acc) {
+    const auto chunk = static_cast<std::uint32_t>(acc);
+    std::memcpy(at, &chunk, sizeof chunk);
+  }
+
+  /// A run of rows sharing one set of column widths.
+  struct epoch {
+    std::uint64_t first = 0;      ///< index of the epoch's first row
+    std::uint64_t base = 0;       ///< arena offset of that row
+    std::uint64_t magic = 0;      ///< ceil(2^64 / per_page); 0 if per_page == 1
+    std::uint32_t row_bytes = 0;
+    std::uint32_t head_rows = 0;  ///< rows that fit in base's page
+    std::uint32_t per_page = 0;   ///< rows per later page
+    std::uint32_t widths = 0;     ///< index of its stride widths in widths_
+  };
+
+  /// Widen every column `row` outgrows and start a new epoch. Validates
+  /// before mutating, so a row too wide for a page leaves the store intact.
+  void open_epoch(const std::uint32_t* row) {
+    const std::size_t prev = epochs_.empty() ? 0 : epochs_.back().widths;
+    const auto width = [&](std::size_t c) {
+      const int old = epochs_.empty() ? 0 : widths_[prev + c];
+      return static_cast<std::uint8_t>(std::max<int>(old, std::bit_width(row[c])));
+    };
+    std::uint32_t bits = 0;
+    for (std::size_t c = 0; c < stride_; ++c) bits += width(c);
+    const std::uint32_t row_bytes = std::max<std::uint32_t>(1, (bits + 7) / 8);
+    ANONCOORD_REQUIRE(row_bytes + kReadSlack <= arena_.page_size(),
+                      "packed row larger than an arena page");
+    epoch e;
+    e.first = count_;
+    e.row_bytes = row_bytes;
+    e.per_page = static_cast<std::uint32_t>(
+        (arena_.page_size() - kReadSlack) / row_bytes);
+    e.magic = e.per_page == 1 ? 0 : ~std::uint64_t{0} / e.per_page + 1;
+    e.widths = static_cast<std::uint32_t>(widths_.size());
+    for (std::size_t c = 0; c < stride_; ++c) widths_.push_back(width(c));
+    epochs_.push_back(e);
+    force_epoch_ = false;
+  }
+
+  /// The epoch holding row `idx`: the last one starting at or before it.
+  /// Most reads hit the newest epoch; older rows take a branch-free binary
+  /// search (epochs_[0].first == 0).
+  const epoch& epoch_of(std::uint64_t idx) const {
+    if (idx >= epochs_.back().first) return epochs_.back();
+    const epoch* base = epochs_.data();
+    for (std::size_t n = epochs_.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      base = base[half].first <= idx ? base + half : base;
+      n -= half;
+    }
+    return *base;
+  }
+
+  std::uint64_t offset_of(const epoch& e, std::uint64_t idx) const {
+    std::uint64_t k = idx - e.first;
+    if (k < e.head_rows) return e.base + k * e.row_bytes;
+    k -= e.head_rows;
+    // k / per_page by multiply-high: exact for k < 2^32 (append caps rows).
+    const std::uint64_t page =
+        e.magic == 0 ? k
+                     : static_cast<std::uint64_t>(
+                           (static_cast<unsigned __int128>(e.magic) * k) >> 64);
+    const std::uint64_t slot = k - page * e.per_page;
+    const int pb = arena_.page_bits();
+    return (((e.base >> pb) + 1 + page) << pb) + slot * e.row_bytes;
+  }
+
   std::size_t stride_ = 0;
   bool compressed_ = true;
   std::uint64_t count_ = 0;
   std::vector<std::uint32_t> words_;  // verbatim mode
-  byte_arena arena_;                  // compressed mode: encoded rows…
-  std::vector<std::uint32_t> offs_;   // …their block-relative offsets…
-  std::vector<std::uint64_t> off_bases_;  // …one base per kOffBlock rows…
-  std::vector<std::uint8_t> depth_;   // …and delta-chain depths (keyframe = 0)
+  byte_arena arena_;                  // packed mode: row bytes…
+  std::vector<epoch> epochs_;         // …their width epochs…
+  std::vector<std::uint8_t> widths_;  // …and stride column widths per epoch
+  bool force_epoch_ = false;          // set by pad_arena_for_test
 };
 
 }  // namespace anoncoord

@@ -67,7 +67,7 @@ struct verify_options {
   /// systematic_tester::options::state_cache).
   bool state_cache = false;
   /// Out-of-core mode for the BFS engines (see explorer::options): resident
-  /// budget for the compressed row arena, 0 = fully in-memory. In a
+  /// budget for the packed row arena, 0 = fully in-memory. In a
   /// scheduled sweep this is the PER-JOB budget — every class's engine gets
   /// its own arena and spill file.
   std::uint64_t spill_budget_bytes = 0;

@@ -1,4 +1,4 @@
-// Append-only paged byte arena for the compressed state stores, with an
+// Append-only paged byte arena for the packed state store, with an
 // optional out-of-core mode that spills sealed pages to an mmap-backed file.
 //
 // A byte_arena hands out stable offsets into fixed-size pages. Rows are kept
@@ -137,12 +137,14 @@ class byte_arena {
     return p + (static_cast<std::size_t>(offset) & (page_size_ - 1));
   }
 
-  /// Fault the pages holding `offsets` in one pass (the row_store prefetches
-  /// a whole delta chain before decoding it keyframe-first).
-  void prefetch(const std::uint64_t* offsets, std::size_t n) const {
-    if (!spill_enabled()) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t page = static_cast<std::size_t>(offsets[i] >> page_bits_);
+  /// Fault in every page overlapping byte offsets [lo, hi) in one pass (the
+  /// row_store prefetches a frontier window's contiguous rows before
+  /// decoding them). Pad holes are skipped.
+  void prefetch_range(std::uint64_t lo, std::uint64_t hi) const {
+    if (!spill_enabled() || lo >= hi) return;
+    const auto last = static_cast<std::size_t>((hi - 1) >> page_bits_);
+    for (auto page = static_cast<std::size_t>(lo >> page_bits_); page <= last;
+         ++page) {
       const page_rec* pr = pages_[page].get();
       if (pr != nullptr && pr->data.load(std::memory_order_acquire) == nullptr)
         fault_in(page);

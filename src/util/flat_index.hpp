@@ -373,10 +373,11 @@ class concurrent_tag_index {
            group_mask_;
   }
 
-  /// One group's match/empty masks. SIMD reads the atomic tag bytes through
-  /// a plain 16-byte load — safe by the protocol above (stale 0s are
-  /// verified against cells, nonzero tags are immutable) — except under
-  /// TSan, where the per-byte atomic loop keeps the race detector exact.
+  /// One group's match/empty masks, both from one snapshot of its tags (see
+  /// probe_group_masks). SIMD reads the atomic tag bytes through a plain
+  /// 16-byte load — safe by the protocol above (stale 0s are verified
+  /// against cells, nonzero tags are immutable) — except under TSan, where
+  /// the per-byte atomic loop keeps the race detector exact.
   void group_masks(std::size_t g, std::uint8_t tag, std::uint32_t& match,
                    std::uint32_t& empty) const {
 #if defined(ANONCOORD_TSAN)
@@ -384,15 +385,13 @@ class concurrent_tag_index {
     for (int i = 0; i < kProbeGroupSlots; ++i)
       local[i] = tags_[g * kProbeGroupSlots + static_cast<std::size_t>(i)]
                      .load(std::memory_order_relaxed);
-    match = probe_match_mask(local, tag);
-    empty = probe_match_mask(local, 0);
+    probe_group_masks(local, tag, match, empty);
 #else
     static_assert(sizeof(std::atomic<std::uint8_t>) == 1,
                   "tag array must be byte-addressable for the group load");
-    const auto* t = reinterpret_cast<const std::uint8_t*>(tags_.get()) +
-                    g * kProbeGroupSlots;
-    match = probe_match_mask(t, tag);
-    empty = probe_match_mask(t, 0);
+    probe_group_masks(reinterpret_cast<const std::uint8_t*>(tags_.get()) +
+                          g * kProbeGroupSlots,
+                      tag, match, empty);
 #endif
   }
 

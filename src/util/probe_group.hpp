@@ -68,6 +68,30 @@ inline std::uint32_t probe_match_mask(const std::uint8_t* tags,
 #endif
 }
 
+/// Match and empty masks of one group from a SINGLE read of its 16 tags.
+/// Concurrent tables must not derive the two masks from two separate reads:
+/// a tag landing between them would leave its slot in neither mask, and the
+/// probe would skip a slot that already holds the probed state. Plain loads
+/// are not enough — the compiler may re-load the tags for the second compare
+/// — so the empty asm statements pin the one snapshot that was read.
+inline void probe_group_masks(const std::uint8_t* tags, std::uint8_t tag,
+                              std::uint32_t& match, std::uint32_t& empty) {
+#if defined(ANONCOORD_PROBE_SSE2)
+  __m128i group = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
+  __asm__("" : "+x"(group));
+  match = static_cast<std::uint32_t>(_mm_movemask_epi8(
+      _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(tag)))));
+  empty = static_cast<std::uint32_t>(
+      _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_setzero_si128())));
+#else
+  std::uint8_t local[kProbeGroupSlots];
+  for (int i = 0; i < kProbeGroupSlots; ++i) local[i] = tags[i];
+  __asm__ volatile("" : : "r"(local) : "memory");
+  match = probe_match_mask(local, tag);
+  empty = probe_match_mask(local, 0);
+#endif
+}
+
 /// Which compare backend this build selected (reported by benches).
 inline const char* probe_backend() {
 #if defined(ANONCOORD_PROBE_SSE2)

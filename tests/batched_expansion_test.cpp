@@ -109,7 +109,7 @@ TEST(BatchedExpansionTest, DeadlockCounterexampleIdenticalBatchedOnOff) {
 
 TEST(BatchedExpansionTest, StoredRowBytesIdenticalSequential) {
   // The seen-set storage must be byte-identical either way, in both the
-  // verbatim and the delta-compressed arena: same rows, same order.
+  // verbatim and the bit-packed arena: same rows, same order.
   for (bool compress : {false, true}) {
     std::uint64_t bytes[2] = {0, 0};
     std::uint64_t states[2] = {0, 0};

@@ -10,6 +10,8 @@
 // the mutual-exclusion verdict instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -291,7 +293,7 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
 
 TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
   // m = 4 at stride 2 deadlocks (Theorem 3.1's even-m witness), so this
-  // drives the counterexample reconstructor through the delta-decode path;
+  // drives the counterexample reconstructor through the packed-decode path;
   // m = 3 at stride 1 covers the all-OK verdict.
   const struct {
     int m;
@@ -319,13 +321,27 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     EXPECT_EQ(cres.num_states, vres.num_states);
     EXPECT_EQ(cres.stuck_states, vres.stuck_states);
     EXPECT_EQ(cres.counterexample, vres.counterexample);
-    // The compressed arena must actually shrink the footprint, with real
-    // delta rows between real keyframes.
+    // The packed arena must actually shrink the footprint. Width epochs
+    // open only when a column outgrows its width, so there are few of them,
+    // and the store stays within the final row width per state plus at most
+    // one page-tail per epoch. The final row's bits are bounded through the
+    // pools: no column holds an id above its pool's largest.
     EXPECT_LT(comp.stored_row_bytes(), verb_bytes);
     EXPECT_GT(comp.keyframe_rows(), 0u);
     EXPECT_LT(comp.keyframe_rows(), cres.num_states);
+    std::uint32_t max_value = 0, max_machine = 0;
+    comp.pool().for_each_value_id(
+        [&](std::uint32_t id) { max_value = std::max(max_value, id); });
+    comp.pool().for_each_machine_id(
+        [&](std::uint32_t id) { max_machine = std::max(max_machine, id); });
+    const std::uint64_t row_bits =
+        static_cast<std::uint64_t>(tc.m) * std::bit_width(max_value) +
+        2u * std::bit_width(max_machine);
+    EXPECT_LE(comp.stored_row_bytes(),
+              cres.num_states * ((row_bits + 7) / 8) +
+                  comp.keyframe_rows() * byte_arena::kPageSize);
 
-    for (int workers : {2, 4}) {
+    for (int workers : {1, 2, 4, 8}) {
       parallel_explorer<anon_mutex>::options par_opt;
       par_opt.workers = workers;
       par_opt.compress_arena = true;
@@ -335,6 +351,12 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
       EXPECT_EQ(pres.num_states, vres.num_states) << "workers=" << workers;
       EXPECT_EQ(pres.counterexample, vres.counterexample)
           << "workers=" << workers;
+      // One worker interns components in sequential discovery order, so its
+      // packed bytes match exactly. More workers intern in thread-timing
+      // order; the ids, and with them the column widths, may differ.
+      if (workers == 1) {
+        EXPECT_EQ(par.stored_row_bytes(), comp.stored_row_bytes());
+      }
     }
   }
 }

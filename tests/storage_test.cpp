@@ -1,14 +1,15 @@
-// Unit tests for the memory-lean storage layer: LEB128 varints, the paged
-// byte arena, the delta-compressed row store with its decode cache, the
-// Chase-Lev work-stealing deque, and flat_index edge cases.
+// Unit tests for the memory-lean storage layer: the paged byte arena, the
+// bit-packed row store, the Chase-Lev work-stealing deque, and flat_index
+// edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,56 +19,10 @@
 #include "util/flat_index.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/varint.hpp"
 #include "util/work_steal.hpp"
 
 namespace anoncoord {
 namespace {
-
-// ---------------------------------------------------------------------------
-// varint.hpp
-// ---------------------------------------------------------------------------
-
-TEST(VarintTest, RoundTripsBoundaryValues) {
-  const std::uint64_t values[] = {0,
-                                  1,
-                                  0x7f,
-                                  0x80,
-                                  0x3fff,
-                                  0x4000,
-                                  0xffffffffull,
-                                  0x100000000ull,
-                                  ~std::uint64_t{0}};
-  std::uint8_t buf[kMaxVarintBytes];
-  for (const std::uint64_t v : values) {
-    const std::size_t n = put_varint(buf, v);
-    EXPECT_EQ(n, varint_size(v)) << v;
-    EXPECT_LE(n, kMaxVarintBytes);
-    const std::uint8_t* in = buf;
-    EXPECT_EQ(get_varint(in), v);
-    EXPECT_EQ(in, buf + n) << "decoder must consume exactly what was written";
-  }
-}
-
-TEST(VarintTest, SizeGrowsAtSevenBitBoundaries) {
-  EXPECT_EQ(varint_size(0x7f), 1u);
-  EXPECT_EQ(varint_size(0x80), 2u);
-  EXPECT_EQ(varint_size(0x3fff), 2u);
-  EXPECT_EQ(varint_size(0x4000), 3u);
-  EXPECT_EQ(varint_size(~std::uint64_t{0}), kMaxVarintBytes);
-}
-
-TEST(VarintTest, ZigzagMapsSmallMagnitudesToSmallCodes) {
-  EXPECT_EQ(zigzag_encode(0), 0u);
-  EXPECT_EQ(zigzag_encode(-1), 1u);
-  EXPECT_EQ(zigzag_encode(1), 2u);
-  EXPECT_EQ(zigzag_encode(-2), 3u);
-  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
-                               std::int64_t{12345}, std::int64_t{-12345},
-                               std::numeric_limits<std::int64_t>::min(),
-                               std::numeric_limits<std::int64_t>::max()})
-    EXPECT_EQ(zigzag_decode(zigzag_encode(v)), v);
-}
 
 // ---------------------------------------------------------------------------
 // arena.hpp
@@ -124,105 +79,150 @@ TEST(ByteArenaTest, OversizedRowRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// state_pool.hpp: row_store + row_decode_cache
+// state_pool.hpp: row_store
 // ---------------------------------------------------------------------------
 
-// Build a random BFS-shaped row forest: roots are keyframes, children
-// differ from their parent in a few words. Returns (rows, parents).
-struct row_forest {
-  std::size_t stride;
+// Random rows whose column maxima climb through every power of two: row i
+// draws from [0, 2^b) with b = 33 * i / count, often hitting 2^b - 1 so each
+// width boundary is crossed mid-stream. Column 0 stays all-zero (width 0)
+// and the last row puts 0xFFFFFFFF in column stride - 1 (width 32).
+std::vector<std::vector<std::uint32_t>> climbing_rows(std::size_t stride,
+                                                      int count,
+                                                      std::uint64_t seed) {
   std::vector<std::vector<std::uint32_t>> rows;
-  std::vector<std::int64_t> parents;
-};
-
-row_forest make_forest(std::size_t stride, int count, std::uint64_t seed) {
-  row_forest f{stride, {}, {}};
   xoshiro256 rng(seed);
   for (int i = 0; i < count; ++i) {
-    if (i < 3) {  // roots
-      std::vector<std::uint32_t> row(stride);
-      for (auto& w : row) w = static_cast<std::uint32_t>(rng.below(1 << 20));
-      f.rows.push_back(std::move(row));
-      f.parents.push_back(-1);
-    } else {
-      const auto parent = static_cast<std::size_t>(rng.below(i));
-      std::vector<std::uint32_t> row = f.rows[parent];
-      const int patches = 1 + static_cast<int>(rng.below(3));
-      for (int p = 0; p < patches; ++p)
-        row[rng.below(stride)] += static_cast<std::uint32_t>(rng.below(7));
-      f.rows.push_back(std::move(row));
-      f.parents.push_back(static_cast<std::int64_t>(parent));
-    }
+    const int b = static_cast<int>(std::int64_t{33} * i / count);
+    const std::uint64_t top = (std::uint64_t{1} << b) - 1;
+    std::vector<std::uint32_t> row(stride, 0);
+    for (std::size_t c = 1; c < stride; ++c)
+      row[c] = static_cast<std::uint32_t>(rng.below(4) == 0 ? top
+                                          : rng.below(top + 1));
+    rows.push_back(std::move(row));
   }
-  return f;
+  rows.back().back() = 0xFFFFFFFFu;
+  return rows;
+}
+
+// Ceil of the final packed row's bits / 8: the widest row any epoch uses.
+std::uint64_t final_row_bytes(const std::vector<std::vector<std::uint32_t>>& rows) {
+  std::vector<int> width(rows.front().size(), 0);
+  for (const auto& row : rows)
+    for (std::size_t c = 0; c < row.size(); ++c)
+      width[c] = std::max(width[c], static_cast<int>(std::bit_width(row[c])));
+  std::uint64_t bits = 0;
+  for (const int w : width) bits += static_cast<std::uint64_t>(w);
+  return (bits + 7) / 8;
 }
 
 TEST(RowStoreTest, CompressedRoundTripsAgainstVerbatim) {
-  const row_forest f = make_forest(7, 4000, 11);
-  row_store comp, verb;
-  comp.configure(f.stride, /*compress=*/true);
-  verb.configure(f.stride, /*compress=*/false);
-  row_decode_cache cache;
-  cache.configure(f.stride);
-  std::vector<std::uint32_t> prow(f.stride);
-  for (std::size_t i = 0; i < f.rows.size(); ++i) {
-    const std::int64_t parent = f.parents[i];
-    const std::uint32_t* parent_row = nullptr;
-    if (parent >= 0) {
-      comp.load(static_cast<std::uint64_t>(parent), f.parents.data(),
-                prow.data(), cache);
-      parent_row = prow.data();
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{5},
+                                   std::size_t{64}, std::size_t{67}}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    const auto rows = climbing_rows(stride, 3000, 11 + stride);
+    row_store packed, verb;
+    packed.configure(stride, /*compress=*/true);
+    verb.configure(stride, /*compress=*/false);
+    for (const auto& row : rows) {
+      EXPECT_EQ(packed.append(row.data()), verb.size());
+      verb.append(row.data());
     }
-    comp.append(f.rows[i].data(), parent, parent_row);
-    verb.append(f.rows[i].data(), parent, parent_row);
-  }
-  EXPECT_EQ(comp.size(), f.rows.size());
-  EXPECT_GT(comp.keyframes(), 0u);
-  EXPECT_LT(comp.keyframes(), f.rows.size());
-  EXPECT_LT(comp.stored_bytes(), verb.stored_bytes());
-  // Decode every row through a FRESH cache (hit and miss paths both land
-  // on identical words).
-  row_decode_cache cold;
-  cold.configure(f.stride);
-  std::vector<std::uint32_t> out(f.stride);
-  for (std::size_t i = 0; i < f.rows.size(); ++i) {
-    comp.load(i, f.parents.data(), out.data(), cold);
-    EXPECT_EQ(out, f.rows[i]) << "row " << i;
-    verb.load(i, f.parents.data(), out.data(), cold);
-    EXPECT_EQ(out, f.rows[i]) << "row " << i;
+    EXPECT_EQ(packed.size(), rows.size());
+    // Every width grows at most 32 times. Stride 1's lone column is zero
+    // (width 0) until the last row jumps it straight to width 32.
+    EXPECT_GT(packed.keyframes(), 0u);
+    EXPECT_LE(packed.keyframes(), 32 * stride + 1);
+    if (stride == 1) {
+      EXPECT_EQ(packed.keyframes(), 2u);
+    }
+    EXPECT_LE(packed.stored_bytes(),
+              rows.size() * final_row_bytes(rows) +
+                  packed.keyframes() * byte_arena::kPageSize);
+    std::vector<std::uint32_t> out(stride);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      packed.load(i, out.data());
+      ASSERT_EQ(out, rows[i]) << "row " << i;
+      verb.load(i, out.data());
+      ASSERT_EQ(out, rows[i]) << "row " << i;
+    }
   }
 }
 
-TEST(RowStoreTest, DeltaChainsAreDepthBounded) {
-  // A single long chain of single-word increments: depths must saturate at
-  // kMaxChain via forced keyframes, never beyond.
-  const std::size_t stride = 4;
+TEST(RowStoreTest, EpochsOpenOnlyWhenAColumnOutgrows) {
+  // Appending ids that fit the current widths never opens an epoch; each
+  // id that needs one more bit opens exactly one. Decoding any row, in any
+  // order, touches only that row.
+  const std::size_t stride = 3;
   row_store rs;
   rs.configure(stride, true);
-  row_decode_cache cache;
-  cache.configure(stride);
-  std::vector<std::int64_t> parents;
-  std::vector<std::uint32_t> row(stride, 5);
-  rs.append(row.data(), -1, nullptr);
-  parents.push_back(-1);
-  std::vector<std::uint32_t> prow(stride);
-  for (int i = 1; i < 200; ++i) {
-    rs.load(static_cast<std::uint64_t>(i - 1), parents.data(), prow.data(),
-            cache);
-    row = prow;
-    row[0] += 1;
-    rs.append(row.data(), i - 1, prow.data());
-    parents.push_back(i - 1);
+  std::vector<std::vector<std::uint32_t>> truth;
+  const auto add = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+    truth.push_back({a, b, c});
+    rs.append(truth.back().data());
+  };
+  add(1, 0, 0);
+  for (int i = 0; i < 100; ++i) add(1, 0, 0);
+  EXPECT_EQ(rs.keyframes(), 1u);
+  add(3, 0, 0);  // column 0 grows to 2 bits
+  add(2, 0, 0);
+  EXPECT_EQ(rs.keyframes(), 2u);
+  for (std::uint32_t bits = 1; bits <= 32; ++bits) {
+    const auto v = static_cast<std::uint32_t>((std::uint64_t{1} << bits) - 1);
+    add(0, 0, v);
+    add(0, 0, v >> 1);
   }
-  // 200 rows in chains of kMaxChain need at least ceil(200/25) keyframes.
-  EXPECT_GE(rs.keyframes(), 200u / (row_store::kMaxChain + 1));
-  // Decoding the tail with a cold cache must stay correct (bounded
-  // recursion into the nearest keyframe).
-  row_decode_cache cold;
-  cold.configure(stride);
+  EXPECT_EQ(rs.keyframes(), 34u);
   std::vector<std::uint32_t> out(stride);
-  rs.load(199, parents.data(), out.data(), cold);
-  EXPECT_EQ(out[0], 5u + 199u);
+  for (std::size_t i = truth.size(); i-- > 0;) {
+    rs.load(i, out.data());
+    ASSERT_EQ(out, truth[i]) << "row " << i;
+  }
+}
+
+TEST(RowStoreTest, RowsAtPageTailsRoundTrip) {
+  // Tiny pages make rows land at page tails constantly: byte sizes that do
+  // not divide the page, epochs that open mid-page, and rows so wide that
+  // only one fits a page.
+  for (const int page_bits : {6, 8}) {
+    for (const std::size_t stride : {std::size_t{2}, std::size_t{7},
+                                     std::size_t{13}}) {
+      SCOPED_TRACE("page_bits=" + std::to_string(page_bits) +
+                   " stride=" + std::to_string(stride));
+      const auto rows = climbing_rows(stride, 1500, 5 * stride + page_bits);
+      row_store rs;
+      row_store_options opt;
+      opt.page_bits = page_bits;
+      rs.configure(stride, true, opt);
+      for (const auto& row : rows) rs.append(row.data());
+      std::vector<std::uint32_t> out(stride);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        rs.load(i, out.data());
+        ASSERT_EQ(out, rows[i]) << "row " << i;
+      }
+    }
+  }
+}
+
+TEST(RowStoreTest, RowWiderThanAPageRejectedCleanly) {
+  // 17 full-width words are 68 bytes, over a 64-byte page: the append must
+  // throw without corrupting the store.
+  const std::size_t stride = 17;
+  row_store rs;
+  row_store_options opt;
+  opt.page_bits = 6;
+  rs.configure(stride, true, opt);
+  const std::vector<std::uint32_t> narrow(stride, 7);
+  rs.append(narrow.data());
+  const std::vector<std::uint32_t> wide(stride, 0xFFFFFFFFu);
+  EXPECT_THROW(rs.append(wide.data()), precondition_error);
+  EXPECT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.keyframes(), 1u);
+  rs.append(narrow.data());
+  std::vector<std::uint32_t> out(stride);
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    rs.load(i, out.data());
+    EXPECT_EQ(out, narrow);
+  }
 }
 
 TEST(RowStoreTest, StrideBoundsEnforced) {
@@ -232,20 +232,43 @@ TEST(RowStoreTest, StrideBoundsEnforced) {
   EXPECT_NO_THROW(rs.configure((std::size_t{1} << 13) - 1, true));
 }
 
-TEST(RowDecodeCacheTest, TagDistinguishesAliasedSlots) {
-  row_decode_cache cache;
-  cache.configure(2);
-  const std::uint32_t a[2] = {1, 2};
-  cache.put(0, a);
-  EXPECT_NE(cache.find(0), nullptr);
-  // Index kSlots aliases slot 0 but carries a different tag: miss, and
-  // after put() the old index misses instead.
-  EXPECT_EQ(cache.find(row_decode_cache::kSlots), nullptr);
-  const std::uint32_t b[2] = {3, 4};
-  cache.put(row_decode_cache::kSlots, b);
-  EXPECT_EQ(cache.find(0), nullptr);
-  ASSERT_NE(cache.find(row_decode_cache::kSlots), nullptr);
-  EXPECT_EQ(cache.find(row_decode_cache::kSlots)[0], 3u);
+TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
+  // The explorers' read phase: the store is frozen and four threads decode
+  // overlapping row sets at once, in memory and with spilled pages faulting
+  // back in under the arena's fault mutex.
+  constexpr int kReaders = 4;
+  const std::size_t stride = 6;
+  const auto rows = climbing_rows(stride, 4000, 31);
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "spilled" : "in memory");
+    row_store rs;
+    row_store_options opt;
+    if (spill) {
+      opt.page_bits = 8;
+      opt.spill.budget_bytes = 1024;
+    }
+    rs.configure(stride, true, opt);
+    for (const auto& row : rows) rs.append(row.data());
+    rs.spill_over_budget();
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&, t] {
+        std::vector<std::uint32_t> out(stride);
+        // Each reader walks every row from its own start, prefetching its
+        // window like the explorers do.
+        const std::size_t n = rows.size();
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::size_t i = (k + n * static_cast<std::size_t>(t) / kReaders) % n;
+          if (i % 128 == 0) rs.prefetch_rows(i, i + 128);
+          rs.load(i, out.data());
+          if (out != rows[i]) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(mismatches.load(), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,128 +327,81 @@ TEST(ByteArenaSpillTest, PadHoleReadsRejected) {
 }
 
 TEST(RowStoreSpillTest, SpilledForestRoundTripsAgainstInMemory) {
-  // The CompressedRoundTripsAgainstVerbatim forest, re-run with 256-byte
-  // pages and a 1 KiB budget: every decoded row must match the in-memory
-  // truth even though most pages live in the spill file.
-  const row_forest f = make_forest(7, 4000, 11);
+  // Climbing rows over 256-byte pages with a 1 KiB budget: every decoded
+  // row must match the in-memory truth even though most pages live in the
+  // spill file.
+  const std::size_t stride = 7;
+  const auto rows = climbing_rows(stride, 4000, 11);
   row_store rs;
   row_store_options opt;
   opt.page_bits = 8;
   opt.spill.budget_bytes = 1024;
-  rs.configure(f.stride, /*compress=*/true, opt);
-  row_decode_cache cache;
-  cache.configure(f.stride);
-  std::vector<std::uint32_t> prow(f.stride);
-  for (std::size_t i = 0; i < f.rows.size(); ++i) {
-    const std::int64_t parent = f.parents[i];
-    const std::uint32_t* parent_row = nullptr;
-    if (parent >= 0) {
-      rs.load(static_cast<std::uint64_t>(parent), f.parents.data(),
-              prow.data(), cache);
-      parent_row = prow.data();
-    }
-    rs.append(f.rows[i].data(), parent, parent_row);
-  }
+  rs.configure(stride, /*compress=*/true, opt);
+  for (const auto& row : rows) rs.append(row.data());
   EXPECT_GT(rs.spill_stats().spilled_pages, 0u);
-  row_decode_cache cold;
-  cold.configure(f.stride);
-  std::vector<std::uint32_t> out(f.stride);
-  for (std::size_t i = 0; i < f.rows.size(); ++i) {
-    rs.load(i, f.parents.data(), out.data(), cold);
-    EXPECT_EQ(out, f.rows[i]) << "row " << i;
+  std::vector<std::uint32_t> out(stride);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rs.load(i, out.data());
+    ASSERT_EQ(out, rows[i]) << "row " << i;
   }
   EXPECT_GT(rs.spill_stats().faulted_pages, 0u);
 }
 
-TEST(RowStoreSpillTest, DecodeThroughSpilledKeyframeChains) {
-  // One long chain of single-word increments over tiny pages with a 2-page
-  // budget: a cold decode of the tail must prefetch and fault the whole
-  // delta chain — including its keyframe, which was spilled long ago.
+TEST(RowStoreSpillTest, PrefetchRowsFaultsOnePageRange) {
+  // A spilled window of rows is one contiguous page range: prefetch_rows
+  // faults exactly those pages, and decoding the window afterwards faults
+  // nothing more.
   const std::size_t stride = 4;
   row_store rs;
   row_store_options opt;
   opt.page_bits = 6;
   opt.spill.budget_bytes = 2 * 64;
   rs.configure(stride, true, opt);
-  row_decode_cache cache;
-  cache.configure(stride);
-  std::vector<std::int64_t> parents;
-  std::vector<std::uint32_t> row(stride, 5);
-  rs.append(row.data(), -1, nullptr);
-  parents.push_back(-1);
-  std::vector<std::uint32_t> prow(stride);
-  for (int i = 1; i < 500; ++i) {
-    rs.load(static_cast<std::uint64_t>(i - 1), parents.data(), prow.data(),
-            cache);
-    row = prow;
-    row[0] += 1;
-    rs.append(row.data(), i - 1, prow.data());
-    parents.push_back(i - 1);
-  }
+  std::vector<std::uint32_t> row = {1000, 2000, 3000, 4000};  // 6 bytes/row
+  for (int i = 0; i < 500; ++i) rs.append(row.data());
   ASSERT_GT(rs.spill_stats().spilled_pages, 0u);
-  // Decode every row with a cold cache, newest first so each decode walks
-  // its full chain instead of stopping at a cached neighbour.
+  // 10 rows per 64-byte page: rows [100, 160) span pages 10..15.
+  const std::uint64_t before = rs.spill_stats().faulted_pages;
+  rs.prefetch_rows(100, 160);
+  EXPECT_EQ(rs.spill_stats().faulted_pages - before, 6u);
   std::vector<std::uint32_t> out(stride);
-  for (int i = 499; i >= 0; i -= 37) {
-    row_decode_cache cold;
-    cold.configure(stride);
-    rs.load(static_cast<std::uint64_t>(i), parents.data(), out.data(), cold);
-    EXPECT_EQ(out[0], 5u + static_cast<std::uint32_t>(i)) << "row " << i;
+  for (std::uint64_t i = 100; i < 160; ++i) {
+    rs.load(i, out.data());
+    EXPECT_EQ(out, row) << "row " << i;
   }
-  EXPECT_GT(rs.spill_stats().faulted_pages, 0u);
+  EXPECT_EQ(rs.spill_stats().faulted_pages - before, 6u);
 }
 
 TEST(RowStoreSpillTest, OffsetsBeyondFourGiB) {
-  // The old store fail-fasted at a 4 GiB arena (u32 offsets). Block-relative
-  // 64-bit offsets lift that: pad the arena past 4.5 GiB (sparse — no real
-  // gigabytes are written) and verify rows appended there round-trip, with
-  // spilling exercising pwrite/mmap at large file offsets.
+  // Row offsets are 64-bit epoch bases plus arithmetic: pad the arena past
+  // 4.5 GiB (sparse — no real gigabytes are written) and verify rows
+  // appended there round-trip, with spilling exercising pwrite/mmap at
+  // large file offsets.
   const std::size_t stride = 4;
   row_store rs;
   row_store_options opt;
   opt.spill.budget_bytes = 4 * byte_arena::kPageSize;
   rs.configure(stride, true, opt);
-  row_decode_cache cache;
-  cache.configure(stride);
-  std::vector<std::int64_t> parents;
   std::vector<std::vector<std::uint32_t>> truth;
   xoshiro256 rng(77);
-  std::vector<std::uint32_t> prow(stride);
   const auto append_random = [&](int count) {
     for (int i = 0; i < count; ++i) {
-      const std::size_t idx = truth.size();
-      if (idx % 5 == 0) {
-        std::vector<std::uint32_t> row(stride);
-        for (auto& w : row) w = static_cast<std::uint32_t>(rng.below(1 << 20));
-        rs.append(row.data(), -1, nullptr);
-        parents.push_back(-1);
-        truth.push_back(std::move(row));
-      } else {
-        const auto parent = static_cast<std::size_t>(idx - 1);
-        std::vector<std::uint32_t> row = truth[parent];
-        row[rng.below(stride)] += 1;
-        rs.load(parent, parents.data(), prow.data(), cache);
-        rs.append(row.data(), static_cast<std::int64_t>(parent), prow.data());
-        parents.push_back(static_cast<std::int64_t>(parent));
-        truth.push_back(std::move(row));
-      }
+      std::vector<std::uint32_t> row(stride);
+      for (auto& w : row) w = static_cast<std::uint32_t>(rng.below(1 << 20));
+      rs.append(row.data());
+      truth.push_back(std::move(row));
     }
   };
-  // Fill exactly one offset block, then pad past 2^32 (pad is only legal at
-  // a block boundary, where the next append re-bases the u32 deltas).
-  append_random(static_cast<int>(row_store::kOffBlock));
+  append_random(50000);
   EXPECT_THROW(rs.pad_arena_for_test(0), precondition_error);  // can't rewind
   rs.pad_arena_for_test(0x120000000ull);  // 4.5 GiB
-  append_random(200);
-  row_decode_cache cold;
-  cold.configure(stride);
+  append_random(50000);
+  EXPECT_GE(rs.stored_bytes(), 0x120000000ull);
   std::vector<std::uint32_t> out(stride);
   for (std::size_t i = 0; i < truth.size(); ++i) {
-    rs.load(i, parents.data(), out.data(), cold);
-    EXPECT_EQ(out, truth[i]) << "row " << i;
+    rs.load(i, out.data());
+    ASSERT_EQ(out, truth[i]) << "row " << i;
   }
-  // Padding off a block boundary is rejected.
-  EXPECT_THROW(rs.pad_arena_for_test(0x200000000ull), precondition_error);
 }
 
 // ---------------------------------------------------------------------------
