@@ -19,7 +19,8 @@
 // Storage is packed and interned (modelcheck/state_pool.hpp): register
 // values and machine local states are hash-consed into component pools, and
 // a seen state is one row of (m + n) 32-bit pool ids. Seen-table equality is
-// a memcmp over that row, hashing is util/hash.hpp's hash_words, and a
+// a column-by-column compare of that row against the stored one
+// (row_store::equals), hashing is util/hash.hpp's hash_words, and a
 // successor reuses its parent's row with at most two patched words (the
 // stepped machine, the written register) — no full-state copies anywhere on
 // the hot path. By default (options.compress_arena) the seen rows themselves
@@ -197,7 +198,9 @@ class explorer {
     bool compress_arena = true;
     /// Out-of-core mode (packed arena only): resident budget in bytes for
     /// the row arena; cold pages spill to an unlinked temp file under
-    /// spill_dir ("" = $TMPDIR or /tmp) and fault back when read.
+    /// spill_dir ("" = $TMPDIR or /tmp). The frontier and the progress pass
+    /// fault them back window by window, evicting behind themselves;
+    /// duplicate checks read single rows from the file without faulting.
     /// Verdicts, counts and counterexamples are bit-identical to in-memory
     /// runs. 0 keeps everything resident.
     std::uint64_t spill_budget_bytes = 0;
@@ -317,7 +320,9 @@ class explorer {
     std::vector<std::uint32_t> queue;
     queue.reserve(n);
     state_type scratch;
+    scan_window window(rows_);
     for (std::size_t i = 0; i < n; ++i) {
+      window.prefetch(i);
       load_state(static_cast<std::uint64_t>(i), scratch);
       if (goal(scratch)) {
         reaches_goal[i] = 1;
@@ -334,8 +339,10 @@ class explorer {
         }
       }
     }
+    window = scan_window(rows_);
     for (std::size_t i = 0; i < n; ++i) {
       if (reaches_goal[i]) continue;
+      window.prefetch(i);
       load_state(static_cast<std::uint64_t>(i), scratch);
       if (premise(scratch)) {
         ++res.stuck_states;
@@ -417,7 +424,6 @@ class explorer {
     edges_.clear();
     csr_offsets_.clear();
     csr_sources_.clear();
-    cmp_.assign(stride(), 0);
   }
 
   /// The per-successor expansion loop (options.batched_expansion = false).
@@ -792,17 +798,7 @@ class explorer {
   std::pair<std::int64_t, bool> intern_row(const std::uint32_t* row,
                                            std::size_t h, std::int64_t parent,
                                            int via, int elem) {
-    const bool verbatim = !rows_.compressed();
-    const auto eq = [&](std::uint32_t i) {
-      const std::uint32_t* cand;
-      if (verbatim) {
-        cand = rows_.verbatim_row(i);
-      } else {
-        rows_.load(i, cmp_.data());
-        cand = cmp_.data();
-      }
-      return std::memcmp(cand, row, stride() * sizeof(std::uint32_t)) == 0;
-    };
+    const auto eq = [&](std::uint32_t i) { return rows_.equals(i, row); };
     const std::uint32_t found =
         use_linear_ ? lindex_.find(h, eq) : index_.find(h, eq);
     if (found != flat_index::npos) return {found, false};
@@ -939,7 +935,6 @@ class explorer {
   std::vector<Machine> saved_;
   std::vector<std::uint32_t> wbuf_;
   std::vector<std::uint32_t> prow_;  ///< decoded row of the frontier state
-  std::vector<std::uint32_t> cmp_;   ///< eq-probe decode buffer
   mutable std::vector<std::uint32_t> rowtmp_;
   // Batched-pipeline staging (run_batched; empty in unbatched runs).
   std::vector<staged_succ> staged_;

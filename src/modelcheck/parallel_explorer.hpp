@@ -37,7 +37,10 @@
 // verbatim on opt-out — which only the single-threaded merge appends to;
 // workers read rows by index alone (O(1), no per-thread state), so the store
 // is strictly read-only while they expand. The only synchronization on the
-// hot path is the seen-table CAS.
+// hot path is the seen-table CAS. Before appending a level the merge sizes
+// the packed columns from the pools' id bounds (row_store::reserve), which
+// do not depend on the order the workers interned in, so the stored bytes
+// are the same at every worker count too.
 //
 // With options.symmetry successors are canonicalized to their orbit
 // representative under the configuration's automorphism group
@@ -94,9 +97,10 @@ class parallel_explorer {
     bool symmetry = false;
     /// Bit-packed row store; same contract as explorer::options.
     bool compress_arena = true;
-    /// Out-of-core mode; same contract as explorer::options. The budget is
-    /// enforced on the append path (level merges), so within a level the
-    /// resident set can transiently exceed it by the workers' fault-ins.
+    /// Out-of-core mode; same contract as explorer::options. Within a level
+    /// the workers' parent loads fault pages in without evicting; the merge
+    /// enforces the budget again, so the resident set can transiently
+    /// exceed it by one level's cold frontier pages.
     std::uint64_t spill_budget_bytes = 0;
     std::string spill_dir;
     /// Packed interned-id canonicalization; same contract as
@@ -183,7 +187,6 @@ class parallel_explorer {
     workers_.clear();
     workers_.resize(static_cast<std::size_t>(nworkers));
     for (auto& wd : workers_) {
-      wd.value.cmp.assign(stride(), 0);
       wd.value.prow.assign(stride(), 0);
     }
     deques_ = std::make_unique<padded<ws_deque>[]>(
@@ -286,7 +289,9 @@ class parallel_explorer {
     std::vector<std::uint32_t> queue;
     queue.reserve(n);
     state_type scratch;
+    scan_window window(rows_);
     for (std::size_t i = 0; i < n; ++i) {
+      window.prefetch(i);
       load_state(static_cast<std::uint64_t>(i), scratch);
       if (goal(scratch)) {
         reaches_goal[i] = 1;
@@ -303,8 +308,10 @@ class parallel_explorer {
         }
       }
     }
+    window = scan_window(rows_);
     for (std::size_t i = 0; i < n; ++i) {
       if (reaches_goal[i]) continue;
+      window.prefetch(i);
       load_state(static_cast<std::uint64_t>(i), scratch);
       if (premise(scratch)) {
         ++res.stuck_states;
@@ -406,7 +413,6 @@ class parallel_explorer {
     canonicalize_stats cstats;     ///< per-worker prune/apply counters
     std::vector<std::uint32_t> wbuf;  ///< packed successor row
     std::vector<std::uint32_t> prow;  ///< decoded row of the expanded state
-    std::vector<std::uint32_t> cmp;   ///< eq-probe decode buffer
     /// Batched mode: one parent's successors staged as flat rows + their
     /// provenance, hashed and probe-prefetched as a group before the probe
     /// loop; phase tick accumulators and probe counters ride per worker.
@@ -795,14 +801,10 @@ class parallel_explorer {
     const std::uint32_t tagged = ctind_.probe_or_insert(
         frag, inserted, cell_out,
         [&](std::uint32_t t) {
-          const std::uint32_t* other;
-          if (t & kPendingBit) {
-            other = pend_words_.data() + std::size_t{t & ~kPendingBit} * st;
-          } else {
-            rows_.load(t, wd.cmp.data());
-            other = wd.cmp.data();
-          }
-          return std::memcmp(other, row, st * sizeof(std::uint32_t)) == 0;
+          if (!(t & kPendingBit)) return rows_.equals(t, row);
+          return std::memcmp(pend_words_.data() +
+                                 std::size_t{t & ~kPendingBit} * st,
+                             row, st * sizeof(std::uint32_t)) == 0;
         },
         [&] {
           const std::uint32_t staged =
@@ -869,16 +871,14 @@ class parallel_explorer {
       }
       if (cell_frag(cell) == frag) {
         const std::uint32_t tagged = cell_tagged(cell);
-        const std::uint32_t* row;
-        if (tagged & kPendingBit) {
-          row = pend_words_.data() +
-                std::size_t{tagged & ~kPendingBit} * stride();
-        } else {
-          rows_.load(tagged, wd.cmp.data());
-          row = wd.cmp.data();
-        }
-        if (std::memcmp(row, wd.wbuf.data(),
-                        stride() * sizeof(std::uint32_t)) == 0) {
+        const bool same =
+            (tagged & kPendingBit)
+                ? std::memcmp(pend_words_.data() +
+                                  std::size_t{tagged & ~kPendingBit} * stride(),
+                              wd.wbuf.data(),
+                              stride() * sizeof(std::uint32_t)) == 0
+                : rows_.equals(tagged, wd.wbuf.data());
+        if (same) {
           ++wd.dedup_hits;
           if (tagged & kPendingBit) {
             // Same-level duplicate: fold provenance to the lexicographically
@@ -921,6 +921,11 @@ class parallel_explorer {
                 return a.pve < b.pve;
               });
     const std::uint64_t e0 = cycle_clock::now();
+    // Size the packed columns from the pools' id bounds, not from this
+    // level's ids, which depend on thread timing (see the file comment).
+    std::vector<std::uint32_t> bounds(stride(), pool_.machine_id_bound());
+    std::fill_n(bounds.begin(), registers_, pool_.value_id_bound());
+    rows_.reserve(bounds.data());
     for (const fresh_ref& f : fresh) {
       const auto global = static_cast<std::uint32_t>(num_merged());
       const auto parent = static_cast<std::int64_t>(

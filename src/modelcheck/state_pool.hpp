@@ -114,6 +114,17 @@ class component_pool {
     }
   }
 
+  /// Upper bound on every id handed out so far (0 when empty). It depends
+  /// only on how many components each shard holds, not on the order they
+  /// were interned in. Quiescent callers only, like for_each_id().
+  std::uint32_t id_bound() const {
+    std::uint32_t bound = 0;
+    for (std::uint32_t s = 0; s < kShards; ++s)
+      if (shards_[s].count > 0)
+        bound = std::max(bound, ((shards_[s].count - 1) << kShardBits) | s);
+    return bound;
+  }
+
   /// Heap bytes of pooled component storage (segments only, not indexes).
   std::uint64_t storage_bytes() const {
     std::uint64_t segs = 0;
@@ -313,6 +324,10 @@ class state_pool {
   void for_each_machine_id(Fn&& fn) const {
     machines_.for_each_id(fn);
   }
+  /// Quiescent-only id bounds (see component_pool::id_bound).
+  std::uint32_t value_id_bound() const { return values_.id_bound(); }
+  std::uint32_t machine_id_bound() const { return machines_.id_bound(); }
+
   std::uint64_t storage_bytes() const {
     return values_.storage_bytes() + machines_.storage_bytes();
   }
@@ -347,27 +362,29 @@ struct row_store_options {
 /// Append-only store of packed state rows (stride = m + n words each), the
 /// seen-set payload of both explorers. Two modes:
 ///
-///   * verbatim — rows kept as flat 4·stride-byte runs; load() is a memcpy
-///     and verbatim_row() exposes the words for memcmp-equality. This is the
-///     reference layout (options.compress_arena = false).
+///   * verbatim — rows kept as flat 4·stride-byte runs; load() is a memcpy.
+///     This is the reference layout (options.compress_arena = false).
 ///   * packed — column c (m register-value ids, then n machine ids) is
 ///     stored in bit_width(largest id appended to column c so far) bits, the
 ///     fields concatenated LSB-first into ceil(bits / 8) bytes per row and
 ///     written and read as a stream of little-endian 32-bit chunks.
 ///     Widths only grow, so rows are appended in WIDTH EPOCHS: a new epoch
 ///     opens only when an appended id outgrows its column (at most 32 times
-///     per column). Within an epoch every row has the same byte size and
-///     rows fill arena pages back to back (byte_arena never splits a row
-///     across pages), so a row's offset follows from its epoch's base offset
-///     by arithmetic alone: no per-row offset, depth or parent data. Each
-///     page keeps kReadSlack bytes after its last row, so a row's final
-///     chunk never reaches past its page.
+///     per column) or reserve() widens the columns ahead of a batch. Within
+///     an epoch every row has the same byte size and rows fill arena pages
+///     back to back (byte_arena never splits a row across pages), so a row's
+///     offset follows from its epoch's base offset by arithmetic alone: no
+///     per-row offset, depth or parent data. Each page keeps kReadSlack
+///     bytes after its last row, so a row's final chunk never reaches past
+///     its page.
 ///
-/// load() is O(1) in both modes. Appends are single-threaded; loads may run
-/// concurrently from many threads provided no append is in flight — the
-/// same fork-join contract as byte_arena. Every packed row byte lives in the
-/// arena, so a spill budget (row_store_options) bounds all of them; only the
-/// epoch table stays resident.
+/// load() and equals() are O(1) in both modes. Appends are single-threaded;
+/// loads may run concurrently from many threads provided no append is in
+/// flight — the same fork-join contract as byte_arena. Every packed row byte
+/// lives in the arena, so a spill budget (row_store_options) bounds all of
+/// them; only the epoch table stays resident. Scans fault spilled pages back
+/// in window by window (prefetch_rows); duplicate checks read single rows
+/// from the spill file without faulting (equals).
 class row_store {
  public:
   /// Bytes a packed row's final 32-bit chunk may run past the row's end;
@@ -388,8 +405,6 @@ class row_store {
     compressed_ = compress;
   }
 
-  std::size_t stride() const { return stride_; }
-  bool compressed() const { return compressed_; }
   std::uint64_t size() const { return count_; }
 
   /// Append one row (stride words); returns its index == the previous size().
@@ -399,13 +414,7 @@ class row_store {
       words_.insert(words_.end(), row, row + stride_);
       return count_++;
     }
-    bool outgrown = force_epoch_ || epochs_.empty();
-    if (!outgrown) {
-      const std::uint8_t* w = widths_.data() + epochs_.back().widths;
-      for (std::size_t c = 0; c < stride_; ++c)
-        outgrown |= (std::uint64_t{row[c]} >> w[c]) != 0;
-    }
-    if (outgrown) open_epoch(row);
+    if (outgrows(row)) open_epoch(row);
     epoch& e = epochs_.back();
     const std::uint8_t* w = widths_.data() + e.widths;
     std::uint8_t* dst = arena_.reserve(e.row_bytes + kReadSlack);
@@ -433,7 +442,17 @@ class row_store {
     return count_++;
   }
 
-  /// Decode row `idx` into `out` (stride words).
+  /// Widen the columns, if needed, so that rows whose column-c ids are at
+  /// most max_ids[c] append without opening another epoch. The parallel
+  /// explorer reserves its pools' id bounds before each level's appends:
+  /// ids are handed out in thread-timing order but the bounds are not, so
+  /// the packed layout is the same at every worker count. No-op verbatim.
+  void reserve(const std::uint32_t* max_ids) {
+    if (compressed_ && outgrows(max_ids)) open_epoch(max_ids);
+  }
+
+  /// Decode row `idx` into `out` (stride words). A spilled row faults its
+  /// page back in: loads come from scans, which read the neighbours next.
   void load(std::uint64_t idx, std::uint32_t* out) const {
     if (!compressed_) {
       std::memcpy(out, words_.data() + idx * stride_,
@@ -441,31 +460,34 @@ class row_store {
       return;
     }
     const epoch& e = epoch_of(idx);
-    const std::uint8_t* in = arena_.at(offset_of(e, idx));
-    const std::uint8_t* w = widths_.data() + e.widths;
-    std::uint64_t acc = 0;
-    std::uint32_t bits = 0;  // unread bits in acc
-    for (std::size_t c = 0; c < stride_; ++c) {
-      if (bits < w[c]) {
-        std::uint32_t chunk;
-        std::memcpy(&chunk, in, sizeof chunk);
-        in += 4;
-        acc |= std::uint64_t{chunk} << bits;
-        bits += 32;
-      }
-      out[c] = static_cast<std::uint32_t>(acc &
-                                          ((std::uint64_t{1} << w[c]) - 1));
-      acc >>= w[c];
-      bits -= w[c];
-    }
+    unpack(e, arena_.at(offset_of(e, idx)),
+           [&](std::size_t c, std::uint32_t v) {
+             out[c] = v;
+             return true;
+           });
   }
 
-  /// Fault in the pages holding rows [lo, hi) in one pass. Row indices are
-  /// arena-append order, so a frontier window is one contiguous page range;
-  /// faulting it up front replaces the per-row cold-fault dribble under a
-  /// tight spill budget, and the faulted pages' ref bits keep the window
-  /// resident across the interleaved appends' second-chance evictions.
-  /// No-op in verbatim or fully-resident mode.
+  /// Whether row `idx` equals `row` (stride words): the seen tables'
+  /// duplicate check, decoding and comparing column by column. Matched rows
+  /// are scattered over the whole store, so a spilled row is copied out of
+  /// the spill file without faulting its page in (byte_arena::read).
+  bool equals(std::uint64_t idx, const std::uint32_t* row) const {
+    if (!compressed_)
+      return std::memcmp(words_.data() + idx * stride_, row,
+                         stride_ * sizeof(std::uint32_t)) == 0;
+    const epoch& e = epoch_of(idx);
+    std::vector<std::uint8_t> cold;
+    return unpack(e,
+                  arena_.read(offset_of(e, idx), e.row_bytes + kReadSlack, cold),
+                  [&](std::size_t c, std::uint32_t v) { return v == row[c]; });
+  }
+
+  /// Fault in the pages holding rows [lo, hi) — the next window of a scan
+  /// in index order (a BFS frontier, a progress pass). Row indices are
+  /// arena-append order, so the window is one contiguous page range; under
+  /// a spill budget other pages are evicted to make room, so a whole scan
+  /// stays within the budget. The caller must be the only reader (see
+  /// byte_arena::prefetch_range). No-op in verbatim or fully-resident mode.
   void prefetch_rows(std::uint64_t lo, std::uint64_t hi) const {
     if (!compressed_ || !arena_.spill_enabled()) return;
     hi = std::min(hi, count_);
@@ -475,11 +497,6 @@ class row_store {
                           offset_of(last, hi - 1) + last.row_bytes);
   }
 
-  /// Direct row words; verbatim mode only (memcmp-equality fast path).
-  const std::uint32_t* verbatim_row(std::uint64_t idx) const {
-    return words_.data() + idx * stride_;
-  }
-
   /// Bytes of row storage actually committed: arena bytes (page tails
   /// included) plus the epoch table when packed, 4·stride per row verbatim.
   std::uint64_t stored_bytes() const {
@@ -487,7 +504,7 @@ class row_store {
     return arena_.used() + epochs_.size() * sizeof(epoch) + widths_.size();
   }
 
-  /// Rows that opened a width epoch (0 in verbatim mode).
+  /// Width epochs opened so far (0 in verbatim mode).
   std::uint64_t keyframes() const { return epochs_.size(); }
 
   bool spill_enabled() const { return arena_.spill_enabled(); }
@@ -499,11 +516,13 @@ class row_store {
 
   /// Test hook: pad the arena so subsequent rows land at or past
   /// `target_offset` (exercising offsets beyond 2^32 without writing
-  /// gigabytes). The next append opens a fresh epoch based past the hole.
+  /// gigabytes). The next row starts a fresh epoch, based past the hole.
   void pad_arena_for_test(std::uint64_t target_offset) {
     ANONCOORD_REQUIRE(compressed_, "pad_arena_for_test needs packed mode");
     arena_.pad_to(target_offset);
-    force_epoch_ = true;
+    if (epochs_.empty()) return;
+    epochs_.push_back(epochs_.back());
+    epochs_.back().first = count_;
   }
 
   void clear() {
@@ -512,7 +531,6 @@ class row_store {
     arena_.clear();
     epochs_.clear();
     widths_.clear();
-    force_epoch_ = false;
   }
 
  private:
@@ -524,16 +542,27 @@ class row_store {
     std::memcpy(at, &chunk, sizeof chunk);
   }
 
-  /// A run of rows sharing one set of column widths.
+  /// A run of rows sharing one set of column widths. An epoch's base and
+  /// head_rows are fixed by its first row, so an epoch opened by reserve()
+  /// or pad_arena_for_test() stays unplaced until a row arrives.
   struct epoch {
     std::uint64_t first = 0;      ///< index of the epoch's first row
     std::uint64_t base = 0;       ///< arena offset of that row
-    std::uint64_t magic = 0;      ///< ceil(2^64 / per_page); 0 if per_page == 1
     std::uint32_t row_bytes = 0;
     std::uint32_t head_rows = 0;  ///< rows that fit in base's page
     std::uint32_t per_page = 0;   ///< rows per later page
     std::uint32_t widths = 0;     ///< index of its stride widths in widths_
   };
+
+  /// Whether some id of `row` needs more bits than its column has.
+  bool outgrows(const std::uint32_t* row) const {
+    if (epochs_.empty()) return true;
+    const std::uint8_t* w = widths_.data() + epochs_.back().widths;
+    bool out = false;
+    for (std::size_t c = 0; c < stride_; ++c)
+      out |= (std::uint64_t{row[c]} >> w[c]) != 0;
+    return out;
+  }
 
   /// Widen every column `row` outgrows and start a new epoch. Validates
   /// before mutating, so a row too wide for a page leaves the store intact.
@@ -553,39 +582,53 @@ class row_store {
     e.row_bytes = row_bytes;
     e.per_page = static_cast<std::uint32_t>(
         (arena_.page_size() - kReadSlack) / row_bytes);
-    e.magic = e.per_page == 1 ? 0 : ~std::uint64_t{0} / e.per_page + 1;
     e.widths = static_cast<std::uint32_t>(widths_.size());
     for (std::size_t c = 0; c < stride_; ++c) widths_.push_back(width(c));
     epochs_.push_back(e);
-    force_epoch_ = false;
   }
 
-  /// The epoch holding row `idx`: the last one starting at or before it.
-  /// Most reads hit the newest epoch; older rows take a branch-free binary
-  /// search (epochs_[0].first == 0).
+  /// The epoch holding row `idx`: the last one starting at or before it
+  /// (epochs_[0].first == 0).
   const epoch& epoch_of(std::uint64_t idx) const {
-    if (idx >= epochs_.back().first) return epochs_.back();
-    const epoch* base = epochs_.data();
-    for (std::size_t n = epochs_.size(); n > 1;) {
-      const std::size_t half = n / 2;
-      base = base[half].first <= idx ? base + half : base;
-      n -= half;
-    }
-    return *base;
+    const auto it = std::upper_bound(
+        epochs_.begin(), epochs_.end(), idx,
+        [](std::uint64_t i, const epoch& e) { return i < e.first; });
+    return *(it - 1);
   }
 
   std::uint64_t offset_of(const epoch& e, std::uint64_t idx) const {
     std::uint64_t k = idx - e.first;
     if (k < e.head_rows) return e.base + k * e.row_bytes;
     k -= e.head_rows;
-    // k / per_page by multiply-high: exact for k < 2^32 (append caps rows).
-    const std::uint64_t page =
-        e.magic == 0 ? k
-                     : static_cast<std::uint64_t>(
-                           (static_cast<unsigned __int128>(e.magic) * k) >> 64);
-    const std::uint64_t slot = k - page * e.per_page;
+    const std::uint64_t page = k / e.per_page;
+    const std::uint64_t slot = k % e.per_page;
     const int pb = arena_.page_bits();
     return (((e.base >> pb) + 1 + page) << pb) + slot * e.row_bytes;
+  }
+
+  /// Decode the packed row at `in` (epoch e) column by column into
+  /// sink(c, id), stopping at the first call that returns false; returns
+  /// whether none did.
+  template <class Sink>
+  bool unpack(const epoch& e, const std::uint8_t* in, const Sink& sink) const {
+    const std::uint8_t* w = widths_.data() + e.widths;
+    std::uint64_t acc = 0;
+    std::uint32_t bits = 0;  // unread bits in acc
+    for (std::size_t c = 0; c < stride_; ++c) {
+      if (bits < w[c]) {
+        std::uint32_t chunk;
+        std::memcpy(&chunk, in, sizeof chunk);
+        in += 4;
+        acc |= std::uint64_t{chunk} << bits;
+        bits += 32;
+      }
+      if (!sink(c, static_cast<std::uint32_t>(
+                       acc & ((std::uint64_t{1} << w[c]) - 1))))
+        return false;
+      acc >>= w[c];
+      bits -= w[c];
+    }
+    return true;
   }
 
   std::size_t stride_ = 0;
@@ -595,7 +638,27 @@ class row_store {
   byte_arena arena_;                  // packed mode: row bytes…
   std::vector<epoch> epochs_;         // …their width epochs…
   std::vector<std::uint8_t> widths_;  // …and stride column widths per epoch
-  bool force_epoch_ = false;          // set by pad_arena_for_test
+};
+
+/// Cursor for a single-threaded scan in index order that may skip rows (the
+/// explorers' progress passes): faults rows in kRows at a time, so under a
+/// spill budget the scan evicts behind itself.
+class scan_window {
+ public:
+  static constexpr std::uint64_t kRows = 4096;
+
+  explicit scan_window(const row_store& rows)
+      : rows_(&rows), end_(rows.spill_enabled() ? 0 : ~std::uint64_t{0}) {}
+
+  void prefetch(std::uint64_t idx) {
+    if (idx < end_) return;
+    end_ = idx + kRows;
+    rows_->prefetch_rows(idx, end_);
+  }
+
+ private:
+  const row_store* rows_;
+  std::uint64_t end_;  ///< rows before this are already faulted in
 };
 
 }  // namespace anoncoord

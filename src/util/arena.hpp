@@ -10,21 +10,24 @@
 // Out-of-core mode (arena_spill_options::budget_bytes > 0): once resident
 // page bytes exceed the budget, sealed pages — never the page the writer is
 // appending into — are written to an unlinked temp file and their heap
-// buffers freed. A reader that touches a cold page faults it back as a
-// read-only MAP_SHARED mapping; eviction of faulted pages uses a
-// second-chance clock (an LRU approximation whose implicit pin set is the
-// most recently touched budget's worth of pages). The file is created with
-// mkstemp and unlinked immediately, so the kernel reclaims it when the arena
-// (or the process) goes away.
+// buffers freed. at() and prefetch_range() fault a cold page back in as a
+// read-only MAP_SHARED mapping, for scans that go on to read its other
+// rows; read() copies just the requested bytes out of the file, for
+// scattered point reads. Eviction of faulted pages uses a second-chance
+// clock (an LRU approximation whose implicit pin set is the most recently
+// touched budget's worth of pages). The file is created with mkstemp and
+// unlinked immediately, so the kernel reclaims it when the arena (or the
+// process) goes away.
 //
 // Thread-safety contract (the parallel explorer's discipline): appends are
 // single-threaded, and concurrent readers are only allowed while no append
 // is in flight — the explorer appends exclusively inside the single-threaded
 // level merge, whose fork-join barrier orders every append before every
-// worker read of the next level. Spilling therefore happens ONLY on the
-// append path (no reader can hold a page pointer across it), while fault-ins
-// are mutex-serialized and only ever ADD resident pages, so a pointer a
-// reader obtained stays valid for the rest of its read phase.
+// worker read of the next level. Eviction therefore happens only on the
+// append path and in prefetch_range(), whose caller must be the only
+// reader. at() fault-ins are mutex-serialized and only ever ADD resident
+// pages, and read() changes nothing, so a pointer a concurrent reader
+// obtained stays valid for the rest of its read phase.
 //
 // This is deliberately NOT a general allocator: nothing is ever freed short
 // of clear(), offsets are 64-bit and strictly increasing, and the only
@@ -63,6 +66,7 @@ struct arena_spill_stats {
   std::uint64_t spill_bytes = 0;        // bytes written to the file
   std::uint64_t faulted_pages = 0;      // cold pages mapped back in
   std::uint64_t evicted_pages = 0;      // mapped pages dropped again
+  std::uint64_t point_reads = 0;        // read() calls served by the file
   std::uint64_t resident_bytes = 0;     // current resident page bytes
   std::uint64_t resident_hw_bytes = 0;  // high-water resident page bytes
 };
@@ -137,17 +141,52 @@ class byte_arena {
     return p + (static_cast<std::size_t>(offset) & (page_size_ - 1));
   }
 
-  /// Fault in every page overlapping byte offsets [lo, hi) in one pass (the
-  /// row_store prefetches a frontier window's contiguous rows before
-  /// decoding them). Pad holes are skipped.
+  /// Bytes [offset, offset + len) of one page without changing residency:
+  /// a pointer into the page if it is resident, else the bytes are copied
+  /// out of the spill file into `cold`. Safe from concurrent readers.
+  const std::uint8_t* read(std::uint64_t offset, std::size_t len,
+                           std::vector<std::uint8_t>& cold) const {
+    const std::size_t page = static_cast<std::size_t>(offset >> page_bits_);
+    const page_rec* pr = pages_[page].get();
+    ANONCOORD_REQUIRE(pr != nullptr, "arena read inside a pad_to hole");
+    const auto in_page = static_cast<std::size_t>(offset) & (page_size_ - 1);
+    if (const std::uint8_t* p = pr->data.load(std::memory_order_acquire))
+      return p + in_page;
+    ANONCOORD_REQUIRE(pr->on_disk && in_page + len <= page_size_,
+                      "arena read of a page never written");
+    cold.resize(len);
+    for (std::size_t done = 0; done < len;) {
+      const ::ssize_t r = ::pread(fd_, cold.data() + done, len - done,
+                                  static_cast<::off_t>(offset + done));
+      ANONCOORD_REQUIRE(r > 0, "arena spill read failed");
+      done += static_cast<std::size_t>(r);
+    }
+    std::lock_guard lk(fault_mu_);
+    ++stats_.point_reads;
+    return cold.data();
+  }
+
+  /// Fault in every page overlapping byte offsets [lo, hi) (a scan's next
+  /// window of contiguous rows). Under a spill budget each fault first
+  /// evicts other sealed pages down to the budget, so a scan of any length
+  /// stays within budget + the window. The caller must be the only reader:
+  /// eviction invalidates other pages' pointers. Pad holes are skipped.
   void prefetch_range(std::uint64_t lo, std::uint64_t hi) const {
     if (!spill_enabled() || lo >= hi) return;
+    const auto first = static_cast<std::size_t>(lo >> page_bits_);
     const auto last = static_cast<std::size_t>((hi - 1) >> page_bits_);
-    for (auto page = static_cast<std::size_t>(lo >> page_bits_); page <= last;
-         ++page) {
+    for (std::size_t page = first; page <= last; ++page) {
       const page_rec* pr = pages_[page].get();
-      if (pr != nullptr && pr->data.load(std::memory_order_acquire) == nullptr)
-        fault_in(page);
+      if (pr == nullptr || pr->data.load(std::memory_order_acquire) != nullptr)
+        continue;
+      {
+        std::lock_guard lk(fault_mu_);
+        const std::uint64_t room = spill_.budget_bytes > page_size_
+                                       ? spill_.budget_bytes - page_size_
+                                       : 0;
+        evict_down_to(room, first, last);
+      }
+      fault_in(page);
     }
   }
 
@@ -176,7 +215,12 @@ class byte_arena {
   /// Enforce the resident budget now (normally driven by reserve()'s page
   /// advance). Append-path only: callers must guarantee no reader holds an
   /// arena pointer across this call.
-  void spill_over_budget() { maybe_spill(head_ >> page_bits_); }
+  void spill_over_budget() {
+    if (!spill_enabled()) return;
+    std::lock_guard lk(fault_mu_);
+    const std::size_t none = pages_.size();  // keep no page but the head
+    evict_down_to(spill_.budget_bytes, none, none);
+  }
 
   /// Empty the arena, dropping heap pages, mappings and the spill file but
   /// keeping the configured page size and spill policy.
@@ -218,25 +262,26 @@ class byte_arena {
       if (stats_.resident_bytes > stats_.resident_hw_bytes)
         stats_.resident_hw_bytes = stats_.resident_bytes;
     }
-    maybe_spill(page);
+    spill_over_budget();
   }
 
-  /// Walk the clock hand over sealed resident pages until the budget holds.
-  /// Recently faulted pages (ref bit set) survive one pass — the "LRU pin
-  /// set" keeping the hot working set resident.
-  void maybe_spill(std::size_t head_page) {
-    if (!spill_enabled()) return;
-    std::lock_guard lk(fault_mu_);
+  /// Walk the clock hand over sealed resident pages until resident bytes
+  /// are at most `target`, sparing the head page and pages [keep_lo,
+  /// keep_hi]. Recently faulted pages (ref bit set) survive one pass — the
+  /// "LRU pin set" keeping the hot working set resident. Caller holds
+  /// fault_mu_.
+  void evict_down_to(std::uint64_t target, std::size_t keep_lo,
+                     std::size_t keep_hi) const {
     const std::size_t npages = pages_.size();
-    if (npages == 0) return;
+    const auto head_page = static_cast<std::size_t>(head_ >> page_bits_);
     // Two full sweeps suffice: the first clears every ref bit, the second
     // evicts. Bounded so an unmeetable budget (everything pinned) terminates.
     std::size_t examined = 0;
-    while (stats_.resident_bytes > spill_.budget_bytes &&
-           examined < 2 * npages) {
+    while (stats_.resident_bytes > target && examined < 2 * npages) {
       if (clock_ >= npages) clock_ = 0;
       page_rec* pr = pages_[clock_].get();
       if (pr != nullptr && clock_ != head_page &&
+          (clock_ < keep_lo || clock_ > keep_hi) &&
           pr->data.load(std::memory_order_relaxed) != nullptr) {
         if (pr->ref) {
           pr->ref = false;
@@ -251,7 +296,7 @@ class byte_arena {
 
   /// Drop one resident page: heap pages are written to the spill file first,
   /// mapped pages are simply unmapped (the file already holds their bytes).
-  void evict(page_rec& pr, std::uint64_t file_off) {
+  void evict(page_rec& pr, std::uint64_t file_off) const {
     if (pr.heap != nullptr) {
       ensure_file();
       const std::uint8_t* src = pr.heap.get();
@@ -310,7 +355,7 @@ class byte_arena {
     return p;
   }
 
-  void ensure_file() {
+  void ensure_file() const {
     if (fd_ >= 0) return;
     std::string dir = spill_.dir;
     if (dir.empty()) {
@@ -345,8 +390,10 @@ class byte_arena {
   std::vector<std::unique_ptr<page_rec>> pages_;
   std::uint64_t head_ = 0;
   std::size_t allocated_pages_ = 0;
-  std::size_t clock_ = 0;  // eviction hand
-  int fd_ = -1;
+  // prefetch_range() evicts from const readers, so the eviction hand and
+  // the lazily created file are mutable like the fault-in state.
+  mutable std::size_t clock_ = 0;  // eviction hand
+  mutable int fd_ = -1;
   mutable std::mutex fault_mu_;
   mutable arena_spill_stats stats_;
 };

@@ -10,7 +10,7 @@
 //     with and without symmetry reduction;
 //   * parallel on/off and worker-count bit-identity — the batched parallel
 //     engine matches the batched sequential engine at 1/2/4/8 workers, and
-//     matches its own unbatched mode (the TSan CI job re-runs this suite to
+//     matches its own unbatched mode, stored row bytes included (the TSan CI job re-runs this suite to
 //     certify the concurrent_tag_index CAS protocol and the shared
 //     transition memo race-free under the batched schedule);
 //   * counterexample identity on the m = 4, n = 2 fully anonymous deadlock —
@@ -181,6 +181,31 @@ TEST(BatchedExpansionTest, ParallelBatchedOnOffIdentical) {
                                 true, true, false),
         "fa deadlock " + tag);
   }
+}
+
+TEST(BatchedExpansionTest, StoredRowBytesIdenticalParallelUnderSymmetry) {
+  // The parallel engine's packed bytes depend neither on the worker count
+  // nor on the pipeline, also when the packed canonicalization kernel
+  // interns group-element images from every worker.
+  std::uint64_t first = 0;
+  for (int workers : {1, 2, 4, 8}) {
+    for (const bool batched : {true, false}) {
+      parallel_explorer<fa_mutex>::options opt;
+      opt.workers = workers;
+      opt.max_states = 2'000'000;
+      opt.symmetry = true;
+      opt.batched_expansion = batched;
+      parallel_explorer<fa_mutex> e(
+          3, identity_naming(3, 3), std::vector<fa_mutex>(3, fa_mutex(3)),
+          opt);
+      const auto res = e.explore();
+      EXPECT_TRUE(res.complete);
+      if (first == 0) first = e.stored_row_bytes();
+      EXPECT_EQ(e.stored_row_bytes(), first)
+          << "workers=" << workers << " batched=" << batched;
+    }
+  }
+  EXPECT_GT(first, 0u);
 }
 
 // ---------------------------------------------------------------------------

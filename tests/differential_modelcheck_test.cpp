@@ -341,21 +341,26 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
               cres.num_states * ((row_bits + 7) / 8) +
                   comp.keyframe_rows() * byte_arena::kPageSize);
 
+    std::uint64_t par_bytes = 0;
     for (int workers : {1, 2, 4, 8}) {
-      parallel_explorer<anon_mutex>::options par_opt;
-      par_opt.workers = workers;
-      par_opt.compress_arena = true;
-      parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
-      const auto pres = detail::run_mutex_check(par);
-      EXPECT_EQ(pres.verdict(), vres.verdict()) << "workers=" << workers;
-      EXPECT_EQ(pres.num_states, vres.num_states) << "workers=" << workers;
-      EXPECT_EQ(pres.counterexample, vres.counterexample)
-          << "workers=" << workers;
-      // One worker interns components in sequential discovery order, so its
-      // packed bytes match exactly. More workers intern in thread-timing
-      // order; the ids, and with them the column widths, may differ.
-      if (workers == 1) {
-        EXPECT_EQ(par.stored_row_bytes(), comp.stored_row_bytes());
+      for (const bool batched : {true, false}) {
+        const std::string where = "workers=" + std::to_string(workers) +
+                                  " batched=" + std::to_string(batched);
+        parallel_explorer<anon_mutex>::options par_opt;
+        par_opt.workers = workers;
+        par_opt.compress_arena = true;
+        par_opt.batched_expansion = batched;
+        parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
+        const auto pres = detail::run_mutex_check(par);
+        EXPECT_EQ(pres.verdict(), vres.verdict()) << where;
+        EXPECT_EQ(pres.num_states, vres.num_states) << where;
+        EXPECT_EQ(pres.counterexample, vres.counterexample) << where;
+        // Workers intern in thread-timing order, but each level's columns
+        // are sized from the pools' id bounds, so the packed bytes depend
+        // neither on the worker count, the pipeline nor the run.
+        if (par_bytes == 0) par_bytes = par.stored_row_bytes();
+        EXPECT_EQ(par.stored_row_bytes(), par_bytes) << where;
+        EXPECT_LT(par.stored_row_bytes(), verb_bytes) << where;
       }
     }
   }

@@ -179,6 +179,36 @@ TEST(RowStoreTest, EpochsOpenOnlyWhenAColumnOutgrows) {
   }
 }
 
+TEST(RowStoreTest, ReserveWidensAheadOfRows) {
+  // reserve() opens one epoch sized for the given id bounds; rows within
+  // them then append without another, and bounds that already fit are a
+  // no-op.
+  const std::size_t stride = 3;
+  row_store rs;
+  rs.configure(stride, true);
+  const std::vector<std::uint32_t> small = {1, 1, 1};
+  rs.append(small.data());
+  const std::vector<std::uint32_t> bound = {7, 0, 300};
+  rs.reserve(bound.data());
+  EXPECT_EQ(rs.keyframes(), 2u);
+  rs.reserve(small.data());
+  EXPECT_EQ(rs.keyframes(), 2u);
+  std::vector<std::vector<std::uint32_t>> truth = {small};
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    truth.push_back({i % 8, 1, 300 - i});
+    rs.append(truth.back().data());
+  }
+  EXPECT_EQ(rs.keyframes(), 2u);
+  std::vector<std::uint32_t> out(stride);
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    rs.load(i, out.data());
+    ASSERT_EQ(out, truth[i]) << "row " << i;
+    EXPECT_TRUE(rs.equals(i, truth[i].data())) << "row " << i;
+  }
+  const std::vector<std::uint32_t> other = {0, 1, 2};
+  EXPECT_FALSE(rs.equals(1, other.data()));
+}
+
 TEST(RowStoreTest, RowsAtPageTailsRoundTrip) {
   // Tiny pages make rows land at page tails constantly: byte sizes that do
   // not divide the page, epochs that open mid-page, and rows so wide that
@@ -234,8 +264,9 @@ TEST(RowStoreTest, StrideBoundsEnforced) {
 
 TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
   // The explorers' read phase: the store is frozen and four threads decode
-  // overlapping row sets at once, in memory and with spilled pages faulting
-  // back in under the arena's fault mutex.
+  // and compare overlapping row sets at once, in memory and spilled. Loads
+  // fault spilled pages back in under the arena's fault mutex; equals()
+  // reads spilled rows straight from the spill file.
   constexpr int kReaders = 4;
   const std::size_t stride = 6;
   const auto rows = climbing_rows(stride, 4000, 31);
@@ -255,14 +286,17 @@ TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
     for (int t = 0; t < kReaders; ++t) {
       readers.emplace_back([&, t] {
         std::vector<std::uint32_t> out(stride);
-        // Each reader walks every row from its own start, prefetching its
-        // window like the explorers do.
+        // Each reader walks every row from its own start; odd readers
+        // compare (the seen-table probe), even readers decode.
         const std::size_t n = rows.size();
         for (std::size_t k = 0; k < n; ++k) {
           const std::size_t i = (k + n * static_cast<std::size_t>(t) / kReaders) % n;
-          if (i % 128 == 0) rs.prefetch_rows(i, i + 128);
-          rs.load(i, out.data());
-          if (out != rows[i]) mismatches.fetch_add(1);
+          if (t % 2 == 1) {
+            if (!rs.equals(i, rows[i].data())) mismatches.fetch_add(1);
+          } else {
+            rs.load(i, out.data());
+            if (out != rows[i]) mismatches.fetch_add(1);
+          }
         }
       });
     }
@@ -370,6 +404,58 @@ TEST(RowStoreSpillTest, PrefetchRowsFaultsOnePageRange) {
     EXPECT_EQ(out, row) << "row " << i;
   }
   EXPECT_EQ(rs.spill_stats().faulted_pages - before, 6u);
+}
+
+TEST(RowStoreSpillTest, EqualsReadsSpilledRowsWithoutFaulting) {
+  // Duplicate checks hit rows all over the store. A spilled row is read
+  // from the spill file: the answer is exact and no page comes back.
+  const std::size_t stride = 7;
+  const auto rows = climbing_rows(stride, 4000, 13);
+  row_store rs;
+  row_store_options opt;
+  opt.page_bits = 8;
+  opt.spill.budget_bytes = 1024;
+  rs.configure(stride, true, opt);
+  for (const auto& row : rows) rs.append(row.data());
+  const arena_spill_stats before = rs.spill_stats();
+  ASSERT_GT(before.spilled_pages, 0u);
+  std::vector<std::uint32_t> other(stride);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rs.equals(i, rows[i].data())) << "row " << i;
+    other = rows[i];
+    other[i % stride] ^= 1;
+    ASSERT_FALSE(rs.equals(i, other.data())) << "row " << i;
+  }
+  const arena_spill_stats after = rs.spill_stats();
+  EXPECT_EQ(after.faulted_pages, before.faulted_pages);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  EXPECT_GT(after.point_reads, 0u);
+}
+
+TEST(RowStoreSpillTest, WindowedScanStaysWithinBudget) {
+  // A scan that prefetches window by window (the explorers' frontier and
+  // progress passes) evicts behind itself: every page faults in at most
+  // once and the resident set never exceeds the budget plus the window and
+  // the writer's head page.
+  const std::size_t stride = 4;
+  row_store rs;
+  row_store_options opt;
+  opt.page_bits = 6;
+  opt.spill.budget_bytes = 4 * 64;
+  rs.configure(stride, true, opt);
+  const std::vector<std::uint32_t> row = {1000, 2000, 3000, 4000};  // 6 B
+  for (int i = 0; i < 2000; ++i) rs.append(row.data());  // 200 pages
+  const arena_spill_stats before = rs.spill_stats();
+  ASSERT_GT(before.spilled_pages, 150u);
+  std::vector<std::uint32_t> out(stride);
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    if (i % 20 == 0) rs.prefetch_rows(i, i + 20);  // 2 pages per window
+    rs.load(i, out.data());
+    ASSERT_EQ(out, row) << "row " << i;
+  }
+  const arena_spill_stats after = rs.spill_stats();
+  EXPECT_LE(after.faulted_pages - before.faulted_pages, 200u);
+  EXPECT_LE(after.resident_hw_bytes, opt.spill.budget_bytes + 3 * 64);
 }
 
 TEST(RowStoreSpillTest, OffsetsBeyondFourGiB) {
