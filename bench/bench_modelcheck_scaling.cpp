@@ -58,37 +58,7 @@
 // skipped, and says so, on a single-core host). Merge record/duplicate/
 // missing counts land in the JSON metrics counters.
 //
-// Part 9 — packed-word canonicalization: the interned-id kernel (per-element
-// rename memo tables + rank-row compare, modelcheck/symmetry.hpp) vs the
-// object-domain path. The reference config's group is trivial — the kernel
-// never engages there — so it gates bit-identity of the opt-out while the
-// >= 1.5x sequential-speedup gates ride the canonicalization-bound configs
-// (anon_mutex shared-naming n = 3, fa_mutex n = 4 m = 3), measured
-// interleaved best-of-reps. Verdicts, state counts and counterexample
-// schedules must be bit-identical across modes, engines, and worker counts;
-// any divergence or a missed speedup gate exits nonzero.
-// --packed-canonicalization=0|1 flips the default mode for every reduced run
-// in the other parts (CI diffs the two resulting reports at zero tolerance
-// on the deterministic series).
-//
-// Part 10 — batched frontier expansion + group-probe seen tables: the
-// staged expand/canonicalize/hash/probe pipeline and the 16-way tag-probed
-// seen tables (explorer::options::batched_expansion) vs the previous
-// release's per-successor loop over linear-probe tables, measured
-// explore-only, interleaved best-of-reps. Gates: >= 1.3x sequential on the
-// reference config, >= 1.2x on fa_mutex n = 4 m = 3 (relaxed to a
-// no-regression floor under the scalar probe fallback), and bit-identical
-// verdicts, state counts, counterexample schedules (plus stored-row bytes
-// sequentially) between the modes, sequentially and at 1/2/4/8 workers; any
-// divergence or a missed gate exits nonzero. The per-phase nanosecond
-// breakdown (expand/canonicalize/probe/encode) and group-probe counters
-// land in the JSON; "probe_backend" in the config records which SIMD
-// dispatch compiled in. --batched-expansion=0|1 flips the default mode for
-// every run in the other parts (CI diffs the two reports at zero tolerance
-// on the deterministic series, and runs the scalar-fallback build the same
-// way).
-//
-// --part=N runs a single part (1-10; 0 = all) so CI perf-smoke jobs can
+// --part=N runs a single part (1-8; 0 = all) so CI perf-smoke jobs can
 // scope to the gates they diff. Skipped parts report nothing and their
 // acceptance gates pass vacuously.
 //
@@ -100,8 +70,7 @@
 // where it stopped with identical weighted totals.
 //
 //   ./bench_modelcheck_scaling [--part=0] [--m=5] [--stride=2] [--depth=21]
-//                              [--reps=3] [--batched-expansion=1]
-//                              [--packed-canonicalization=1] [--sweep-m=0]
+//                              [--reps=3] [--sweep-m=0]
 //                              [--sweep-workers=1] [--sweep-checkpoint=FILE]
 //                              [--sweep-max-classes=0]
 #include <algorithm>
@@ -160,16 +129,7 @@ int main(int argc, char** argv) {
   args.define("sweep-max-classes", "0",
               "verify at most this many classes per invocation (0 = all; "
               "use with --sweep-checkpoint to split a long sweep)");
-  args.define("packed-canonicalization", "1",
-              "default canonicalization mode for the reduced runs (1 = "
-              "packed interned-id kernel, 0 = object domain); part 9 "
-              "measures both modes regardless");
-  args.define("batched-expansion", "1",
-              "default expansion pipeline for every run (1 = staged batch "
-              "expansion + group-probe tables, 0 = the per-successor loop "
-              "over linear-probe tables); part 10 measures both modes "
-              "regardless");
-  args.define("part", "0", "run only this part (1-10; 0 = all)");
+  args.define("part", "0", "run only this part (1-8; 0 = all)");
   if (!args.parse(argc, argv)) {
     std::cout << args.help("bench_modelcheck_scaling");
     return 0;
@@ -184,13 +144,9 @@ int main(int argc, char** argv) {
   const std::string sweep_checkpoint = args.get("sweep-checkpoint");
   const std::uint64_t sweep_max_classes =
       static_cast<std::uint64_t>(args.get_int("sweep-max-classes"));
-  const bool packed_default = args.get_int("packed-canonicalization") != 0;
-  const bool batched_default = args.get_int("batched-expansion") != 0;
   const int part_sel = static_cast<int>(args.get_int("part"));
   const auto run_part = [&](int p) { return part_sel == 0 || part_sel == p; };
   benchjson::bench_reporter report("bench_modelcheck_scaling");
-  report.config("packed_canonicalization", packed_default ? 1 : 0);
-  report.config("batched_expansion", batched_default ? 1 : 0);
   report.config("probe_backend", probe_backend());
   report.config("part", part_sel);
   report.config("m", m);
@@ -239,8 +195,7 @@ int main(int argc, char** argv) {
       {
         stopwatch t;
         seq_res = check_anon_mutex(m, naming, {1, 2}, 8'000'000,
-                                   /*symmetry=*/false, packed_default,
-                                   batched_default);
+                                   /*symmetry=*/false);
         const double s = t.elapsed_seconds();
         if (rep == 0 || s < seq_time) seq_time = s;
       }
@@ -248,9 +203,7 @@ int main(int argc, char** argv) {
         stopwatch t;
         par_res[w] = check_anon_mutex_parallel(m, naming, {1, 2},
                                                worker_counts[w], 8'000'000,
-                                               /*symmetry=*/false,
-                                               packed_default,
-                                               batched_default);
+                                               /*symmetry=*/false);
         const double s = t.elapsed_seconds();
         if (rep == 0 || s < par_time[w]) par_time[w] = s;
       }
@@ -280,8 +233,6 @@ int main(int argc, char** argv) {
       vopt.engine = verify_engine::parallel_bfs;
       vopt.workers = workers;
       vopt.max_states = 8'000'000;
-      vopt.packed_canonicalization = packed_default;
-      vopt.batched_expansion = batched_default;
       const auto stats = verify_config<anon_mutex>(cfg, two_in_cs, vopt);
       bfs_table.add("parallel", workers, res.num_states, stats.dedup_hits,
                     res.verdict(), t * 1e3, speedup);
@@ -365,8 +316,6 @@ int main(int argc, char** argv) {
     };
     explorer<anon_mutex>::options eopt;
     eopt.max_states = 8'000'000;
-    eopt.packed_canonicalization = packed_default;
-    eopt.batched_expansion = batched_default;
     explorer<anon_mutex>::result raw_res, orbit_res;
     double raw_t = 0, orbit_t = 0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -437,8 +386,6 @@ int main(int argc, char** argv) {
     sweep_procs.emplace_back(2, sweep_m);
     verify_options sweep_opt;
     sweep_opt.max_states = 1'000'000;
-    sweep_opt.packed_canonicalization = packed_default;
-    sweep_opt.batched_expansion = batched_default;
     naming_sweep_report full_sweep, orbit_sweep;
     double full_t = 0, orbit_t = 0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -514,7 +461,6 @@ int main(int argc, char** argv) {
           explorer<anon_mutex>::options eopt;
           eopt.max_states = 8'000'000;
           eopt.compress_arena = es.compress;
-          eopt.batched_expansion = batched_default;
           explorer<anon_mutex> e(ac.m, anm, amach, eopt);
           res = detail::run_mutex_check(e);
           row_bytes = e.stored_row_bytes();
@@ -523,7 +469,6 @@ int main(int argc, char** argv) {
           parallel_explorer<anon_mutex>::options popt;
           popt.max_states = 8'000'000;
           popt.compress_arena = es.compress;
-          popt.batched_expansion = batched_default;
           popt.workers = es.workers;
           parallel_explorer<anon_mutex> e(ac.m, anm, amach, popt);
           res = detail::run_mutex_check(e);
@@ -591,7 +536,6 @@ int main(int argc, char** argv) {
       explorer<anon_mutex>::options eopt;
       eopt.max_states = 8'000'000;
       eopt.compress_arena = true;
-      eopt.batched_expansion = batched_default;
       explorer<anon_mutex> e(m, naming, oc_mach, eopt);
       mem_res = detail::run_mutex_check(e);
       inmem_bytes = e.stored_row_bytes();
@@ -619,7 +563,6 @@ int main(int argc, char** argv) {
         eopt.max_states = 8'000'000;
         eopt.compress_arena = true;
         eopt.spill_budget_bytes = spill_budget;
-        eopt.batched_expansion = batched_default;
         explorer<anon_mutex> e(m, naming, oc_mach, eopt);
         res = detail::run_mutex_check(e);
         st = e.spill_stats();
@@ -629,7 +572,6 @@ int main(int argc, char** argv) {
         popt.compress_arena = true;
         popt.workers = se.workers;
         popt.spill_budget_bytes = spill_budget;
-        popt.batched_expansion = batched_default;
         parallel_explorer<anon_mutex> e(m, naming, oc_mach, popt);
         res = detail::run_mutex_check(e);
         st = e.spill_stats();
@@ -720,20 +662,17 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < reps; ++rep) {
       stopwatch t1;
       fa_raw = check_fa_mutex(fc.registers, fa_naming, 2'000'000,
-                              /*symmetry=*/false, packed_default,
-                              batched_default);
+                              /*symmetry=*/false);
       const double s1 = t1.elapsed_seconds();
       if (rep == 0 || s1 < raw_t) raw_t = s1;
       stopwatch t2;
       fa_orbit = check_fa_mutex(fc.registers, fa_naming, 2'000'000,
-                                /*symmetry=*/true, packed_default,
-                                batched_default);
+                                /*symmetry=*/true);
       const double s2 = t2.elapsed_seconds();
       if (rep == 0 || s2 < orbit_t) orbit_t = s2;
     }
     fa_par = check_fa_mutex_parallel(fc.registers, fa_naming, /*workers=*/2,
-                                     2'000'000, /*symmetry=*/true,
-                                     packed_default, batched_default);
+                                     2'000'000, /*symmetry=*/true);
     bool ok = fa_raw.verdict() == fa_orbit.verdict() &&
               fa_par.verdict() == fa_orbit.verdict() &&
               fa_par.num_states == fa_orbit.num_states &&
@@ -759,8 +698,7 @@ int main(int argc, char** argv) {
   {
     const auto fold_naming = naming_assignment::identity(2, 4);
     const auto dead = check_fa_mutex(4, fold_naming, 2'000'000,
-                                     /*symmetry=*/true, packed_default,
-                                     batched_default);
+                                     /*symmetry=*/true);
     bool fold_ok = dead.verdict() == "DEADLOCK" && !dead.counterexample.empty();
     if (fold_ok) {
       std::vector<std::uint64_t> regs(4, fa_mutex::token_down);
@@ -792,8 +730,6 @@ int main(int argc, char** argv) {
     qprocs.emplace_back(2, sweep_quotient_m);
     verify_options qopt;
     qopt.max_states = 8'000'000;
-    qopt.packed_canonicalization = packed_default;
-    qopt.batched_expansion = batched_default;
     sweep_schedule_options qsched;
     qsched.workers = sweep_workers;
     qsched.checkpoint_path = sweep_checkpoint;
@@ -839,8 +775,6 @@ int main(int argc, char** argv) {
     sprocs.emplace_back(2, sm);
     verify_options sopt;
     sopt.max_states = 8'000'000;
-    sopt.packed_canonicalization = packed_default;
-    sopt.batched_expansion = batched_default;
     const std::string dir = std::filesystem::temp_directory_path().string();
     const std::string j0 = dir + "/anoncoord_bench_shard0.ckpt";
     const std::string j1 = dir + "/anoncoord_bench_shard1.ckpt";
@@ -930,355 +864,6 @@ int main(int argc, char** argv) {
     report.metric("shard_speedup_ok", shard_speedup_ok ? 1 : 0);
   }
 
-  // -------------------------------------------------------------------
-  // Part 9: the packed-word canonicalization kernel vs the object-domain
-  // path. The 342,886-state reference config has a TRIVIAL automorphism
-  // group (stride-rotated namings admit no nontrivial symmetry), so
-  // canonicalization never runs there — the kernel cannot speed it up and
-  // claiming so would be dishonest. The reference config instead gates the
-  // opt-out contract: packed on vs off must be bit-identical (verdict,
-  // states, counterexample). The >= 1.5x sequential-speedup gate lives on
-  // the canonicalization-bound configs where the kernel actually executes:
-  // the shared-naming anon_mutex n = 3 (group 3! = 6) and the fully
-  // anonymous fa_mutex n = 4, m = 3 (group 4! x 3 = 72), measured
-  // interleaved best-of-reps packed vs object on the per-successor
-  // expansion loop (batched expansion pinned off: the batched pipeline
-  // speeds up the object side too, which dilutes this ratio without the
-  // kernel getting slower — part 10 owns the pipeline's gates). A
-  // deadlocking fa config
-  // additionally pins counterexample-schedule identity across modes, and a
-  // 2-worker parallel packed run pins parallel bit-identity.
-  // -------------------------------------------------------------------
-  bool packed_identical = true;
-  bool packed_speedup_ok = true;
-  double packed_speedup_anon = 0, packed_speedup_fa = 0;
-  if (run_part(9)) {
-    // Opt-out contract on the reference config (trivial group: the packed
-    // kernel disengages and both modes run the same non-reduced path).
-    const auto ref_packed = check_anon_mutex(m, naming, {1, 2}, 8'000'000,
-                                             /*symmetry=*/false, true,
-                                             batched_default);
-    const auto ref_object = check_anon_mutex(m, naming, {1, 2}, 8'000'000,
-                                             /*symmetry=*/false, false,
-                                             batched_default);
-    packed_identical = ref_packed.verdict() == ref_object.verdict() &&
-                       ref_packed.num_states == ref_object.num_states &&
-                       ref_packed.counterexample == ref_object.counterexample;
-
-    // Speedup gate config A: anon_mutex, n = 3 shared naming, m = 2
-    // (group 6; the part-3 n = 3 config's state space).
-    const naming_assignment shared3(
-        std::vector<permutation>(3, identity_permutation(2)));
-    mutex_check_result anon_packed{}, anon_object{};
-    double anon_pt = 0, anon_ot = 0;
-    // Speedup gate config B: fa_mutex, n = 4, m = 3 (group 72).
-    const auto fa4_naming = naming_assignment::identity(4, 3);
-    mutex_check_result fa_packed{}, fa_object{};
-    double fa_pt = 0, fa_ot = 0;
-    // The timing pairs pin batched_expansion OFF on both sides: the gate
-    // measures the canonicalization kernel against the object-domain path
-    // on the per-successor loop it was recorded on. Under the batched
-    // pipeline the object side also profits from batch staging and group
-    // probing, which dilutes this ratio below its floor without the kernel
-    // getting any slower — part 10 owns the pipeline's own gates.
-    for (int rep = 0; rep < reps; ++rep) {
-      stopwatch t1;
-      anon_packed = check_anon_mutex(2, shared3, {1, 2, 3}, 8'000'000,
-                                     /*symmetry=*/true, true,
-                                     /*batched_expansion=*/false);
-      const double s1 = t1.elapsed_seconds();
-      if (rep == 0 || s1 < anon_pt) anon_pt = s1;
-      stopwatch t2;
-      anon_object = check_anon_mutex(2, shared3, {1, 2, 3}, 8'000'000,
-                                     /*symmetry=*/true, false,
-                                     /*batched_expansion=*/false);
-      const double s2 = t2.elapsed_seconds();
-      if (rep == 0 || s2 < anon_ot) anon_ot = s2;
-      stopwatch t3;
-      fa_packed = check_fa_mutex(3, fa4_naming, 8'000'000,
-                                 /*symmetry=*/true, true,
-                                 /*batched_expansion=*/false);
-      const double s3 = t3.elapsed_seconds();
-      if (rep == 0 || s3 < fa_pt) fa_pt = s3;
-      stopwatch t4;
-      fa_object = check_fa_mutex(3, fa4_naming, 8'000'000,
-                                 /*symmetry=*/true, false,
-                                 /*batched_expansion=*/false);
-      const double s4 = t4.elapsed_seconds();
-      if (rep == 0 || s4 < fa_ot) fa_ot = s4;
-    }
-    packed_identical =
-        packed_identical &&
-        anon_packed.verdict() == anon_object.verdict() &&
-        anon_packed.num_states == anon_object.num_states &&
-        anon_packed.counterexample == anon_object.counterexample &&
-        fa_packed.verdict() == fa_object.verdict() &&
-        fa_packed.num_states == fa_object.num_states &&
-        fa_packed.counterexample == fa_object.counterexample;
-
-    // Counterexample replay across modes: the even-m fa deadlock is found
-    // on the quotient graph and folded back through the sigma chain; the
-    // schedule must not depend on which canonicalization domain ran.
-    const auto dead_naming = naming_assignment::identity(2, 4);
-    const auto dead_packed = check_fa_mutex(4, dead_naming, 2'000'000,
-                                            /*symmetry=*/true, true,
-                                            batched_default);
-    const auto dead_object = check_fa_mutex(4, dead_naming, 2'000'000,
-                                            /*symmetry=*/true, false,
-                                            batched_default);
-    packed_identical = packed_identical &&
-                       dead_packed.verdict() == "DEADLOCK" &&
-                       dead_packed.verdict() == dead_object.verdict() &&
-                       dead_packed.num_states == dead_object.num_states &&
-                       dead_packed.counterexample == dead_object.counterexample;
-
-    // Parallel bit-identity with the kernel's shared memo tables.
-    const auto fa_par2 = check_fa_mutex_parallel(3, fa4_naming, /*workers=*/2,
-                                                 8'000'000, /*symmetry=*/true,
-                                                 true, batched_default);
-    packed_identical = packed_identical &&
-                       fa_par2.verdict() == fa_packed.verdict() &&
-                       fa_par2.num_states == fa_packed.num_states &&
-                       fa_par2.counterexample == fa_packed.counterexample;
-
-    packed_speedup_anon = anon_pt > 0 ? anon_ot / anon_pt : 0;
-    packed_speedup_fa = fa_pt > 0 ? fa_ot / fa_pt : 0;
-    packed_speedup_ok =
-        packed_speedup_anon >= 1.5 && packed_speedup_fa >= 1.5;
-
-    // Prune counters from the packed fa run (the verify_report plumbing the
-    // obs counters ride on): mode-dependent by design — the object path
-    // folds its fast-path skip into first_word_pruned and never reports
-    // prefix_pruned — so they land as informational metrics, not series.
-    verify_options cvo;
-    cvo.engine = verify_engine::bfs;
-    cvo.symmetry = true;
-    cvo.max_states = 8'000'000;
-    cvo.packed_canonicalization = packed_default;
-    cvo.batched_expansion = batched_default;
-    std::vector<fa_mutex> fa4_procs(4, fa_mutex(3));
-    model_config<fa_mutex> fa4_cfg{3, fa4_naming, fa4_procs};
-    const verify_report crep = verify_config<fa_mutex>(
-        fa4_cfg,
-        [](const std::vector<std::uint64_t>&, const std::vector<fa_mutex>& ps) {
-          int c = 0;
-          for (const auto& p : ps)
-            if (p.in_critical_section()) ++c;
-          return c >= 2;
-        },
-        cvo);
-    report.metric("canonicalize.full_applies", crep.canon_full_applies);
-    report.metric("canonicalize.first_word_pruned",
-                  crep.canon_first_word_pruned);
-    report.metric("canonicalize.prefix_pruned", crep.canon_prefix_pruned);
-
-    ascii_table pk_table({"config", "group", "states", "object-ms",
-                          "packed-ms", "speedup", "identical"});
-    pk_table.add("reference (trivial group)", 1, ref_packed.num_states,
-                 0.0, 0.0, 1.0,
-                 packed_identical ? "yes" : "NO");
-    pk_table.add("anon shared, n=3 m=2", 6, anon_packed.num_states,
-                 anon_ot * 1e3, anon_pt * 1e3, packed_speedup_anon,
-                 anon_packed.num_states == anon_object.num_states ? "yes"
-                                                                  : "NO");
-    pk_table.add("fa, n=4 m=3", 72, fa_packed.num_states, fa_ot * 1e3,
-                 fa_pt * 1e3, packed_speedup_fa,
-                 fa_packed.num_states == fa_object.num_states ? "yes" : "NO");
-    std::cout << pk_table.render() << "\n";
-    std::cout << "packed canonicalization: reference config has a trivial "
-                 "group (kernel inert; gates bit-identity of the opt-out), "
-                 "speedup gates ride the canonicalization-bound configs "
-                 "above\n\n";
-    report.sample("packed_canon_states/anon_n3",
-                  static_cast<double>(anon_packed.num_states));
-    report.sample("packed_canon_states/fa_n4",
-                  static_cast<double>(fa_packed.num_states));
-    report.sample("packed_canon_seconds/anon_n3_object", anon_ot, "s");
-    report.sample("packed_canon_seconds/anon_n3_packed", anon_pt, "s");
-    report.sample("packed_canon_seconds/fa_n4_object", fa_ot, "s");
-    report.sample("packed_canon_seconds/fa_n4_packed", fa_pt, "s");
-    report.sample("packed_canon_speedup/anon_n3", packed_speedup_anon, "x");
-    report.sample("packed_canon_speedup/fa_n4", packed_speedup_fa, "x");
-    report.metric("packed_canon_identical", packed_identical ? 1 : 0);
-    report.metric("packed_canon_speedup_ok", packed_speedup_ok ? 1 : 0);
-  }
-
-  // -------------------------------------------------------------------
-  // Part 10: batched frontier expansion + group-probe seen tables vs the
-  // previous release's per-successor loop over linear-probe tables
-  // (explorer::options::batched_expansion), measured explore-only and
-  // interleaved best-of-reps — check_progress runs the same backward pass
-  // either way and would only dilute the pipeline ratio. Gates: >= 1.3x
-  // sequential on the reference config, >= 1.2x on fa_mutex n = 4 m = 3
-  // (where canonicalization dominates and the prefix-class kernel is the
-  // lever) — relaxed to a no-regression floor when the probe backend is
-  // the portable scalar loop — and bit-identical verdicts/state counts/
-  // edge counts/schedules
-  // between the modes — plus stored-row bytes sequentially; parallel
-  // interning order is racy, so the 1/2/4/8-worker identity sweep covers
-  // everything but bytes. A deadlocking fa config pins counterexample-
-  // schedule identity through the batched path end to end.
-  // -------------------------------------------------------------------
-  bool batched_identical = true;
-  bool batched_speedup_ok = true;
-  double batched_speedup_ref = 0, batched_speedup_fa = 0;
-  // The 1.3x/1.2x floors belong to the SIMD tag compare; the portable
-  // scalar fallback (ANONCOORD_PROBE_SCALAR, non-x86/non-NEON hosts) is
-  // gated on bit-identity plus no material regression — prefetching and
-  // batch staging still help, but the 16-way compare is the headline
-  // lever, so holding the scalar build to the SIMD floor would gate the
-  // wrong thing.
-  const bool simd_probe = std::string(probe_backend()) != "scalar";
-  const double batched_ref_floor = simd_probe ? 1.3 : 0.9;
-  const double batched_fa_floor = simd_probe ? 1.2 : 1.0;
-  if (run_part(10)) {
-    const auto ref_bad = [](const global_state<anon_mutex>& s) {
-      return mutex_cs_count(s) >= 2;
-    };
-    const auto fa_bad = [](const global_state<fa_mutex>& s) {
-      return fa_mutex_cs_count(s) >= 2;
-    };
-    const auto fa4_naming = naming_assignment::identity(4, 3);
-    const std::vector<fa_mutex> fa4_procs(4, fa_mutex(3));
-    // Index 0 = batched off (the previous release's pipeline), 1 = on.
-    double ref_t[2] = {0, 0}, fa_t[2] = {0, 0};
-    std::uint64_t ref_states[2] = {0, 0}, ref_edges[2] = {0, 0};
-    std::uint64_t fa_states[2] = {0, 0}, fa_edges[2] = {0, 0};
-    std::uint64_t ref_bytes[2] = {0, 0}, fa_bytes[2] = {0, 0};
-    bool ref_viol[2] = {false, false}, fa_viol[2] = {false, false};
-    explore_phase_stats ref_phases;
-    // The off/on pair of one config runs back to back inside a rep — an
-    // intervening run of the other config shifts the heap/cache state
-    // between the two modes and skews the ratio by up to ~10% on a
-    // single-core host.
-    for (int rep = 0; rep < reps; ++rep) {
-      for (int b = 0; b < 2; ++b) {
-        explorer<anon_mutex>::options eopt;
-        eopt.max_states = 8'000'000;
-        eopt.packed_canonicalization = packed_default;
-        eopt.batched_expansion = b == 1;
-        explorer<anon_mutex> e(m, naming, machines, eopt);
-        stopwatch t;
-        const auto res = e.explore(ref_bad);
-        const double s = t.elapsed_seconds();
-        if (rep == 0 || s < ref_t[b]) ref_t[b] = s;
-        ref_states[b] = res.num_states;
-        ref_edges[b] = res.num_edges;
-        ref_viol[b] = res.safety_violated();
-        ref_bytes[b] = e.stored_row_bytes();
-        if (b == 1) ref_phases = e.phase_counters();
-      }
-      for (int b = 0; b < 2; ++b) {
-        explorer<fa_mutex>::options eopt;
-        eopt.max_states = 8'000'000;
-        eopt.symmetry = true;
-        eopt.packed_canonicalization = packed_default;
-        eopt.batched_expansion = b == 1;
-        explorer<fa_mutex> e(3, fa4_naming, fa4_procs, eopt);
-        stopwatch t;
-        const auto res = e.explore(fa_bad);
-        const double s = t.elapsed_seconds();
-        if (rep == 0 || s < fa_t[b]) fa_t[b] = s;
-        fa_states[b] = res.num_states;
-        fa_edges[b] = res.num_edges;
-        fa_viol[b] = res.safety_violated();
-        fa_bytes[b] = e.stored_row_bytes();
-      }
-    }
-    batched_identical = ref_states[0] == ref_states[1] &&
-                        ref_edges[0] == ref_edges[1] &&
-                        ref_viol[0] == ref_viol[1] &&
-                        ref_bytes[0] == ref_bytes[1] &&
-                        fa_states[0] == fa_states[1] &&
-                        fa_edges[0] == fa_edges[1] &&
-                        fa_viol[0] == fa_viol[1] && fa_bytes[0] == fa_bytes[1];
-
-    // Counterexample-schedule identity through the full check (safety +
-    // progress): the even-m fa deadlock's schedule must not depend on the
-    // expansion pipeline, sequentially or in parallel.
-    const auto dead_naming = naming_assignment::identity(2, 4);
-    const auto dead_off = check_fa_mutex(4, dead_naming, 2'000'000,
-                                         /*symmetry=*/true, packed_default,
-                                         /*batched_expansion=*/false);
-    const auto dead_on = check_fa_mutex(4, dead_naming, 2'000'000,
-                                        /*symmetry=*/true, packed_default,
-                                        /*batched_expansion=*/true);
-    const auto dead_par = check_fa_mutex_parallel(
-        4, dead_naming, /*workers=*/2, 2'000'000, /*symmetry=*/true,
-        packed_default, /*batched_expansion=*/true);
-    batched_identical = batched_identical &&
-                        dead_on.verdict() == "DEADLOCK" &&
-                        dead_on.verdict() == dead_off.verdict() &&
-                        dead_on.num_states == dead_off.num_states &&
-                        dead_on.counterexample == dead_off.counterexample &&
-                        dead_par.verdict() == dead_on.verdict() &&
-                        dead_par.num_states == dead_on.num_states &&
-                        dead_par.counterexample == dead_on.counterexample;
-
-    // Parallel identity sweep on the reference config: every worker count,
-    // both modes, compared against the sequential batched run.
-    for (int workers : {1, 2, 4, 8}) {
-      for (int b = 0; b < 2; ++b) {
-        parallel_explorer<anon_mutex>::options popt;
-        popt.workers = workers;
-        popt.max_states = 8'000'000;
-        popt.packed_canonicalization = packed_default;
-        popt.batched_expansion = b == 1;
-        parallel_explorer<anon_mutex> e(m, naming, machines, popt);
-        const auto res = e.explore(ref_bad);
-        batched_identical = batched_identical &&
-                            res.num_states == ref_states[1] &&
-                            res.num_edges == ref_edges[1] &&
-                            res.safety_violated() == ref_viol[1];
-      }
-    }
-
-    batched_speedup_ref = ref_t[1] > 0 ? ref_t[0] / ref_t[1] : 0;
-    batched_speedup_fa = fa_t[1] > 0 ? fa_t[0] / fa_t[1] : 0;
-    batched_speedup_ok = batched_speedup_ref >= batched_ref_floor &&
-                         batched_speedup_fa >= batched_fa_floor;
-
-    ascii_table bt_table({"config", "states", "off-ms", "on-ms", "speedup",
-                          "identical"});
-    bt_table.add("reference (explore)", ref_states[1], ref_t[0] * 1e3,
-                 ref_t[1] * 1e3, batched_speedup_ref,
-                 ref_states[0] == ref_states[1] ? "yes" : "NO");
-    bt_table.add("fa, n=4 m=3 (explore)", fa_states[1], fa_t[0] * 1e3,
-                 fa_t[1] * 1e3, batched_speedup_fa,
-                 fa_states[0] == fa_states[1] ? "yes" : "NO");
-    std::cout << bt_table.render() << "\n";
-    std::cout << "batched expansion [" << probe_backend()
-              << " probe backend]: phase breakdown on the reference run "
-              << "expand=" << ref_phases.expand_ns / 1'000'000
-              << "ms canonicalize=" << ref_phases.canonicalize_ns / 1'000'000
-              << "ms probe=" << ref_phases.probe_ns / 1'000'000
-              << "ms encode=" << ref_phases.encode_ns / 1'000'000
-              << "ms, groups-scanned=" << ref_phases.probe_groups_scanned
-              << " max-chain=" << ref_phases.probe_max_group_chain
-              << ", on/off + parallel sweep identical: "
-              << (batched_identical ? "yes" : "NO — BUG") << "\n\n";
-
-    report.sample("batched_states/ref", static_cast<double>(ref_states[1]));
-    report.sample("batched_states/fa_n4", static_cast<double>(fa_states[1]));
-    report.sample("batched_seconds/ref_off", ref_t[0], "s");
-    report.sample("batched_seconds/ref_on", ref_t[1], "s");
-    report.sample("batched_seconds/fa_n4_off", fa_t[0], "s");
-    report.sample("batched_seconds/fa_n4_on", fa_t[1], "s");
-    report.sample("batched_speedup/ref", batched_speedup_ref, "x");
-    report.sample("batched_speedup/fa_n4", batched_speedup_fa, "x");
-    // Phase times are wall-clock and the probe counters depend on table
-    // layout, so they land as metrics (outside the deterministic-series
-    // diff).
-    report.metric("phase_expand_ns", ref_phases.expand_ns);
-    report.metric("phase_canonicalize_ns", ref_phases.canonicalize_ns);
-    report.metric("phase_probe_ns", ref_phases.probe_ns);
-    report.metric("phase_encode_ns", ref_phases.encode_ns);
-    report.metric("probe_groups_scanned", ref_phases.probe_groups_scanned);
-    report.metric("probe_max_group_chain", ref_phases.probe_max_group_chain);
-    report.metric("batched_identical", batched_identical ? 1 : 0);
-    report.metric("batched_speedup_ok", batched_speedup_ok ? 1 : 0);
-  }
-
   const double schedule_reduction =
       sleep.schedules ? static_cast<double>(plain.schedules) /
                             static_cast<double>(sleep.schedules)
@@ -1303,21 +888,10 @@ int main(int argc, char** argv) {
             << ", speedup-gate="
             << (hw_cores >= 2 ? (shard_speedup_ok ? "met" : "NOT MET")
                               : "skipped, single core")
-            << ")  packed-canonicalization=" << packed_speedup_anon
-            << "x@anon-n3 / " << packed_speedup_fa
-            << "x@fa-n4 (target >= 1.5x each; reference config group is "
-               "trivial so its gate is bit-identity, identical="
-            << (packed_identical ? "yes" : "NO")
-            << ")  batched-expansion=" << batched_speedup_ref << "x@ref / "
-            << batched_speedup_fa << "x@fa-n4 (targets >= "
-            << batched_ref_floor << "x / >= " << batched_fa_floor << "x, "
-            << probe_backend() << " probes, identical="
-            << (batched_identical ? "yes" : "NO")
             << ")  verdicts-match="
             << (verdicts_match && identical && symmetry_verdicts_match &&
                         fa_verdicts_match && sweep_verdicts_match &&
-                        arena_match && spill_match && packed_identical &&
-                        batched_identical
+                        arena_match && spill_match
                     ? "yes"
                     : "NO")
             << "\n";
@@ -1331,7 +905,7 @@ int main(int argc, char** argv) {
   report.metric("verdicts_match",
                 verdicts_match && identical && symmetry_verdicts_match &&
                         fa_verdicts_match && sweep_verdicts_match &&
-                        arena_match && spill_match && batched_identical
+                        arena_match && spill_match
                     ? 1
                     : 0);
   report.metric("fa_factors_ok", fa_factors_ok ? 1 : 0);
@@ -1340,8 +914,7 @@ int main(int argc, char** argv) {
                  fa_verdicts_match && fa_factors_ok && sweep_verdicts_match &&
                  arena_match && arena_bytes_ok && spill_match &&
                  spill_budget_held && spill_refault_bounded &&
-                 shard_totals_match && shard_speedup_ok && packed_identical &&
-                 packed_speedup_ok && batched_identical && batched_speedup_ok
+                 shard_totals_match && shard_speedup_ok
              ? 0
              : 1;
 }

@@ -27,12 +27,13 @@
 // are bit-packed in arena pages (row_store: each column in the bit width of
 // its largest id so far), so reading a stored row back is O(1) arithmetic
 // and needs nothing but its index; the opt-out keeps them verbatim. The
-// reported result is bit-identical to the original full-copy explorer in
-// both modes.
+// reported result is identical in both modes, and identical to the plain
+// object-level BFS of modelcheck/reference_explorer.hpp, which the tests use
+// as the oracle.
 //
-// The hot loop itself is a staged batch pipeline (options.batched_expansion,
-// on by default — see docs/modelcheck.md "hot-path pipeline"): the frontier
-// is processed in fixed windows of kExpandWindow parents. Stage 1 decodes
+// The hot loop itself is a staged batch pipeline (see docs/modelcheck.md
+// "hot-path pipeline"): the frontier is processed in fixed windows of
+// kExpandWindow parents. Stage 1 decodes
 // the window's parent rows behind one batched spill fault-in; stage 2
 // generates every successor of the window into a flat packed-row staging
 // buffer, canonicalizing each row as it is staged (fused, so the component
@@ -42,13 +43,12 @@
 // a few slots ahead, so the seen-table miss latency overlaps the probes in
 // flight. The seen table is a Swiss-table-style group-probing index
 // (util/flat_index.hpp): one 16-byte tag compare per group, cell memory
-// touched only for candidate slots. The opt-out preserves the per-successor
-// loop for differentials; verdicts, state counts, stored-row bytes and
-// counterexample schedules are bit-identical in both modes.
+// touched only for candidate slots.
 //
 // With options.symmetry the seen-table keys are orbit representatives under
 // the configuration's automorphism group (modelcheck/symmetry.hpp):
-// successors are canonicalized before dedup, which shrinks the stored state
+// successors are canonicalized in the packed interned-id word domain
+// (packed_canonicalizer) before dedup, which shrinks the stored state
 // count by up to |G| <= n! while preserving reachability and every
 // G-invariant verdict. Counterexample schedules are stored against quotient
 // states, so they are mapped back to concrete schedules by folding the
@@ -80,9 +80,7 @@ namespace anoncoord {
 /// rdtsc pairs per window, not per successor): expand = parent decode +
 /// successor generation, canonicalize = symmetry-kernel time inside the
 /// generation stage, probe = seen-table find/insert, encode = row-arena
-/// append. The unbatched loop reports only encode_ns and the probe counters
-/// (its other phases are interleaved per successor and bracketing them would
-/// cost more than they measure).
+/// append.
 struct explore_phase_stats {
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
@@ -205,20 +203,6 @@ class explorer {
     /// runs. 0 keeps everything resident.
     std::uint64_t spill_budget_bytes = 0;
     std::string spill_dir;
-    /// Canonicalize successors in the packed interned-id word domain
-    /// (modelcheck/symmetry.hpp's packed_canonicalizer: per-element rename
-    /// memo tables + rank-row compare) instead of reconstructing states.
-    /// Verdicts, stored-state counts, element indices and counterexamples
-    /// are bit-identical either way — the opt-out preserves the
-    /// object-domain path for differentials, like compress_arena.
-    bool packed_canonicalization = true;
-    /// Process the frontier through the staged batch pipeline (windowed
-    /// parent decode -> flat successor staging -> batch hash -> prefetched
-    /// probe/insert) instead of one successor at a time. Verdicts, state
-    /// counts, stored-row bytes and counterexample schedules are
-    /// bit-identical either way — the opt-out preserves the per-successor
-    /// loop for differentials, like packed_canonicalization.
-    bool batched_expansion = true;
   };
 
   struct result {
@@ -269,15 +253,17 @@ class explorer {
   result explore(const state_predicate& is_bad = {}) {
     reset();
     result res;
-    scratch_.regs.assign(static_cast<std::size_t>(registers_), value_type{});
-    scratch_.procs = initial_machines_;
     {
-      canon_.regs = scratch_.regs;
-      canon_.procs = scratch_.procs;
+      canon_.regs.assign(static_cast<std::size_t>(registers_), value_type{});
+      canon_.procs = initial_machines_;
+      canonical_scratch<Machine> cs;
       const int elem =
-          group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
-      build_words(canon_);
-      intern_words(/*parent=*/-1, /*via=*/-1, elem);
+          group_.canonicalize(canon_.regs, canon_.procs, cs, &cstats_);
+      std::vector<std::uint32_t> row;
+      for (const auto& r : canon_.regs) row.push_back(pool_.intern_value(r));
+      for (const auto& p : canon_.procs) row.push_back(pool_.intern_machine(p));
+      intern_row(row.data(), hash_words(row.data(), stride()),
+                 /*parent=*/-1, /*via=*/-1, elem);
     }
     if (is_bad && is_bad(canon_)) {
       res.bad_state = concrete_state(0);
@@ -286,8 +272,7 @@ class explorer {
       return res;
     }
 
-    res.complete = opt_.batched_expansion ? run_batched(res, is_bad)
-                                          : run_unbatched(res, is_bad);
+    res.complete = run(res, is_bad);
     finish(res);
     return res;
   }
@@ -366,8 +351,7 @@ class explorer {
   /// Interned-component statistics (the compact-store win the bench reports).
   const state_pool<Machine>& pool() const { return pool_; }
 
-  /// Per-phase hot-loop breakdown of the last explore() (see
-  /// explore_phase_stats for which fields each mode fills).
+  /// Per-phase hot-loop breakdown of the last explore().
   const explore_phase_stats& phase_counters() const { return phases_; }
 
   /// Row-storage bytes actually committed for the seen set (the bench's
@@ -393,9 +377,7 @@ class explorer {
   void reset() {
     pool_.clear();
     cstats_ = canonicalize_stats{};
-    packed_ = opt_.packed_canonicalization && !group_.is_trivial() &&
-              symmetry_reducible_machine<Machine>;
-    if (packed_)
+    if (!group_.is_trivial())
       pk_.attach(&group_, &pool_, registers_,
                  static_cast<int>(initial_machines_.size()));
     row_store_options ropt;
@@ -404,11 +386,7 @@ class explorer {
       ropt.spill.dir = opt_.spill_dir;
     }
     rows_.configure(stride(), opt_.compress_arena, ropt);
-    // The opt-out reproduces the previous pipeline end to end, seen table
-    // included: per-successor expansion probing the linear-probe table.
-    use_linear_ = !opt_.batched_expansion;
     index_.clear();
-    lindex_.clear();
     opc_.clear();
     tmemo_.clear();
     tindex_.clear();
@@ -426,103 +404,6 @@ class explorer {
     csr_sources_.clear();
   }
 
-  /// The per-successor expansion loop (options.batched_expansion = false).
-  /// Returns whether the reachable set was fully explored; a safety
-  /// violation or the max_states cap stops early with false.
-  bool run_unbatched(result& res, const state_predicate& is_bad) {
-    const std::size_t m = static_cast<std::size_t>(registers_);
-    const std::size_t n = initial_machines_.size();
-    const bool reduce = !group_.is_trivial();
-    // Out-of-core runs expand the frontier in arena-offset order (BFS
-    // append order IS offset order) and batch the window's cold-page
-    // faults up front instead of dribbling them out one load at a time.
-    constexpr std::uint64_t kSpillWindow = 128;
-    std::uint64_t frontier = 0;
-    while (frontier < num_states()) {
-      if (num_states() >= opt_.max_states) return false;  // incomplete
-      if ((frontier & (kSpillWindow - 1)) == 0 && rows_.spill_enabled())
-        rows_.prefetch_rows(frontier, frontier + kSpillWindow);
-      const auto s = static_cast<std::int64_t>(frontier++);
-      prow_.resize(stride());
-      rows_.load(static_cast<std::uint64_t>(s), prow_.data());
-      fill_state(prow_.data(), scratch_);
-      if (saved_.size() != n) saved_ = scratch_.procs;
-      // Quiescent point: refresh the packed kernel's rank snapshots once
-      // they fall behind the pools. Ids interned mid-expansion stay exact
-      // through the kernel's object-domain fallback.
-      if (packed_) pk_.maybe_refresh_ranks();
-      for (int p = 0; p < static_cast<int>(n); ++p) {
-        Machine& machine = scratch_.procs[static_cast<std::size_t>(p)];
-        const op_desc op = machine.peek();
-        if (op.kind == op_kind::none) continue;
-        const permutation& perm = naming_.of(p);
-        // Undo log: the machine that moves, and the register a write hits.
-        saved_[static_cast<std::size_t>(p)] = machine;
-        int written = -1;
-        value_type old_value{};
-        if (op.kind == op_kind::write) {
-          written = perm[static_cast<std::size_t>(op.index)];
-          old_value = scratch_.regs[static_cast<std::size_t>(written)];
-        }
-        permuted_vector_memory<value_type> view(scratch_.regs, perm);
-        machine.step(view);
-
-        std::int64_t idx;
-        bool fresh;
-        int elem = 0;
-        if (packed_) {
-          // Packed kernel: patch the parent's row (the stepped machine and
-          // at most one written register — same relative encoding as the
-          // non-reduced path), then canonicalize the row in the interned-id
-          // word domain. No state reconstruction per group element.
-          wbuf_.assign(prow_.begin(), prow_.end());
-          wbuf_[m + static_cast<std::size_t>(p)] =
-              pool_.intern_machine(machine);
-          if (written >= 0)
-            wbuf_[static_cast<std::size_t>(written)] = pool_.intern_value(
-                scratch_.regs[static_cast<std::size_t>(written)]);
-          elem = pk_.canonicalize_row(wbuf_.data(), pks_, cstats_);
-          std::tie(idx, fresh) = intern_words(s, p, elem);
-        } else if (reduce) {
-          canon_.regs = scratch_.regs;
-          canon_.procs = scratch_.procs;
-          elem = group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
-          build_words(canon_);
-          std::tie(idx, fresh) = intern_words(s, p, elem);
-        } else {
-          // Relative encoding: the successor's row is the parent's row with
-          // the stepped machine and (at most) the written register patched.
-          wbuf_.assign(prow_.begin(), prow_.end());
-          wbuf_[m + static_cast<std::size_t>(p)] =
-              pool_.intern_machine(machine);
-          if (written >= 0)
-            wbuf_[static_cast<std::size_t>(written)] = pool_.intern_value(
-                scratch_.regs[static_cast<std::size_t>(written)]);
-          std::tie(idx, fresh) = intern_words(s, p, 0);
-        }
-        if (!fresh) ++res.dedup_hits;
-        edges_.emplace_back(static_cast<std::uint32_t>(s),
-                            static_cast<std::uint32_t>(idx));
-        if (fresh && is_bad) {
-          // The packed path never materialized the canonical state; the
-          // predicate (G-invariant by contract) runs on its reconstruction.
-          if (packed_) fill_state(wbuf_.data(), canon_);
-          if (is_bad(reduce ? canon_ : scratch_)) {
-            res.bad_state = concrete_state(idx);
-            res.bad_schedule = concrete_schedule(idx);
-            return false;
-          }
-        }
-        // Undo: restore the moved machine and the overwritten register.
-        machine = saved_[static_cast<std::size_t>(p)];
-        if (written >= 0)
-          scratch_.regs[static_cast<std::size_t>(written)] =
-              std::move(old_value);
-      }
-    }
-    return true;
-  }
-
   /// A successor staged by the batched pipeline, waiting for its probe.
   struct staged_succ {
     std::uint32_t pslot;  ///< parent's slot within the window
@@ -531,20 +412,19 @@ class explorer {
     std::size_t hash;     ///< filled by the batch-hash stage
   };
 
-  /// The staged batch pipeline (options.batched_expansion = true). Same
-  /// contract as run_unbatched, same observable effects bit for bit: the
-  /// component pools intern in identical order (canonicalization is fused
-  /// into the generation stage), rows are appended in identical order, the
+  /// The staged batch pipeline. Returns whether the reachable set was fully
+  /// explored; a safety violation or the max_states cap stops early with
+  /// false. Observable effects are those of a one-parent-at-a-time BFS: the
   /// max_states cap is re-checked before each parent's probe group, and the
-  /// first violating fresh state in staged order matches the unbatched
-  /// violation point.
-  bool run_batched(result& res, const state_predicate& is_bad) {
+  /// first violating fresh state in staged order is the first in discovery
+  /// order.
+  bool run(result& res, const state_predicate& is_bad) {
     const std::size_t m = static_cast<std::size_t>(registers_);
     const std::size_t n = initial_machines_.size();
     const std::size_t st = stride();
     const bool reduce = !group_.is_trivial();
-    // Window size doubles as the spill fault-in window, so one prefetch_rows
-    // call per window replaces the unbatched loop's modulo check.
+    // Window size doubles as the spill fault-in window: one prefetch_rows
+    // call per window.
     constexpr std::uint64_t kExpandWindow = 128;
     // How far ahead of the probe cursor to warm seen-table groups. Far
     // enough to cover a memory round-trip at ~40 probes/us, near enough
@@ -569,103 +449,62 @@ class explorer {
       // successor, so the component pools intern in exactly the
       // one-at-a-time order — pool id values set the packed column widths,
       // so reordering them would change stored bytes.
+      //
+      // A step is a pure function of (machine id, value id at the op's
+      // register) — that key captures plain reads, plain writes AND the CAS
+      // fallback (a write that reads its target first) — so the transition
+      // memo patches rows without reconstructing states, stepping machines
+      // or re-hashing components. Misses evaluate the real machine and
+      // intern the machine first, then the written value, and a component's
+      // first production always coincides with its producing pair's first
+      // occurrence, so pool id assignment — and with it every stored row
+      // byte — is that of stepping each successor in turn.
       staged_.clear();
       soff_.assign(wlen + 1, 0);
-      if (packed_) pk_.maybe_refresh_ranks();
-      if (!reduce || packed_) {
-        // Interned-id successor generation: a step is a pure function of
-        // (machine id, value id at the op's register) — that key captures
-        // plain reads, plain writes AND the CAS fallback (a write that
-        // reads its target first) — so the transition memo patches rows
-        // without reconstructing states, stepping machines or re-hashing
-        // components. Misses evaluate the real machine and intern in the
-        // same (machine, then written value) order the per-successor loop
-        // uses, and a component's first production always coincides with
-        // its producing pair's first occurrence, so pool id assignment —
-        // and with it every stored row byte — is identical.
-        for (std::size_t k = 0; k < wlen; ++k) {
-          const std::uint32_t* prow = wrows_.data() + k * st;
-          for (int p = 0; p < static_cast<int>(n); ++p) {
-            const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
-            const cached_op& oc = op_for(w);
-            if (oc.kind == op_kind::none) continue;
-            std::uint32_t vid_in = kNoValueId;
-            std::size_t phys = 0;
-            if (oc.kind != op_kind::internal) {
-              phys = static_cast<std::size_t>(
-                  naming_.of(p)[static_cast<std::size_t>(oc.index)]);
-              vid_in = prow[phys];
-            }
-            const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
-            const auto kh = static_cast<std::size_t>(mix64(key));
-            std::uint32_t w_out, vid_out;
-            const std::uint32_t ti = tindex_.find(kh, [&](std::uint32_t i) {
-              return tmemo_[i].key == key;
-            });
-            if (ti != flat_index::npos) {
-              w_out = tmemo_[ti].mach;
-              vid_out = tmemo_[ti].value;
-            } else {
-              std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
-              tindex_.insert(kh, static_cast<std::uint32_t>(tmemo_.size()));
-              tmemo_.push_back({key, w_out, vid_out});
-            }
-            std::uint32_t* row = srows_.data() + staged_.size() * st;
-            std::memcpy(row, prow, st * sizeof(std::uint32_t));
-            row[m + static_cast<std::size_t>(p)] = w_out;
-            if (oc.kind == op_kind::write) row[phys] = vid_out;
-            int elem = 0;
-            if (packed_) {
-              const std::uint64_t c0 = cycle_clock::now();
-              elem = pk_.canonicalize_row_batched(row, pks_, cstats_);
-              pt_canon_ += cycle_clock::now() - c0;
-            }
-            // is_bad is deferred to the probe stage: the staged row IS the
-            // (canonical) state, so fresh states reconstruct it there and
-            // duplicates never pay the predicate.
-            staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
+      if (reduce) pk_.maybe_refresh_ranks();
+      for (std::size_t k = 0; k < wlen; ++k) {
+        const std::uint32_t* prow = wrows_.data() + k * st;
+        for (int p = 0; p < static_cast<int>(n); ++p) {
+          const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
+          const cached_op& oc = op_for(w);
+          if (oc.kind == op_kind::none) continue;
+          std::uint32_t vid_in = kNoValueId;
+          std::size_t phys = 0;
+          if (oc.kind != op_kind::internal) {
+            phys = static_cast<std::size_t>(
+                naming_.of(p)[static_cast<std::size_t>(oc.index)]);
+            vid_in = prow[phys];
           }
-          soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
-        }
-      } else {
-        // Object-domain canonicalization (the packed_canonicalization
-        // opt-out under symmetry): the group canonicalizer needs real state
-        // objects, so this path keeps the materialize/step/undo flow.
-        for (std::size_t k = 0; k < wlen; ++k) {
-          const std::uint32_t* prow = wrows_.data() + k * st;
-          fill_state(prow, scratch_);
-          if (saved_.size() != n) saved_ = scratch_.procs;
-          for (int p = 0; p < static_cast<int>(n); ++p) {
-            Machine& machine = scratch_.procs[static_cast<std::size_t>(p)];
-            const op_desc op = machine.peek();
-            if (op.kind == op_kind::none) continue;
-            const permutation& perm = naming_.of(p);
-            saved_[static_cast<std::size_t>(p)] = machine;
-            int written = -1;
-            value_type old_value{};
-            if (op.kind == op_kind::write) {
-              written = perm[static_cast<std::size_t>(op.index)];
-              old_value = scratch_.regs[static_cast<std::size_t>(written)];
-            }
-            permuted_vector_memory<value_type> view(scratch_.regs, perm);
-            machine.step(view);
-
-            std::uint32_t* row = srows_.data() + staged_.size() * st;
-            canon_.regs = scratch_.regs;
-            canon_.procs = scratch_.procs;
+          const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
+          const auto kh = static_cast<std::size_t>(mix64(key));
+          std::uint32_t w_out, vid_out;
+          const std::uint32_t ti = tindex_.find(kh, [&](std::uint32_t i) {
+            return tmemo_[i].key == key;
+          });
+          if (ti != flat_index::npos) {
+            w_out = tmemo_[ti].mach;
+            vid_out = tmemo_[ti].value;
+          } else {
+            std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
+            tindex_.insert(kh, static_cast<std::uint32_t>(tmemo_.size()));
+            tmemo_.push_back({key, w_out, vid_out});
+          }
+          std::uint32_t* row = srows_.data() + staged_.size() * st;
+          std::memcpy(row, prow, st * sizeof(std::uint32_t));
+          row[m + static_cast<std::size_t>(p)] = w_out;
+          if (oc.kind == op_kind::write) row[phys] = vid_out;
+          int elem = 0;
+          if (reduce) {
             const std::uint64_t c0 = cycle_clock::now();
-            const int elem =
-                group_.canonicalize(canon_.regs, canon_.procs, cs_, &cstats_);
+            elem = pk_.canonicalize_row_batched(row, pks_, cstats_);
             pt_canon_ += cycle_clock::now() - c0;
-            build_words_into(canon_, row);
-            staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
-            machine = saved_[static_cast<std::size_t>(p)];
-            if (written >= 0)
-              scratch_.regs[static_cast<std::size_t>(written)] =
-                  std::move(old_value);
           }
-          soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
+          // is_bad is deferred to the probe stage: the staged row IS the
+          // (canonical) state, so fresh states reconstruct it there and
+          // duplicates never pay the predicate.
+          staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
         }
+        soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
       }
       const std::uint64_t t1 = cycle_clock::now();
       pt_expand_ += t1 - t0;
@@ -678,9 +517,9 @@ class explorer {
       // are in flight while earlier probes retire.
       std::size_t si = 0;
       for (std::size_t k = 0; k < wlen; ++k) {
-        // Re-checked per parent (not per window): the unbatched loop stops
-        // before expanding the next frontier state once the cap is hit, and
-        // an incomplete run must cut off at the identical state count.
+        // Re-checked per parent (not per window): an incomplete run stops
+        // before expanding the first parent past the cap, as a BFS taking
+        // one parent at a time would.
         if (num_states() >= opt_.max_states) {
           pt_probe_ += cycle_clock::now() - t1;
           return false;  // incomplete
@@ -696,10 +535,9 @@ class explorer {
           edges_.emplace_back(static_cast<std::uint32_t>(s),
                               static_cast<std::uint32_t>(idx));
           if (fresh && is_bad) {
-            // The staged row is the stored (canonical) state in every mode;
-            // the predicate (G-invariant by contract under symmetry) runs
-            // on its reconstruction, exactly as often as unbatched — on
-            // fresh states only.
+            // The staged row is the stored (canonical) state; the predicate
+            // (G-invariant by contract under symmetry) runs on its
+            // reconstruction, on fresh states only.
             fill_state(row, canon_);
             if (is_bad(canon_)) {
               res.bad_state = concrete_state(idx);
@@ -714,19 +552,6 @@ class explorer {
       frontier = wbegin + wlen;
     }
     return true;
-  }
-
-  /// Pack `s` into wbuf_: m register-value ids then n machine ids.
-  void build_words(const state_type& s) {
-    wbuf_.resize(stride());
-    build_words_into(s, wbuf_.data());
-  }
-
-  /// Pack `s` into `out` (stride() words): m value ids then n machine ids.
-  void build_words_into(const state_type& s, std::uint32_t* out) {
-    std::size_t w = 0;
-    for (const auto& r : s.regs) out[w++] = pool_.intern_value(r);
-    for (const auto& p : s.procs) out[w++] = pool_.intern_machine(p);
   }
 
   /// Sentinel value id for transitions with no register input (internal
@@ -772,7 +597,7 @@ class explorer {
 
   /// Evaluate one transition for real (memo miss): reconstruct the machine,
   /// step it against the adapter, and intern the results — machine first,
-  /// then the written value, the per-successor loop's interning order.
+  /// then the written value.
   std::pair<std::uint32_t, std::uint32_t> eval_transition(std::uint32_t w,
                                                           const cached_op& oc,
                                                           std::uint32_t vid) {
@@ -787,30 +612,20 @@ class explorer {
     return {w_out, vid_out};
   }
 
-  /// Dedup-insert wbuf_; returns (index, inserted-fresh).
-  std::pair<std::int64_t, bool> intern_words(std::int64_t parent, int via,
-                                             int elem) {
-    return intern_row(wbuf_.data(), hash_words(wbuf_.data(), stride()),
-                      parent, via, elem);
-  }
-
-  /// Dedup-insert an explicit packed row with a precomputed hash.
+  /// Dedup-insert a packed row with a precomputed hash; returns (index,
+  /// inserted-fresh).
   std::pair<std::int64_t, bool> intern_row(const std::uint32_t* row,
                                            std::size_t h, std::int64_t parent,
                                            int via, int elem) {
     const auto eq = [&](std::uint32_t i) { return rows_.equals(i, row); };
-    const std::uint32_t found =
-        use_linear_ ? lindex_.find(h, eq) : index_.find(h, eq);
+    const std::uint32_t found = index_.find(h, eq);
     if (found != flat_index::npos) return {found, false};
     const std::uint64_t idx = num_states();
     ANONCOORD_REQUIRE(idx < flat_index::npos, "state index space exhausted");
     const std::uint64_t e0 = cycle_clock::now();
     rows_.append(row);
     pt_encode_ += cycle_clock::now() - e0;
-    if (use_linear_)
-      lindex_.insert(h, static_cast<std::uint32_t>(idx));
-    else
-      index_.insert(h, static_cast<std::uint32_t>(idx));
+    index_.insert(h, static_cast<std::uint32_t>(idx));
     parent_.push_back(parent);
     via_.push_back(via);
     elem_.push_back(elem);
@@ -917,10 +732,8 @@ class explorer {
   symmetry_group<Machine> group_;
 
   state_pool<Machine> pool_;
-  row_store rows_;  ///< seen rows, bit-packed or verbatim per options
-  flat_index index_;          ///< group-probing seen table (batched mode)
-  flat_index_linear lindex_;  ///< baseline seen table (the opt-out's)
-  bool use_linear_ = false;
+  row_store rows_;    ///< seen rows, bit-packed or verbatim per options
+  flat_index index_;  ///< group-probing seen table
   std::vector<std::int64_t> parent_;
   std::vector<int> via_;
   std::vector<int> elem_;  ///< canonicalizing group element per state
@@ -931,12 +744,9 @@ class explorer {
   mutable std::vector<std::uint32_t> csr_sources_;
 
   // Hot-path scratch (members so explore() allocates nothing per successor).
-  state_type scratch_, canon_;
-  std::vector<Machine> saved_;
-  std::vector<std::uint32_t> wbuf_;
-  std::vector<std::uint32_t> prow_;  ///< decoded row of the frontier state
+  state_type canon_;
   mutable std::vector<std::uint32_t> rowtmp_;
-  // Batched-pipeline staging (run_batched; empty in unbatched runs).
+  // Batched-pipeline staging.
   std::vector<staged_succ> staged_;
   std::vector<std::uint32_t> wrows_;  ///< decoded window parent rows
   std::vector<std::uint32_t> srows_;  ///< flat staged successor rows
@@ -956,9 +766,7 @@ class explorer {
   std::uint64_t pt_expand_ = 0, pt_canon_ = 0, pt_probe_ = 0, pt_encode_ = 0;
   stopwatch cal_timer_;
   std::uint64_t cal_tick0_ = 0;
-  mutable canonical_scratch<Machine> cs_;
-  // Packed canonicalization kernel state (reduce + packed_canonicalization).
-  bool packed_ = false;
+  // Packed canonicalization kernel state (non-trivial group only).
   packed_canonicalizer<Machine> pk_;
   packed_canonical_scratch pks_;
   canonicalize_stats cstats_;

@@ -27,8 +27,8 @@
 // BFS discovers them — then assigned global indices, appended to the row
 // store, and their cells rewritten to merged payloads. Verdicts, state
 // counts, parent chains and counterexample schedules are therefore
-// bit-identical to explorer<Machine> for every worker count; the
-// differential and determinism tests pin this down.
+// bit-identical to explorer<Machine> for every worker count; the tests pin
+// both engines to the reference oracle (modelcheck/reference_explorer.hpp).
 //
 // States are packed and interned (modelcheck/state_pool.hpp): register
 // values and machine local states are hash-consed into thread-safe component
@@ -44,7 +44,9 @@
 //
 // With options.symmetry successors are canonicalized to their orbit
 // representative under the configuration's automorphism group
-// (modelcheck/symmetry.hpp) before dedup; every determinism property above
+// (modelcheck/symmetry.hpp's packed_canonicalizer, whose memo tables are
+// shared read-mostly across workers and whose rank snapshots rebuild only
+// between levels) before dedup; every determinism property above
 // is preserved because canonicalization is a pure function of the successor
 // and the merge order never depends on table placement. Reported
 // counterexamples are mapped back to concrete schedules exactly as in the
@@ -103,20 +105,6 @@ class parallel_explorer {
     /// exceed it by one level's cold frontier pages.
     std::uint64_t spill_budget_bytes = 0;
     std::string spill_dir;
-    /// Packed interned-id canonicalization; same contract as
-    /// explorer::options. The kernel's memo tables are shared read-mostly
-    /// across workers (benign same-value fills); its rank snapshots rebuild
-    /// only between levels, so results stay bit-identical at every worker
-    /// count.
-    bool packed_canonicalization = true;
-    /// Staged per-parent expansion (generate -> canonicalize -> hash ->
-    /// prefetch -> probe against the group-probing CAS table); same
-    /// opt-out contract as explorer::options::batched_expansion. Off
-    /// reproduces the previous release's per-successor loop and linear-probe
-    /// raw-cell seen table exactly, so the two modes cross-check independent
-    /// table implementations; verdicts, state counts and counterexample
-    /// schedules are bit-identical either way at every worker count.
-    bool batched_expansion = true;
   };
 
   struct result {
@@ -344,10 +332,10 @@ class parallel_explorer {
     return total;
   }
 
-  /// Per-phase hot-loop breakdown (batched mode; the opt-out reports only
-  /// encode_ns). Worker tick totals are summed before calibration, so the
-  /// phase times read as aggregate CPU time across workers — they can exceed
-  /// wall_seconds — while the single-threaded merge's encode time cannot.
+  /// Per-phase hot-loop breakdown. Worker tick totals are summed before
+  /// calibration, so the phase times read as aggregate CPU time across
+  /// workers — they can exceed wall_seconds — while the single-threaded
+  /// merge's encode time cannot.
   const explore_phase_stats& phase_counters() const { return phases_; }
 
   /// Row-storage bytes committed for the merged seen set (the bench's
@@ -362,15 +350,9 @@ class parallel_explorer {
   arena_spill_stats spill_stats() const { return rows_.spill_stats(); }
 
  private:
-  // Seen-table cell (one 64-bit atomic): 0 is empty, otherwise
-  //   bits 63..32  hash fragment (flat_index::fragment — probe start is a
-  //                pure function of it, so between-level rehash never needs
-  //                the row)
-  //   bit 31       pending flag
-  //   bits 30..0   payload + 1: a merged global index, or while pending the
-  //                index of the level's staged entry
-  // The +1 keeps the low half nonzero so no (fragment = 0, payload = 0)
-  // state collides with "empty".
+  // Seen-table payload (concurrent_tag_index stores it beside the hash
+  // fragment): bit 31 is the pending flag; bits 30..0 are a merged global
+  // index, or while pending the index of the level's staged entry.
   static constexpr std::uint32_t kPendingBit = 0x80000000u;
   static constexpr std::uint64_t kMaxPayload = 0x7ffffffeull;
 
@@ -407,15 +389,13 @@ class parallel_explorer {
     std::vector<std::uint32_t> bad;    ///< fresh entries that violated safety
     std::uint64_t dedup_hits = 0;
     state_type scratch;  ///< reused across expansions: no per-parent allocs
-    state_type canon;    ///< canonical successor buffer (symmetry)
-    canonical_scratch<Machine> cs;
+    state_type canon;    ///< fresh successor decoded for the safety check
     packed_canonical_scratch pks;  ///< packed-kernel row buffers
     canonicalize_stats cstats;     ///< per-worker prune/apply counters
-    std::vector<std::uint32_t> wbuf;  ///< packed successor row
     std::vector<std::uint32_t> prow;  ///< decoded row of the expanded state
-    /// Batched mode: one parent's successors staged as flat rows + their
-    /// provenance, hashed and probe-prefetched as a group before the probe
-    /// loop; phase tick accumulators and probe counters ride per worker.
+    /// One parent's successors staged as flat rows + their provenance,
+    /// hashed and probe-prefetched as a group before the probe loop; phase
+    /// tick accumulators and probe counters ride per worker.
     std::vector<std::uint32_t> srows;
     std::vector<std::uint32_t> svia;
     std::vector<std::int32_t> selem;
@@ -438,9 +418,7 @@ class parallel_explorer {
   void reset() {
     pool_.clear();
     cstats_ = canonicalize_stats{};
-    packed_ = opt_.packed_canonicalization && !group_.is_trivial() &&
-              symmetry_reducible_machine<Machine>;
-    if (packed_)
+    if (!group_.is_trivial())
       pk_.attach(&group_, &pool_, registers_,
                  static_cast<int>(initial_machines_.size()));
     row_store_options ropt;
@@ -457,16 +435,7 @@ class parallel_explorer {
     csr_offsets_.clear();
     csr_sources_.clear();
     mrow_.assign(stride(), 0);
-    cell_count_ = 1024;
-    cell_mask_ = cell_count_ - 1;
-    if (opt_.batched_expansion) {
-      ctind_.reset(cell_count_);
-      cells_.reset();
-    } else {
-      cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(cell_count_);
-      for (std::size_t i = 0; i < cell_count_; ++i)
-        cells_[i].store(0, std::memory_order_relaxed);
-    }
+    ctind_.reset(1024);
     phases_ = explore_phase_stats{};
     pt_encode_ = 0;
     cal_timer_.reset();
@@ -475,37 +444,20 @@ class parallel_explorer {
     pend_count_.store(0, std::memory_order_relaxed);
   }
 
-  std::size_t cell_start(std::uint32_t frag) const {
-    return static_cast<std::size_t>(
-               (frag * std::uint64_t{0x9e3779b97f4a7c15}) >> 32) &
-           cell_mask_;
-  }
-
-  static std::uint64_t make_cell(std::uint32_t frag, std::uint32_t tagged) {
-    return (std::uint64_t{frag} << 32) | (tagged + 1);
-  }
-  static std::uint32_t cell_frag(std::uint64_t cell) {
-    return static_cast<std::uint32_t>(cell >> 32);
-  }
-  /// Tagged payload: kPendingBit | entry index, or a merged global index.
-  static std::uint32_t cell_tagged(std::uint64_t cell) {
-    return static_cast<std::uint32_t>(cell) - 1;
-  }
-
   /// Between-level capacity management: every structure a worker bumps or
   /// CASes during the fork is sized here for the worst case (span * nprocs
   /// discoveries), so the fork itself never reallocates anything shared.
   void prepare_level(std::uint64_t span) {
     // Single-threaded between levels: the only place the packed kernel's
     // rank snapshots rebuild, so workers never observe a snapshot mid-swap.
-    if (packed_) pk_.maybe_refresh_ranks();
+    if (!group_.is_trivial()) pk_.maybe_refresh_ranks();
     const std::uint64_t nprocs =
         static_cast<std::uint64_t>(initial_machines_.size());
     const std::uint64_t upper = span * nprocs;
     ANONCOORD_REQUIRE(num_merged() + upper < kMaxPayload,
                       "state index space exhausted");
     const std::uint64_t need = num_merged() + upper + 1;
-    if (need * 10 >= cell_count_ * 7) {
+    if (need * 10 >= ctind_.capacity() * 7) {
       // Reserve-hint sizing: `span` is exactly the previous level's insert
       // count, and BFS levels grow by a roughly constant branching ratio, so
       // one rehash is sized to also cover the extrapolated next level. The
@@ -518,9 +470,9 @@ class parallel_explorer {
               : 16;  // flat until we have two levels to extrapolate from
       const std::uint64_t next_span_est =
           std::min(span * std::min(ratio16, 16 * nprocs) / 16, upper);
-      std::size_t cap = cell_count_;
+      std::size_t cap = ctind_.capacity();
       while ((need + next_span_est * nprocs) * 10 >= cap * 7) cap *= 2;
-      grow_cells(cap);
+      ctind_.grow(cap);
     }
     prev_span_ = span;
     if (upper > pend_cap_) {
@@ -529,32 +481,6 @@ class parallel_explorer {
       pend_words_.resize(pend_cap_ * stride());
     }
     pend_count_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Single-threaded rehash; every cell is a merged payload here (the merge
-  /// rewrote all pending cells), and fragments alone re-derive probe starts.
-  void grow_cells(std::size_t capacity) {
-    if (opt_.batched_expansion) {
-      ctind_.grow(capacity);
-      cell_count_ = capacity;
-      cell_mask_ = capacity - 1;
-      return;
-    }
-    auto old = std::move(cells_);
-    const std::size_t old_count = cell_count_;
-    cell_count_ = capacity;
-    cell_mask_ = capacity - 1;
-    cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(capacity);
-    for (std::size_t i = 0; i < capacity; ++i)
-      cells_[i].store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < old_count; ++i) {
-      const std::uint64_t cell = old[i].load(std::memory_order_relaxed);
-      if (cell == 0) continue;
-      std::size_t j = cell_start(cell_frag(cell));
-      while (cells_[j].load(std::memory_order_relaxed) != 0)
-        j = (j + 1) & cell_mask_;
-      cells_[j].store(cell, std::memory_order_relaxed);
-    }
   }
 
   /// Expand a packed row into component form, reusing `out`'s capacity.
@@ -586,113 +512,22 @@ class parallel_explorer {
     for (const auto& r : init.regs) wbuf.push_back(pool_.intern_value(r));
     for (const auto& p : init.procs) wbuf.push_back(pool_.intern_machine(p));
     const std::size_t h = hash_words(wbuf.data(), stride());
-    const std::uint32_t frag = flat_index::fragment(h);
-    if (opt_.batched_expansion) {
-      ctind_.place_initial(frag, 0);
-    } else {
-      std::size_t i = cell_start(frag);
-      cells_[i].store(make_cell(frag, 0), std::memory_order_relaxed);
-    }
+    ctind_.place_initial(flat_index::fragment(h), 0);
     rows_.append(wbuf.data());
     parents_.push_back(-1);
     vias_.push_back(-1);
     elems_.push_back(elem);
   }
 
-  /// Expand one state: step-in-place each enabled process on a scratch copy,
-  /// pack (and under symmetry canonicalize) the successor, then find-or-
-  /// publish it in the CAS table.
-  void expand(std::uint64_t g, worker_data& wd, const state_predicate& is_bad) {
-    if (opt_.batched_expansion) {
-      expand_batched(g, wd, is_bad);
-      return;
-    }
-    const std::size_t m = static_cast<std::size_t>(registers_);
-    const bool reduce = !group_.is_trivial();
-    state_type& scratch = wd.scratch;
-    rows_.load(g, wd.prow.data());
-    fill_state(wd.prow.data(), scratch);
-    if (wd.saved.size() != scratch.procs.size()) wd.saved = scratch.procs;
-    const int nprocs = static_cast<int>(scratch.procs.size());
-    for (int p = 0; p < nprocs; ++p) {
-      Machine& machine = scratch.procs[static_cast<std::size_t>(p)];
-      const op_desc op = machine.peek();
-      if (op.kind == op_kind::none) continue;
-      const permutation& perm = naming_.of(p);
-      // Undo log: the machine that moves, and the one register a write hits.
-      wd.saved[static_cast<std::size_t>(p)] = machine;
-      int written = -1;
-      value_type old_value{};
-      if (op.kind == op_kind::write) {
-        written = perm[static_cast<std::size_t>(op.index)];
-        old_value = scratch.regs[static_cast<std::size_t>(written)];
-      }
-      permuted_vector_memory<value_type> view(scratch.regs, perm);
-      machine.step(view);
-
-      // Pack the successor row. Component interning happens off the seen
-      // table's critical path (its shard mutexes are the only locks left).
-      int elem = 0;
-      if (packed_) {
-        // Patch the parent row in the word domain, then canonicalize the
-        // row directly. The memo tables are shared across workers; benign
-        // duplicate fills store the same id, so no synchronization beyond
-        // the tables' publish-before-read discipline is needed.
-        wd.wbuf.assign(wd.prow.begin(), wd.prow.end());
-        wd.wbuf[m + static_cast<std::size_t>(p)] =
-            pool_.intern_machine(machine);
-        if (written >= 0)
-          wd.wbuf[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
-        elem = pk_.canonicalize_row(wd.wbuf.data(), wd.pks, wd.cstats);
-      } else if (reduce) {
-        wd.canon.regs = scratch.regs;
-        wd.canon.procs = scratch.procs;
-        elem = group_.canonicalize(wd.canon.regs, wd.canon.procs, wd.cs,
-                                   &wd.cstats);
-        wd.wbuf.clear();
-        for (const auto& r : wd.canon.regs)
-          wd.wbuf.push_back(pool_.intern_value(r));
-        for (const auto& q : wd.canon.procs)
-          wd.wbuf.push_back(pool_.intern_machine(q));
-      } else {
-        wd.wbuf.assign(wd.prow.begin(), wd.prow.end());
-        wd.wbuf[m + static_cast<std::size_t>(p)] =
-            pool_.intern_machine(machine);
-        if (written >= 0)
-          wd.wbuf[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
-      }
-
-      bool inserted = false;
-      const std::uint32_t tagged = probe_or_publish(wd, g, p, elem, inserted);
-      if (opt_.record_edges)
-        wd.edges.push_back(edge_rec{static_cast<std::uint32_t>(g), tagged});
-      if (inserted && is_bad) {
-        // Packed path: the canonical state only exists as a word row; decode
-        // it for the predicate (fresh states only, so off the hot path).
-        if (packed_) fill_state(wd.wbuf.data(), wd.canon);
-        if (is_bad(reduce ? wd.canon : scratch))
-          wd.bad.push_back(tagged & ~kPendingBit);
-      }
-      // Undo: restore the moved machine and the overwritten register.
-      machine = wd.saved[static_cast<std::size_t>(p)];
-      if (written >= 0)
-        scratch.regs[static_cast<std::size_t>(written)] = std::move(old_value);
-    }
-  }
-
-  /// expand(), restructured as the staged mini-batch pipeline
-  /// (options.batched_expansion): generate the parent's successors into a
-  /// flat staging buffer (canonicalizing each row as it is staged, via the
-  /// class-sharing batched kernel), hash the whole batch, warm every
-  /// candidate's probe group, then probe/publish against the group-probing
-  /// CAS table. Observable effects are identical to expand(): the same
-  /// successors probe with the same provenance, the safety predicate runs
-  /// on published entries only, and the deterministic merge is indifferent
-  /// to table placement and probe order.
-  void expand_batched(std::uint64_t g, worker_data& wd,
-                      const state_predicate& is_bad) {
+  /// Expand one state as a staged mini-batch: step each enabled process on
+  /// a scratch copy and pack its successor into a flat staging buffer
+  /// (canonicalizing each row as it is staged, via the class-sharing batched
+  /// kernel), hash the whole batch, warm every candidate's probe group, then
+  /// find-or-publish each in the CAS table. The safety predicate runs on
+  /// published entries only, and the deterministic merge is indifferent to
+  /// table placement and probe order.
+  void expand(std::uint64_t g, worker_data& wd,
+              const state_predicate& is_bad) {
     const std::size_t m = static_cast<std::size_t>(registers_);
     const std::size_t st = stride();
     const bool reduce = !group_.is_trivial();
@@ -721,34 +556,19 @@ class parallel_explorer {
       permuted_vector_memory<value_type> view(scratch.regs, perm);
       machine.step(view);
 
+      // Patch the parent row in the word domain: the stepped machine and
+      // at most one written register.
       std::uint32_t* row = wd.srows.data() + cnt * st;
+      std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
+      row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
+      if (written >= 0)
+        row[static_cast<std::size_t>(written)] = pool_.intern_value(
+            scratch.regs[static_cast<std::size_t>(written)]);
       int elem = 0;
-      if (packed_) {
-        std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
-        row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
-        if (written >= 0)
-          row[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
+      if (reduce) {
         const std::uint64_t c0 = cycle_clock::now();
         elem = pk_.canonicalize_row_batched(row, wd.pks, wd.cstats);
         wd.pt_canon += cycle_clock::now() - c0;
-      } else if (reduce) {
-        wd.canon.regs = scratch.regs;
-        wd.canon.procs = scratch.procs;
-        const std::uint64_t c0 = cycle_clock::now();
-        elem = group_.canonicalize(wd.canon.regs, wd.canon.procs, wd.cs,
-                                   &wd.cstats);
-        wd.pt_canon += cycle_clock::now() - c0;
-        std::size_t w = 0;
-        for (const auto& r : wd.canon.regs) row[w++] = pool_.intern_value(r);
-        for (const auto& q : wd.canon.procs)
-          row[w++] = pool_.intern_machine(q);
-      } else {
-        std::memcpy(row, wd.prow.data(), st * sizeof(std::uint32_t));
-        row[m + static_cast<std::size_t>(p)] = pool_.intern_machine(machine);
-        if (written >= 0)
-          row[static_cast<std::size_t>(written)] = pool_.intern_value(
-              scratch.regs[static_cast<std::size_t>(written)]);
       }
       wd.svia.push_back(static_cast<std::uint32_t>(p));
       wd.selem.push_back(elem);
@@ -771,14 +591,14 @@ class parallel_explorer {
     for (std::size_t i = 0; i < cnt; ++i) {
       const std::uint32_t* row = wd.srows.data() + i * st;
       bool inserted = false;
-      const std::uint32_t tagged = probe_or_publish_grouped(
+      const std::uint32_t tagged = find_or_publish(
           wd, g, static_cast<int>(wd.svia[i]), wd.selem[i], row, wd.shash[i],
           inserted);
       if (opt_.record_edges)
         wd.edges.push_back(edge_rec{static_cast<std::uint32_t>(g), tagged});
       if (inserted && is_bad) {
-        // The staged row IS the (canonical) successor in every mode;
-        // published entries only, exactly like the per-successor loop.
+        // The staged row IS the (canonical) successor; published entries
+        // only.
         fill_state(row, wd.canon);
         if (is_bad(wd.canon)) wd.bad.push_back(tagged & ~kPendingBit);
       }
@@ -786,14 +606,14 @@ class parallel_explorer {
     wd.pt_probe += cycle_clock::now() - t1;
   }
 
-  /// probe_or_publish against the group-probing CAS table (batched mode):
-  /// the table owns the probe walk and the publish protocol, this wrapper
-  /// owns the payload semantics — staging rows + provenance before the
-  /// claim, and the CAS-min provenance fold on same-level duplicates.
-  std::uint32_t probe_or_publish_grouped(worker_data& wd, std::uint64_t g,
-                                         int p, int elem,
-                                         const std::uint32_t* row,
-                                         std::size_t h, bool& inserted) {
+  /// Find `row` in the seen table or publish it as a pending entry; returns
+  /// the tagged payload (merged global, or kPendingBit | entry). The table
+  /// owns the probe walk and the publish protocol, this wrapper owns the
+  /// payload semantics — staging rows + provenance before the claim, and
+  /// the CAS-min provenance fold on same-level duplicates.
+  std::uint32_t find_or_publish(worker_data& wd, std::uint64_t g, int p,
+                                 int elem, const std::uint32_t* row,
+                                 std::size_t h, bool& inserted) {
     const std::uint32_t frag = flat_index::fragment(h);
     const std::uint64_t pve = pack_pve(g, p, elem);
     const std::size_t st = stride();
@@ -833,70 +653,6 @@ class parallel_explorer {
       }
     }
     return tagged;
-  }
-
-  /// Find wd.wbuf in the seen table or publish it as a pending entry.
-  /// Returns the tagged payload (merged global, or kPendingBit | entry).
-  std::uint32_t probe_or_publish(worker_data& wd, std::uint64_t g, int p,
-                                 int elem, bool& inserted) {
-    const std::size_t h = hash_words(wd.wbuf.data(), stride());
-    const std::uint32_t frag = flat_index::fragment(h);
-    const std::uint64_t pve = pack_pve(g, p, elem);
-    std::uint32_t staged = kPendingBit;  // no entry staged yet
-    std::size_t i = cell_start(frag);
-    for (;;) {
-      std::uint64_t cell = cells_[i].load(std::memory_order_acquire);
-      while (cell == 0) {
-        if (staged == kPendingBit) {
-          // Stage row + provenance first; the release CAS publishes them.
-          staged = pend_count_.fetch_add(1, std::memory_order_relaxed);
-          ANONCOORD_REQUIRE(staged < pend_cap_, "pending arena overrun");
-          std::memcpy(pend_words_.data() + std::size_t{staged} * stride(),
-                      wd.wbuf.data(), stride() * sizeof(std::uint32_t));
-          pend_[staged].pve.store(pve, std::memory_order_relaxed);
-        }
-        if (cells_[i].compare_exchange_strong(
-                cell, make_cell(frag, kPendingBit | staged),
-                std::memory_order_release, std::memory_order_acquire)) {
-          // Only this worker touches the entry's plain fields before the
-          // join; the merge reads them after it.
-          pend_[staged].cell = static_cast<std::uint32_t>(i);
-          wd.fresh.push_back(staged);
-          inserted = true;
-          return kPendingBit | staged;
-        }
-        // Lost the race: `cell` now holds the winner — re-examine it, the
-        // winner may be this very state. The staged entry stays reusable
-        // (or becomes a dead hole if the state turns out to be known).
-      }
-      if (cell_frag(cell) == frag) {
-        const std::uint32_t tagged = cell_tagged(cell);
-        const bool same =
-            (tagged & kPendingBit)
-                ? std::memcmp(pend_words_.data() +
-                                  std::size_t{tagged & ~kPendingBit} * stride(),
-                              wd.wbuf.data(),
-                              stride() * sizeof(std::uint32_t)) == 0
-                : rows_.equals(tagged, wd.wbuf.data());
-        if (same) {
-          ++wd.dedup_hits;
-          if (tagged & kPendingBit) {
-            // Same-level duplicate: fold provenance to the lexicographically
-            // smallest (parent, via) — sequential BFS's first discoverer.
-            std::atomic<std::uint64_t>& slot =
-                pend_[tagged & ~kPendingBit].pve;
-            std::uint64_t cur = slot.load(std::memory_order_relaxed);
-            while (pve < cur &&
-                   !slot.compare_exchange_weak(cur, pve,
-                                               std::memory_order_relaxed,
-                                               std::memory_order_relaxed)) {
-            }
-          }
-          return tagged;
-        }
-      }
-      i = (i + 1) & cell_mask_;
-    }
   }
 
   /// Sort this level's pending states into sequential discovery order,
@@ -939,14 +695,7 @@ class parallel_explorer {
       vias_.push_back(via);
       elems_.push_back(elem);
       pend_[f.eidx].global = global;
-      if (opt_.batched_expansion) {
-        ctind_.rewrite(pend_[f.eidx].cell, global);
-      } else {
-        std::atomic<std::uint64_t>& cell = cells_[pend_[f.eidx].cell];
-        cell.store(make_cell(cell_frag(cell.load(std::memory_order_relaxed)),
-                             global),
-                   std::memory_order_relaxed);
-      }
+      ctind_.rewrite(pend_[f.eidx].cell, global);
     }
     pt_encode_ += cycle_clock::now() - e0;
     // Resolve this level's new edges from pending entries to globals.
@@ -1059,7 +808,6 @@ class parallel_explorer {
   state_pool<Machine> pool_;
   /// Packed canonicalization kernel (shared across workers; scratch and
   /// counters live per-worker). cstats_ covers single-threaded calls only.
-  bool packed_ = false;
   packed_canonicalizer<Machine> pk_;
   canonicalize_stats cstats_;
   /// Merged states: row g in rows_; parents_/vias_/elems_ record the BFS
@@ -1069,16 +817,9 @@ class parallel_explorer {
   std::vector<std::int32_t> vias_;
   std::vector<std::int32_t> elems_;
 
-  /// The lock-free seen table (see cell layout above) and the per-level
-  /// staging arenas its pending payloads point into.
-  /// The two seen-table implementations: the group-probing CAS table
-  /// (batched mode) and the previous release's raw linear-probe cells (the
-  /// opt-out). Exactly one is allocated per run; cell_count_/cell_mask_
-  /// track capacity for both.
+  /// The lock-free seen table (see the payload layout above) and the
+  /// per-level staging arenas its pending payloads point into.
   concurrent_tag_index ctind_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
-  std::size_t cell_count_ = 0;
-  std::size_t cell_mask_ = 0;
   std::uint64_t prev_span_ = 0;  ///< previous level's frontier (rehash hint)
   std::unique_ptr<pending_entry[]> pend_;
   std::size_t pend_cap_ = 0;

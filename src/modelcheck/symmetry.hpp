@@ -667,8 +667,8 @@ class packed_canonicalizer {
 
   /// canonicalize_row, restructured for the staged batch pipeline's
   /// throughput: bit-identical row, element index, prune counters AND
-  /// component-interning order, so a batched run's pools (and with them
-  /// every stored row byte) match an unbatched run's exactly.
+  /// component-interning order, so the pools (and with them every stored
+  /// row byte) are exactly those the plain kernel would produce.
   ///
   /// The speedup exploits the fa product structure through the prefix
   /// classes computed in attach(): all elements of a class share one

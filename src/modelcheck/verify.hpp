@@ -72,16 +72,6 @@ struct verify_options {
   /// its own arena and spill file.
   std::uint64_t spill_budget_bytes = 0;
   std::string spill_dir;
-  /// Packed interned-id canonicalization for the BFS engines (see
-  /// packed_canonicalizer in modelcheck/symmetry.hpp). Off preserves the
-  /// object-domain path for differentials; verdicts, state counts, and
-  /// schedules are bit-identical either way.
-  bool packed_canonicalization = true;
-  /// Staged batch expansion + group-probing seen tables for the BFS engines
-  /// (see explorer::options::batched_expansion). Off reproduces the previous
-  /// release's per-successor loop and linear-probe tables; verdicts, state
-  /// counts, stored bytes and schedules are bit-identical either way.
-  bool batched_expansion = true;
 };
 
 /// Uniform per-run statistics. For BFS engines `states` counts distinct
@@ -103,10 +93,7 @@ struct verify_report {
   /// groups and the systematic engines). full_applies counts elements whose
   /// image was fully materialized (or fully compared on a tie);
   /// first_word_pruned / prefix_pruned count elements rejected at word 0 /
-  /// at a later word of the longest-common-prefix compare. The object-domain
-  /// path folds its fast-path skip into first_word_pruned and never reports
-  /// prefix_pruned, so the split is mode-dependent while the sum of pruned +
-  /// applied elements is comparable across modes.
+  /// at a later word of the longest-common-prefix compare.
   std::uint64_t canon_full_applies = 0;
   std::uint64_t canon_first_word_pruned = 0;
   std::uint64_t canon_prefix_pruned = 0;
@@ -114,8 +101,7 @@ struct verify_report {
   /// engines). Sequential runs report wall time per stage; parallel runs sum
   /// per-worker ticks, so the phase total is aggregate CPU time and can
   /// exceed wall_seconds. probe_groups_scanned / probe_max_group_chain are
-  /// group-probe seen-table counters and stay zero with
-  /// batched_expansion=false (the legacy tables don't track them).
+  /// the group-probe seen-table counters.
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
   std::uint64_t probe_ns = 0;
@@ -160,8 +146,6 @@ verify_report verify_config(const model_config<Machine>& cfg,
       eopt.symmetry = opt.symmetry;
       eopt.spill_budget_bytes = opt.spill_budget_bytes;
       eopt.spill_dir = opt.spill_dir;
-      eopt.packed_canonicalization = opt.packed_canonicalization;
-      eopt.batched_expansion = opt.batched_expansion;
       explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
       const auto res = e.explore(as_state_pred);
       out.complete = res.complete;
@@ -194,8 +178,6 @@ verify_report verify_config(const model_config<Machine>& cfg,
       popt.symmetry = opt.symmetry;
       popt.spill_budget_bytes = opt.spill_budget_bytes;
       popt.spill_dir = opt.spill_dir;
-      popt.packed_canonicalization = opt.packed_canonicalization;
-      popt.batched_expansion = opt.batched_expansion;
       parallel_explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial,
                                    popt);
       const auto res = e.explore(as_state_pred);

@@ -160,74 +160,6 @@ struct flat_index {
   }
 };
 
-/// The pre-group-probing table: open-addressed linear probing over the bare
-/// 8-byte cells, no tags. Kept verbatim as the `batched_expansion` opt-out's
-/// seen table so the explorers' baseline path reproduces the previous
-/// pipeline exactly — speedup gates ("batched + group probing vs baseline")
-/// then compare the real before/after inside one binary, and the opt-out
-/// differentials cross-check two independent table implementations.
-struct flat_index_linear {
-  static constexpr std::uint32_t npos = 0xffffffffu;
-
-  /// cell = fragment << 32 | (local + 1); 0 means empty.
-  std::vector<std::uint64_t> cells;
-  std::size_t mask = 0;
-  std::size_t used = 0;
-
-  flat_index_linear() { grow(64); }
-
-  static std::uint32_t fragment(std::size_t h) {
-    return static_cast<std::uint32_t>(mix64(h) >> 32);
-  }
-  std::size_t start(std::uint32_t frag) const {
-    return static_cast<std::size_t>(
-               (frag * std::uint64_t{0x9e3779b97f4a7c15}) >> 32) &
-           mask;
-  }
-
-  /// Find the entry for hash `h` that satisfies `eq`, or npos.
-  template <class Eq>
-  std::uint32_t find(std::size_t h, const Eq& eq) const {
-    const std::uint32_t frag = fragment(h);
-    for (std::size_t i = start(frag);; i = (i + 1) & mask) {
-      const std::uint64_t cell = cells[i];
-      if (cell == 0) return npos;
-      if (static_cast<std::uint32_t>(cell >> 32) == frag) {
-        const auto local = static_cast<std::uint32_t>(cell) - 1;
-        if (eq(local)) return local;
-      }
-    }
-  }
-
-  void insert(std::size_t h, std::uint32_t local) {
-    if ((used + 1) * 10 >= cells.size() * 7) grow(cells.size() * 2);
-    place(fragment(h), local);
-    ++used;
-  }
-
-  void clear() {
-    cells.assign(cells.size(), 0);
-    used = 0;
-  }
-
- private:
-  void grow(std::size_t capacity) {  // capacity: power of two
-    std::vector<std::uint64_t> old = std::move(cells);
-    cells.assign(capacity, 0);
-    mask = capacity - 1;
-    for (const std::uint64_t cell : old)
-      if (cell != 0)
-        place(static_cast<std::uint32_t>(cell >> 32),
-              static_cast<std::uint32_t>(cell) - 1);
-  }
-
-  void place(std::uint32_t frag, std::uint32_t local) {
-    std::size_t i = start(frag);
-    while (cells[i] != 0) i = (i + 1) & mask;
-    cells[i] = (std::uint64_t{frag} << 32) | (local + 1);
-  }
-};
-
 /// Lock-free CAS-insert analogue of flat_index for the parallel explorer's
 /// seen table. The caller owns payload semantics (the explorer packs a
 /// pending bit + staging index or a merged global index into `tagged`) and

@@ -25,98 +25,16 @@
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
-#include "util/rng.hpp"
+
+#include "random_scribbler.hpp"
 
 namespace anoncoord {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A terminating machine running a fixed random program of register ops.
-// Written values depend on the last value read, so outcomes genuinely vary
-// with the interleaving.
-// ---------------------------------------------------------------------------
-
-struct scribble_op {
-  bool is_write = false;
-  int reg = 0;
-  std::uint64_t value = 0;
-
-  friend bool operator==(const scribble_op&, const scribble_op&) = default;
-};
-
-struct scribbler {
-  using value_type = std::uint64_t;
-
-  std::vector<scribble_op> program;
-  int pc = 0;
-  std::uint64_t last_read = 0;
-
-  op_desc peek() const {
-    if (pc >= static_cast<int>(program.size())) return {op_kind::none, -1};
-    const auto& op = program[static_cast<std::size_t>(pc)];
-    return {op.is_write ? op_kind::write : op_kind::read, op.reg};
-  }
-  template <class Mem>
-  void step(Mem& mem) {
-    if (pc >= static_cast<int>(program.size())) return;
-    const auto& op = program[static_cast<std::size_t>(pc)];
-    if (op.is_write) {
-      mem.write(op.reg, op.value + (last_read & 3));
-    } else {
-      last_read = mem.read(op.reg);
-    }
-    ++pc;
-  }
-  bool done() const { return pc >= static_cast<int>(program.size()); }
-  friend bool operator==(const scribbler&, const scribbler&) = default;
-  std::size_t hash() const {
-    std::size_t seed = program.size();
-    hash_combine(seed, pc);
-    hash_combine(seed, last_read);
-    return seed;
-  }
-};
-
-struct random_case {
-  int registers = 0;
-  naming_assignment naming;
-  std::vector<scribbler> machines;
-  int total_ops = 0;
-  int target_reg = 0;
-  std::uint64_t target_low_bits = 0;
-};
-
-random_case make_case(std::uint64_t seed) {
-  xoshiro256 rng(seed);
-  random_case c;
-  const int n = 2 + static_cast<int>(rng.below(2));       // 2-3 processes
-  c.registers = 2 + static_cast<int>(rng.below(2));       // 2-3 registers
-  c.naming = naming_assignment::random(n, c.registers, seed ^ 0xabcdef);
-  for (int p = 0; p < n; ++p) {
-    scribbler m;
-    const int len = 3 + static_cast<int>(rng.below(2));   // 3-4 ops
-    for (int k = 0; k < len; ++k) {
-      scribble_op op;
-      op.is_write = rng.below(2) == 0;
-      op.reg = static_cast<int>(rng.below(static_cast<std::uint64_t>(c.registers)));
-      op.value = (static_cast<std::uint64_t>(p + 1) << 4) + rng.below(8);
-      m.program.push_back(op);
-    }
-    c.total_ops += len;
-    c.machines.push_back(std::move(m));
-  }
-  c.target_reg = static_cast<int>(rng.below(static_cast<std::uint64_t>(c.registers)));
-  c.target_low_bits = rng.below(4);
-  return c;
-}
-
-bool case_bad(const random_case& c, const std::vector<std::uint64_t>& regs,
-              const std::vector<scribbler>& procs) {
-  for (const auto& p : procs)
-    if (!p.done()) return false;
-  return (regs[static_cast<std::size_t>(c.target_reg)] & 3) ==
-         c.target_low_bits;
-}
+using test_support::case_bad;
+using test_support::make_case;
+using test_support::random_case;
+using test_support::scribbler;
 
 /// Replay a schedule on a fresh simulator and evaluate the bad predicate on
 /// the resulting configuration.
@@ -343,25 +261,21 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
 
     std::uint64_t par_bytes = 0;
     for (int workers : {1, 2, 4, 8}) {
-      for (const bool batched : {true, false}) {
-        const std::string where = "workers=" + std::to_string(workers) +
-                                  " batched=" + std::to_string(batched);
-        parallel_explorer<anon_mutex>::options par_opt;
-        par_opt.workers = workers;
-        par_opt.compress_arena = true;
-        par_opt.batched_expansion = batched;
-        parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
-        const auto pres = detail::run_mutex_check(par);
-        EXPECT_EQ(pres.verdict(), vres.verdict()) << where;
-        EXPECT_EQ(pres.num_states, vres.num_states) << where;
-        EXPECT_EQ(pres.counterexample, vres.counterexample) << where;
-        // Workers intern in thread-timing order, but each level's columns
-        // are sized from the pools' id bounds, so the packed bytes depend
-        // neither on the worker count, the pipeline nor the run.
-        if (par_bytes == 0) par_bytes = par.stored_row_bytes();
-        EXPECT_EQ(par.stored_row_bytes(), par_bytes) << where;
-        EXPECT_LT(par.stored_row_bytes(), verb_bytes) << where;
-      }
+      const std::string where = "workers=" + std::to_string(workers);
+      parallel_explorer<anon_mutex>::options par_opt;
+      par_opt.workers = workers;
+      par_opt.compress_arena = true;
+      parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
+      const auto pres = detail::run_mutex_check(par);
+      EXPECT_EQ(pres.verdict(), vres.verdict()) << where;
+      EXPECT_EQ(pres.num_states, vres.num_states) << where;
+      EXPECT_EQ(pres.counterexample, vres.counterexample) << where;
+      // Workers intern in thread-timing order, but each level's columns
+      // are sized from the pools' id bounds, so the packed bytes depend
+      // neither on the worker count nor on the run.
+      if (par_bytes == 0) par_bytes = par.stored_row_bytes();
+      EXPECT_EQ(par.stored_row_bytes(), par_bytes) << where;
+      EXPECT_LT(par.stored_row_bytes(), verb_bytes) << where;
     }
   }
 }

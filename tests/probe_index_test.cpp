@@ -1,8 +1,6 @@
 // Torture tests for the group-probing seen tables (util/flat_index.hpp):
-// flat_index (single-threaded Swiss-table probing), flat_index_linear (the
-// pre-group-probing baseline kept as the batched_expansion opt-out), and
-// concurrent_tag_index (the parallel explorer's lock-free CAS-insert
-// analogue).
+// flat_index (single-threaded Swiss-table probing) and concurrent_tag_index
+// (the parallel explorer's lock-free CAS-insert analogue).
 //
 // Pinned here:
 //   * collision floods — thousands of entries sharing one hash (one
@@ -11,12 +9,9 @@
 //     terminates at the first group with an empty slot;
 //   * growth across 2^k boundaries — entries survive repeated doublings
 //     (placement is a pure function of the stored fragment, not the
-//     original hash) on all three tables;
+//     original hash) on both tables;
 //   * duplicate-insert idempotence — probe_or_insert stages a payload at
 //     most once per key; re-probing returns the winner with inserted=false;
-//   * linear/grouped differential — both sequential tables answer an
-//     identical find/insert trace identically (the two implementations
-//     cross-check each other, exactly like the engine opt-out does);
 //   * concurrent CAS-insert race — several threads racing the same key set
 //     insert every key exactly once, losers re-examine the winner, and the
 //     stage-before-publish protocol keeps every payload readable. The CI
@@ -79,28 +74,6 @@ TEST(ProbeIndexTest, GrowthAcrossPowerOfTwoBoundaries) {
     EXPECT_EQ(idx.find(static_cast<std::size_t>(i),
                        [&](std::uint32_t local) { return local == i; }),
               flat_index::npos);
-}
-
-TEST(ProbeIndexTest, LinearAndGroupedTablesAnswerIdentically) {
-  // The same insert/find trace through both sequential implementations —
-  // the in-process analogue of the engine-level batched on/off opt-out.
-  constexpr std::uint32_t kCount = 50'000;
-  flat_index grouped;
-  flat_index_linear linear;
-  std::vector<std::size_t> hashes(kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    // A mild collision regime: 1/16 of the entries share a hash.
-    hashes[i] = static_cast<std::size_t>(mix64(i / 16));
-    grouped.insert(hashes[i], i);
-    linear.insert(hashes[i], i);
-  }
-  EXPECT_EQ(grouped.used, linear.used);
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    const auto eq = [&](std::uint32_t local) { return local == i; };
-    ASSERT_EQ(grouped.find(hashes[i], eq), linear.find(hashes[i], eq));
-    const auto miss = [](std::uint32_t) { return false; };
-    ASSERT_EQ(grouped.find(hashes[i], miss), linear.find(hashes[i], miss));
-  }
 }
 
 TEST(ProbeIndexTest, ConcurrentIndexCollisionFloodSingleThreaded) {

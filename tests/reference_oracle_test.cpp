@@ -1,0 +1,276 @@
+// The model checker's engines against the reference oracle
+// (modelcheck/reference_explorer.hpp).
+//
+// The oracle is first pinned on closed forms: n independent counters with
+// limits L_p reach exactly prod(L_p + 1) states, and under the full
+// S_n x C_m group n equal counters reach one state per multiset,
+// C(L + n, n). Then the sequential explorer and the parallel explorer at
+// 1/2/4/8 workers must equal the oracle exactly — completeness, verdicts,
+// state and edge counts, dedup hits, stuck-state counts, bad states and
+// both counterexample schedules — on Fig. 1 (every rotation stride), the
+// fully anonymous mutex (identity and rotation namings, including the
+// n = 2, m = 4 deadlock), the random scribbler family and the pinned
+// reference config. The parallel engine finishes its BFS level before
+// reporting a violation, so on violating runs its counts are not compared.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/anon_mutex.hpp"
+#include "core/fa_mutex.hpp"
+#include "mem/naming.hpp"
+#include "modelcheck/explorer.hpp"
+#include "modelcheck/fa_check.hpp"
+#include "modelcheck/mutex_check.hpp"
+#include "modelcheck/parallel_explorer.hpp"
+#include "modelcheck/reference_explorer.hpp"
+
+#include "random_scribbler.hpp"
+
+namespace anoncoord {
+namespace {
+
+/// A process that takes `limit` internal steps and stops. Fully anonymous
+/// (no id, nothing to reindex), so symmetry reduction may permute it freely.
+struct counter {
+  using value_type = std::uint64_t;
+
+  int count = 0;
+  int limit = 0;
+
+  op_desc peek() const {
+    return {count < limit ? op_kind::internal : op_kind::none, -1};
+  }
+  template <class Mem>
+  void step(Mem&) {
+    if (count < limit) ++count;
+  }
+  counter reindexed(int) const { return *this; }
+  friend bool canonical_less(const counter& a, const counter& b) {
+    return std::tie(a.count, a.limit) < std::tie(b.count, b.limit);
+  }
+  friend bool operator==(const counter&, const counter&) = default;
+  std::size_t hash() const {
+    std::size_t seed = static_cast<std::size_t>(limit);
+    hash_combine(seed, count);
+    return seed;
+  }
+};
+
+std::vector<counter> counters(const std::vector<int>& limits) {
+  std::vector<counter> out;
+  for (const int l : limits) out.push_back(counter{0, l});
+  return out;
+}
+
+template <class Machine>
+using predicate = std::function<bool(const global_state<Machine>&)>;
+
+/// explore(bad), then check_progress(premise, goal) when the run is complete
+/// and safe and a premise is given: the shape run_mutex_check drives.
+template <class Engine, class Machine>
+auto run(Engine& e, const predicate<Machine>& bad,
+         const predicate<Machine>& premise, const predicate<Machine>& goal) {
+  auto res = e.explore(bad);
+  if (premise && res.complete && !res.safety_violated())
+    e.check_progress(res, premise, goal);
+  return res;
+}
+
+template <class Oracle, class Got>
+void expect_equal(const Oracle& want, const Got& got, bool counts,
+                  const std::string& what) {
+  EXPECT_EQ(got.complete, want.complete) << what;
+  EXPECT_EQ(got.safety_violated(), want.safety_violated()) << what;
+  EXPECT_EQ(got.progress_violated(), want.progress_violated()) << what;
+  if (counts) {
+    EXPECT_EQ(got.num_states, want.num_states) << what;
+    EXPECT_EQ(got.num_edges, want.num_edges) << what;
+    EXPECT_EQ(got.dedup_hits, want.dedup_hits) << what;
+  }
+  EXPECT_EQ(got.stuck_states, want.stuck_states) << what;
+  EXPECT_EQ(got.bad_state, want.bad_state) << what;
+  EXPECT_EQ(got.bad_schedule, want.bad_schedule) << what;
+  EXPECT_EQ(got.stuck_state, want.stuck_state) << what;
+  EXPECT_EQ(got.stuck_schedule, want.stuck_schedule) << what;
+}
+
+/// The oracle, the sequential engine and the parallel engine at 1/2/4/8
+/// workers on one configuration; every engine must equal the oracle.
+template <class Machine>
+void expect_engines_match_oracle(
+    int m, const naming_assignment& naming,
+    const std::vector<Machine>& initial, bool symmetry,
+    const predicate<Machine>& bad, const predicate<Machine>& premise,
+    const predicate<Machine>& goal, const std::string& what) {
+  typename reference_explorer<Machine>::options ropt;
+  ropt.symmetry = symmetry;
+  reference_explorer<Machine> oracle(m, naming, initial, ropt);
+  const auto want = run(oracle, bad, premise, goal);
+  ASSERT_GT(want.num_states, 0u) << what;
+
+  typename explorer<Machine>::options eopt;
+  eopt.symmetry = symmetry;
+  explorer<Machine> seq(m, naming, initial, eopt);
+  expect_equal(want, run(seq, bad, premise, goal), true, what + " seq");
+
+  for (const int workers : {1, 2, 4, 8}) {
+    typename parallel_explorer<Machine>::options popt;
+    popt.workers = workers;
+    popt.symmetry = symmetry;
+    parallel_explorer<Machine> par(m, naming, initial, popt);
+    expect_equal(want, run(par, bad, premise, goal), !want.safety_violated(),
+                 what + " workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ReferenceOracleTest, IndependentCountersGiveProductStateCount) {
+  const std::vector<int> limits = {2, 3, 1};
+  reference_explorer<counter> oracle(1, naming_assignment::identity(3, 1),
+                                     counters(limits));
+  auto res = oracle.explore();
+  ASSERT_TRUE(res.complete);
+  // 3 * 4 * 2 states; each process's steps number L_p * prod_{q != p}.
+  EXPECT_EQ(res.num_states, 24u);
+  EXPECT_EQ(res.num_edges, 2u * 4 * 2 + 3u * 3 * 2 + 1u * 3 * 4);
+  EXPECT_EQ(res.dedup_hits, res.num_edges - (res.num_states - 1));
+  // Once process 0 has stepped, "process 0 at 0" is unreachable: the
+  // 2 * 4 * 2 states with count_0 > 0 are stuck.
+  oracle.check_progress(
+      res, [](const global_state<counter>&) { return true; },
+      [](const global_state<counter>& s) { return s.procs[0].count == 0; });
+  EXPECT_EQ(res.stuck_states, 16u);
+  EXPECT_EQ(res.stuck_schedule, std::vector<int>{0});
+
+  // The all-done state is the last one BFS discovers, at depth sum(L_p).
+  const auto done = oracle.explore([](const global_state<counter>& s) {
+    for (const auto& c : s.procs)
+      if (c.count < c.limit) return false;
+    return true;
+  });
+  ASSERT_TRUE(done.safety_violated());
+  EXPECT_EQ(done.num_states, 24u);
+  EXPECT_EQ(done.bad_schedule, (std::vector<int>{0, 0, 1, 1, 1, 2}));
+}
+
+TEST(ReferenceOracleTest, EqualCountersUnderSymmetryGiveMultisetCount) {
+  // n = 3 counters of limit 2 on m = 2 registers: the group is S_3 x C_2
+  // (12 elements) and the orbits are the multisets of counts,
+  // C(2 + 3, 3) = 10 of them.
+  reference_explorer<counter>::options opt;
+  opt.symmetry = true;
+  reference_explorer<counter> oracle(2, naming_assignment::identity(3, 2),
+                                     counters({2, 2, 2}), opt);
+  const auto res = oracle.explore();
+  ASSERT_TRUE(res.complete);
+  EXPECT_EQ(res.num_states, 10u);
+
+  expect_engines_match_oracle<counter>(
+      2, naming_assignment::identity(3, 2), counters({2, 2, 2}), true, {},
+      {}, {}, "counters sym");
+  expect_engines_match_oracle<counter>(
+      2, naming_assignment::identity(3, 2), counters({2, 3, 1}), false, {},
+      {}, {}, "counters");
+}
+
+TEST(ReferenceOracleTest, AnonMutexEveryStride) {
+  const predicate<anon_mutex> bad = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 2;
+  };
+  const predicate<anon_mutex> goal = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 1;
+  };
+  for (int m = 2; m <= 4; ++m)
+    for (int stride = 0; stride < m; ++stride)
+      for (const bool sym : {false, true}) {
+        const naming_assignment naming(
+            {identity_permutation(m), rotation_permutation(m, stride)});
+        expect_engines_match_oracle<anon_mutex>(
+            m, naming, detail::mutex_machines(m, naming, {1, 2}), sym, bad,
+            mutex_someone_trying, goal,
+            "anon m=" + std::to_string(m) + " stride=" +
+                std::to_string(stride) + " sym=" + std::to_string(sym));
+      }
+}
+
+TEST(ReferenceOracleTest, FaMutexIdentityAndRotationNamings) {
+  const predicate<fa_mutex> bad = [](const global_state<fa_mutex>& s) {
+    return fa_mutex_cs_count(s) >= 2;
+  };
+  const predicate<fa_mutex> goal = [](const global_state<fa_mutex>& s) {
+    return fa_mutex_cs_count(s) >= 1;
+  };
+  struct config {
+    int n, m;
+    bool rotation;
+  };
+  std::vector<config> configs;
+  for (int n = 2; n <= 3; ++n)
+    for (int m = 2; m <= 3; ++m)
+      for (const bool rotation : {false, true})
+        configs.push_back({n, m, rotation});
+  configs.push_back({2, 4, false});  // Theorem 3.1's shape: a deadlock
+  for (const config& c : configs)
+    for (const bool sym : {false, true}) {
+      const naming_assignment naming =
+          c.rotation ? naming_assignment::rotations(c.n, c.m, 1)
+                     : naming_assignment::identity(c.n, c.m);
+      expect_engines_match_oracle<fa_mutex>(
+          c.m, naming,
+          std::vector<fa_mutex>(static_cast<std::size_t>(c.n), fa_mutex(c.m)),
+          sym, bad, fa_mutex_someone_trying, goal,
+          "fa n=" + std::to_string(c.n) + " m=" + std::to_string(c.m) +
+              (c.rotation ? " rotation" : " identity") +
+              " sym=" + std::to_string(sym));
+    }
+  const auto dead = check_fa_mutex(4, naming_assignment::identity(2, 4));
+  EXPECT_EQ(dead.verdict(), "DEADLOCK");
+}
+
+TEST(ReferenceOracleTest, RandomScribblerSeeds) {
+  int violated = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const test_support::random_case c = test_support::make_case(seed);
+    const predicate<test_support::scribbler> bad =
+        [&c](const global_state<test_support::scribbler>& s) {
+          return test_support::case_bad(c, s.regs, s.procs);
+        };
+    reference_explorer<test_support::scribbler> oracle(c.registers, c.naming,
+                                                       c.machines);
+    if (oracle.explore(bad).safety_violated()) ++violated;
+    expect_engines_match_oracle<test_support::scribbler>(
+        c.registers, c.naming, c.machines, false, bad, {}, {},
+        "seed=" + std::to_string(seed));
+  }
+  EXPECT_GT(violated, 0);
+  EXPECT_LT(violated, 12);
+}
+
+TEST(ReferenceOracleTest, ReferenceConfigSequential) {
+  // Fig. 1 at n = 2, m = 5, stride 2: the pinned 342,886-state config.
+  const naming_assignment naming(
+      {identity_permutation(5), rotation_permutation(5, 2)});
+  const auto initial = detail::mutex_machines(5, naming, {1, 2});
+  const predicate<anon_mutex> bad = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 2;
+  };
+  const predicate<anon_mutex> goal = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 1;
+  };
+  const predicate<anon_mutex> premise = mutex_someone_trying;
+  reference_explorer<anon_mutex> oracle(5, naming, initial);
+  const auto want = run(oracle, bad, premise, goal);
+  EXPECT_TRUE(want.complete);
+  EXPECT_EQ(want.num_states, 342'886u);
+  EXPECT_FALSE(want.safety_violated());
+  EXPECT_EQ(want.stuck_states, 0u);
+  explorer<anon_mutex> seq(5, naming, initial);
+  expect_equal(want, run(seq, bad, premise, goal), true, "m=5 stride=2 seq");
+}
+
+}  // namespace
+}  // namespace anoncoord

@@ -1,6 +1,7 @@
 // Regression pins for the paper's two dichotomy theorems, driven through
-// the NEW parallel engine, with the extracted counterexample schedules
-// golden-filed under tests/data/.
+// the parallel engine, with the extracted counterexample schedules
+// golden-filed under tests/data/ (the Theorem 3.1 files are also the
+// reference oracle's answers).
 //
 //   * Theorem 3.1 — two processes: odd m (3, 5) verifies clean for every
 //     rotation pair; even m (2, 4) keeps mutual exclusion but provably
@@ -20,6 +21,7 @@
 #include "lowerbound/lockstep.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/mutex_check.hpp"
+#include "modelcheck/reference_explorer.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/trace_io.hpp"
@@ -100,6 +102,17 @@ TEST(Theorem31Regression, EvenMDeadlocksThroughParallelEngine) {
             "\nschedule into a state from which no CS entry is reachable\n"
             "extracted by parallel_explorer (deterministic for any worker "
             "count)");
+    // The reference oracle must land on the same golden schedule: the
+    // parallel engine is checked against the file, the file against the
+    // oracle. (Only the parallel engine may rewrite the golden.)
+    if (!update_goldens()) {
+      reference_explorer<anon_mutex> oracle(
+          c.m, naming, detail::mutex_machines(c.m, naming, {1, 2}));
+      const auto want = detail::run_mutex_check(oracle);
+      EXPECT_EQ(want.verdict(), "DEADLOCK") << "m=" << c.m;
+      EXPECT_EQ(want.stuck_states, res.stuck_states) << "m=" << c.m;
+      expect_matches_golden(want.counterexample, c.golden, "");
+    }
   }
 }
 

@@ -19,27 +19,6 @@ present: shard_totals_match must be 1 (the merged two-shard journal must
 reproduce the single-process weighted totals bit-identically) and
 shard_merge_missing must be 0 (the shards covered every orbit class).
 
-Canonicalization counters (bench_modelcheck_scaling part 9) gate when
-present: packed_canon_identical must be 1 (packed and object-domain
-canonicalization produced bit-identical verdicts, state counts and
-counterexample schedules) and packed_canon_speedup_ok must be 1 (the
-interned-id kernel held its >= 1.5x sequential speedup on the
-canonicalization-bound configs). The canonicalize.* prune counters must be
-present together and internally consistent: a symmetry run that pruned
-elements must also have applied at least one full element image (the
-identity-element win on every state's first comparison).
-
-Batched-expansion counters (bench_modelcheck_scaling part 10) gate when
-present: batched_identical must be 1 (the staged pipeline and the
-per-successor baseline produced bit-identical verdicts, state counts,
-stored bytes and schedules, sequentially and at every worker count) and
-batched_speedup_ok must be 1 (the pipeline held its >= 1.3x sequential
-explore speedup on the reference config and >= 1.2x on the fully
-anonymous one). The phase_*_ns / probe_* breakdown must be present
-together and internally consistent: a run that scanned probe groups has a
-nonzero probe phase and a maximal chain of at least one group, and no
-chain can exceed the total groups scanned.
-
 Contention-lab counters (bench_contention_lab) also get extra checks when
 present: contention.safety_violations_gated must be exactly zero (it sums
 mutual-exclusion violations and canary gaps under the model-faithful
@@ -143,8 +122,6 @@ def check_report(path: Path) -> list[str]:
     errors.extend(check_spill_counters(counters, str(path)))
     errors.extend(check_contention_counters(counters, str(path)))
     errors.extend(check_shard_counters(counters, str(path)))
-    errors.extend(check_canonicalize_counters(counters, str(path)))
-    errors.extend(check_batched_counters(counters, str(path)))
     return errors
 
 
@@ -262,104 +239,6 @@ def check_shard_counters(counters: object, where: str) -> list[str]:
         if ok["shard_count"] > 0 and ok["shard_merge_records"] == 0:
             errors.append(f"{where}: shard_count = {ok['shard_count']} but "
                           "shard_merge_records = 0 (merge saw no records)")
-    return errors
-
-
-# Canonicalization counters (bench_modelcheck_scaling part 9). Optional, but
-# when present they gate: the packed kernel must be bit-identical to the
-# object-domain path and hold its speedup floor, and the prune counters must
-# be a plausible prune profile. The full_applies/first_word_pruned/
-# prefix_pruned SPLIT is mode-dependent by design (the object path folds its
-# fast-path skip into first_word_pruned and cannot observe prefix prunes),
-# so only presence, integrality and the applies>0-when-pruned invariant are
-# checked — never exact values.
-CANON_COUNTERS = ("canonicalize.full_applies",
-                  "canonicalize.first_word_pruned",
-                  "canonicalize.prefix_pruned")
-
-
-def check_canonicalize_counters(counters: object, where: str) -> list[str]:
-    if not isinstance(counters, dict):
-        return []
-    errors = []
-    ok = {}
-    present = [n for n in CANON_COUNTERS if n in counters]
-    if present and len(present) != len(CANON_COUNTERS):
-        missing = sorted(set(CANON_COUNTERS) - set(present))
-        errors.append(f"{where}: canonicalize.* counters are partial "
-                      f"(missing {', '.join(missing)})")
-    for name in present:
-        value = counters[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            errors.append(f"{where}: counter {name!r} = {value!r} is not a "
-                          "non-negative integer")
-        else:
-            ok[name] = value
-    pruned = (ok.get("canonicalize.first_word_pruned", 0) +
-              ok.get("canonicalize.prefix_pruned", 0))
-    if pruned > 0 and ok.get("canonicalize.full_applies", 0) == 0:
-        errors.append(f"{where}: canonicalize counters pruned {pruned} "
-                      "elements but applied none (every state's identity "
-                      "element wins at least its first comparison)")
-    for name in ("packed_canon_identical", "packed_canon_speedup_ok"):
-        if name in counters and counters[name] != 1:
-            reason = ("packed and object-domain canonicalization diverged"
-                      if name == "packed_canon_identical" else
-                      "packed kernel lost its >= 1.5x speedup floor")
-            errors.append(f"{where}: {name} = {counters[name]!r} ({reason})")
-    return errors
-
-
-# Batched-expansion counters (bench_modelcheck_scaling part 10). Optional,
-# but when present they gate: the staged pipeline must be bit-identical to
-# the per-successor baseline and hold its speedup floors, and the hot-loop
-# phase breakdown must be a plausible profile. Exact phase times are
-# wall-clock (never compared); only presence, integrality and the
-# scanned-groups/chain/probe-time invariants are checked.
-BATCHED_COUNTERS = ("phase_expand_ns", "phase_canonicalize_ns",
-                    "phase_probe_ns", "phase_encode_ns",
-                    "probe_groups_scanned", "probe_max_group_chain")
-
-
-def check_batched_counters(counters: object, where: str) -> list[str]:
-    if not isinstance(counters, dict):
-        return []
-    errors = []
-    ok = {}
-    present = [n for n in BATCHED_COUNTERS if n in counters]
-    if present and len(present) != len(BATCHED_COUNTERS):
-        missing = sorted(set(BATCHED_COUNTERS) - set(present))
-        errors.append(f"{where}: batched-pipeline counters are partial "
-                      f"(missing {', '.join(missing)})")
-    for name in present:
-        value = counters[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            errors.append(f"{where}: counter {name!r} = {value!r} is not a "
-                          "non-negative integer")
-        else:
-            ok[name] = value
-    scanned = ok.get("probe_groups_scanned", 0)
-    chain = ok.get("probe_max_group_chain", 0)
-    if scanned > 0:
-        if chain < 1:
-            errors.append(f"{where}: probe_groups_scanned={scanned} with "
-                          "probe_max_group_chain=0 (every probe walks at "
-                          "least one group)")
-        if ok.get("phase_probe_ns", 0) == 0 and "phase_probe_ns" in ok:
-            errors.append(f"{where}: probe_groups_scanned={scanned} but "
-                          "phase_probe_ns=0 (group probes take time)")
-    if chain > scanned:
-        errors.append(f"{where}: probe_max_group_chain={chain} > "
-                      f"probe_groups_scanned={scanned} (a single chain "
-                      "cannot exceed the total)")
-    for name in ("batched_identical", "batched_speedup_ok"):
-        if name in counters and counters[name] != 1:
-            reason = ("staged pipeline diverged from the per-successor "
-                      "baseline"
-                      if name == "batched_identical" else
-                      "batched pipeline lost its >= 1.3x / >= 1.2x speedup "
-                      "floors")
-            errors.append(f"{where}: {name} = {counters[name]!r} ({reason})")
     return errors
 
 
