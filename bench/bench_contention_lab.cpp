@@ -315,14 +315,14 @@ int main(int argc, char** argv) {
       report.sample("explorer_seconds/workers=" + std::to_string(workers),
                     rep.wall_seconds, "s");
     }
-    std::cout << "parallel explorer scaling (reference Fig. 1 config"
+    std::cout << "explorer worker scaling (reference Fig. 1 config"
               << (scale_workers > 0 && hw_cores == 1
                       ? ", FORCED on 1 hardware thread — oversubscribed"
                       : "")
               << ")\n"
               << scale.render() << "\n";
   } else {
-    std::cout << "parallel explorer scaling: skipped (1 core detected; "
+    std::cout << "explorer worker scaling: skipped (1 core detected; "
                  "force with --scale-workers=N)\n\n";
   }
 

@@ -1,9 +1,10 @@
-// Verification-throughput scaling: the parallel reduction-aware engines
-// against the sequential baselines, on the fixed reference configuration
-// from ISSUE/docs (Fig. 1 mutex, n = 2, m = 5, process 1 rotated by 2).
+// Verification-throughput scaling: the BFS explorer's worker stage and the
+// reduction-aware engines against their one-worker / unreduced baselines,
+// on the fixed reference configuration (Fig. 1 mutex, n = 2, m = 5,
+// process 1 rotated by 2).
 //
-// Part 1 — state-space exploration: the sequential BFS explorer vs the
-// parallel explorer at 1/2/4/8 workers (full verification: ME safety +
+// Part 1 — state-space exploration: the explorer at one worker vs the
+// explorer at 1/2/4/8 workers (full verification: ME safety +
 // EF-progress), with states, dedup hits and wall time per run. Verdicts and
 // state counts are bit-identical by construction; the table shows it.
 //
@@ -27,13 +28,13 @@
 // the reference config and on a deadlocking even-m config (so a
 // counterexample schedule is decoded through the packed path). Verdicts,
 // state counts and counterexample schedules must be identical across
-// sequential-verbatim, sequential-packed and parallel-packed, and the
+// verbatim, packed and packed at two workers, and the
 // packed footprint must stay <= 12 B per stored state; any disagreement
 // makes the bench exit nonzero.
 //
 // Part 6 — out-of-core spilling: the reference config re-verified with the
 // packed arena capped at one third of its measured in-memory footprint,
-// on both BFS engines. Verdicts, state counts and counterexamples must be
+// at one and at two workers. Verdicts, state counts and counterexamples must be
 // bit-identical to the in-memory runs and the arena's resident high-water
 // mark must stay under budget + slack; any divergence exits nonzero.
 // spill_pages / spill_bytes / resident high-water land in the JSON metrics
@@ -44,8 +45,8 @@
 // S_n x C_m product group — n! x m elements, past the n! ceiling that
 // bounds part 3's process-symmetric machines. Gates: the measured factor
 // must exceed part 3's ceilings (> 2.0 at n = 2, > 5.53 at n = 3),
-// verdicts and state counts must be bit-identical across sequential-raw,
-// sequential-reduced and parallel-reduced, and the deadlock counterexample
+// verdicts and state counts must be bit-identical across raw, reduced and
+// reduced at two workers, and the deadlock counterexample
 // found on the quotient graph must replay to a genuine deadlock on raw
 // semantics (the fold through both group factors). Any divergence exits
 // nonzero.
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
       };
 
   // -------------------------------------------------------------------
-  // Part 1: BFS exploration, sequential vs parallel worker sweep.
+  // Part 1: BFS exploration, one worker vs the worker sweep.
   // Repetitions are interleaved across the engines (seq, then each worker
   // count, then the next rep) so a noisy scheduling window hits all of
   // them alike instead of biasing whichever engine it happened to cover;
@@ -201,9 +202,8 @@ int main(int argc, char** argv) {
       }
       for (std::size_t w = 0; w < worker_counts.size(); ++w) {
         stopwatch t;
-        par_res[w] = check_anon_mutex_parallel(m, naming, {1, 2},
-                                               worker_counts[w], 8'000'000,
-                                               /*symmetry=*/false);
+        par_res[w] = check_anon_mutex(m, naming, {1, 2}, 8'000'000,
+                                      /*symmetry=*/false, worker_counts[w]);
         const double s = t.elapsed_seconds();
         if (rep == 0 || s < par_time[w]) par_time[w] = s;
       }
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
     report.sample("bfs_states", static_cast<double>(seq_res.num_states));
     ascii_table bfs_table({"engine", "workers", "states", "dedup-hits",
                            "verdict", "ms", "speedup"});
-    bfs_table.add("bfs (seed)", 1, seq_res.num_states,
+    bfs_table.add("bfs (baseline)", 1, seq_res.num_states,
                   std::uint64_t{0} /*n/a*/, seq_res.verdict(), seq_time * 1e3,
                   1.0);
 
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
       if (workers == 8) speedup_at_8 = speedup;
       report.sample("parallel_bfs_seconds/workers=" + std::to_string(workers),
                     t, "s");
-      // dedup hits: recompute via a safety-only verify_config run for stats.
+      // dedup hits: from a safety-only verify_config run.
       verify_options vopt;
       vopt.engine = verify_engine::parallel_bfs;
       vopt.workers = workers;
@@ -447,34 +447,24 @@ int main(int argc, char** argv) {
     struct engine_spec {
       const char* name;
       bool compress;
-      int workers;  // 0 = sequential explorer
+      int workers;
     };
-    for (const engine_spec es : {engine_spec{"seq verbatim", false, 0},
-                                 engine_spec{"seq packed", true, 0},
-                                 engine_spec{"par packed", true, 2}}) {
+    for (const engine_spec es : {engine_spec{"verbatim", false, 1},
+                                 engine_spec{"packed", true, 1},
+                                 engine_spec{"packed, 2 workers", true, 2}}) {
       mutex_check_result res;
       std::uint64_t row_bytes = 0, keyframes = 0;
       double t_best = 0;
       for (int rep = 0; rep < reps; ++rep) {
         stopwatch t;
-        if (es.workers == 0) {
-          explorer<anon_mutex>::options eopt;
-          eopt.max_states = 8'000'000;
-          eopt.compress_arena = es.compress;
-          explorer<anon_mutex> e(ac.m, anm, amach, eopt);
-          res = detail::run_mutex_check(e);
-          row_bytes = e.stored_row_bytes();
-          keyframes = e.keyframe_rows();
-        } else {
-          parallel_explorer<anon_mutex>::options popt;
-          popt.max_states = 8'000'000;
-          popt.compress_arena = es.compress;
-          popt.workers = es.workers;
-          parallel_explorer<anon_mutex> e(ac.m, anm, amach, popt);
-          res = detail::run_mutex_check(e);
-          row_bytes = e.stored_row_bytes();
-          keyframes = e.keyframe_rows();
-        }
+        explorer<anon_mutex>::options eopt;
+        eopt.workers = es.workers;
+        eopt.max_states = 8'000'000;
+        eopt.compress_arena = es.compress;
+        explorer<anon_mutex> e(ac.m, anm, amach, eopt);
+        res = detail::run_mutex_check(e);
+        row_bytes = e.stored_row_bytes();
+        keyframes = e.keyframe_rows();
         const double s = t.elapsed_seconds();
         if (rep == 0 || s < t_best) t_best = s;
       }
@@ -482,7 +472,7 @@ int main(int argc, char** argv) {
                              ? static_cast<double>(row_bytes) /
                                    static_cast<double>(res.num_states)
                              : 0.0;
-      if (es.workers == 0 && !es.compress) {
+      if (es.workers == 1 && !es.compress) {
         base = res;
         base_states = res.num_states;
       } else {
@@ -490,11 +480,11 @@ int main(int argc, char** argv) {
                       res.num_states == base_states &&
                       res.counterexample == base.counterexample;
       }
-      if (ac.is_reference && es.workers == 0 && es.compress)
+      if (ac.is_reference && es.workers == 1 && es.compress)
         compressed_bps = bps;
       const std::string tag = std::string(ac.is_reference ? "ref" : "dead") +
                               "/" + (es.compress ? "compressed" : "verbatim") +
-                              (es.workers ? "/parallel" : "");
+                              (es.workers > 1 ? "/parallel" : "");
       report.sample("arena_bytes_per_state/" + tag, bps, "B");
       report.sample("arena_seconds/" + tag, t_best, "s");
       arena_table.add(ac.name, es.name, res.num_states, bps, keyframes,
@@ -514,7 +504,7 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------
   // Part 6: out-of-core spilling. Measure the in-memory packed arena
   // footprint on the reference config, cap the resident budget at a third
-  // of it, and re-verify on both engines: bit-identical results, real
+  // of it, and re-verify at one and two workers: bit-identical results, real
   // spill traffic, and an arena high-water mark that respects the budget.
   // -------------------------------------------------------------------
   bool spill_match = true;
@@ -540,42 +530,29 @@ int main(int argc, char** argv) {
       mem_res = detail::run_mutex_check(e);
       inmem_bytes = e.stored_row_bytes();
       mem_t = t.elapsed_seconds();
-      spill_table.add("seq in-memory", mem_res.num_states, mem_res.verdict(),
+      spill_table.add("in-memory", mem_res.num_states, mem_res.verdict(),
                       std::uint64_t{0}, 0.0, 0.0, std::uint64_t{0},
                       std::uint64_t{0}, mem_t * 1e3);
     }
     spill_budget = inmem_bytes / 3;
-    // Budget overshoot allowance: the open head page rides over, and reads
-    // between two budget-enforcement points (page advances; level merges on
-    // the parallel engine) fault pages in without evicting.
+    // Budget overshoot allowance: the open head page rides over, and the
+    // current frontier window's pages stay resident while it is expanded.
     const std::uint64_t slack = 8 * byte_arena::kPageSize;
     struct spill_engine {
       const char* name;
-      int workers;  // 0 = sequential explorer
+      int workers;
     };
     for (const spill_engine se :
-         {spill_engine{"seq spill", 0}, spill_engine{"par spill", 2}}) {
-      mutex_check_result res;
-      arena_spill_stats st{};
+         {spill_engine{"spill", 1}, spill_engine{"spill, 2 workers", 2}}) {
       stopwatch t;
-      if (se.workers == 0) {
-        explorer<anon_mutex>::options eopt;
-        eopt.max_states = 8'000'000;
-        eopt.compress_arena = true;
-        eopt.spill_budget_bytes = spill_budget;
-        explorer<anon_mutex> e(m, naming, oc_mach, eopt);
-        res = detail::run_mutex_check(e);
-        st = e.spill_stats();
-      } else {
-        parallel_explorer<anon_mutex>::options popt;
-        popt.max_states = 8'000'000;
-        popt.compress_arena = true;
-        popt.workers = se.workers;
-        popt.spill_budget_bytes = spill_budget;
-        parallel_explorer<anon_mutex> e(m, naming, oc_mach, popt);
-        res = detail::run_mutex_check(e);
-        st = e.spill_stats();
-      }
+      explorer<anon_mutex>::options eopt;
+      eopt.workers = se.workers;
+      eopt.max_states = 8'000'000;
+      eopt.compress_arena = true;
+      eopt.spill_budget_bytes = spill_budget;
+      explorer<anon_mutex> e(m, naming, oc_mach, eopt);
+      const mutex_check_result res = detail::run_mutex_check(e);
+      const arena_spill_stats st = e.spill_stats();
       const double t_run = t.elapsed_seconds();
       spill_match = spill_match && res.verdict() == mem_res.verdict() &&
                     res.num_states == mem_res.num_states &&
@@ -583,7 +560,7 @@ int main(int argc, char** argv) {
                     st.spilled_pages > 0;
       spill_budget_held =
           spill_budget_held && st.resident_hw_bytes <= spill_budget + slack;
-      if (se.workers == 0) seq_spill = st;
+      if (se.workers == 1) seq_spill = st;
       if (st.spilled_pages > worst_spill.spilled_pages) worst_spill = st;
       spill_table.add(se.name, res.num_states, res.verdict(),
                       st.spilled_pages,
@@ -591,11 +568,11 @@ int main(int argc, char** argv) {
                       static_cast<double>(st.resident_hw_bytes) / 1024.0,
                       st.faulted_pages, st.point_reads, t_run * 1e3);
       report.sample(std::string("spill_seconds/") +
-                        (se.workers ? "parallel" : "seq"),
+                        (se.workers > 1 ? "parallel" : "seq"),
                     t_run, "s");
     }
-    // Spill-counter assertion for the offset-ordered scans: the sequential
-    // explorer prefetches each frontier window's rows as one arena page
+    // Spill-counter assertion for the offset-ordered scans: the explorer
+    // prefetches each frontier window's rows as one arena page
     // range, and the progress pass does the same, so a cold page faults back
     // in at most once per scan. If a scan regressed to scattered access, the
     // clock would evict and re-fault the same pages repeatedly and
@@ -616,8 +593,9 @@ int main(int argc, char** argv) {
               << " <= 2 x spilled " << seq_spill.spilled_pages
               << "): " << (spill_refault_bounded ? "yes" : "NO — BUG")
               << "\n\n";
-    // Counters, not result series: spill traffic depends on the engine and
-    // worker interleaving, so it must stay out of the deterministic gate.
+    // Counters, not result series: spill traffic follows the arena's
+    // eviction policy, not the verdict, so it stays out of the
+    // deterministic gate.
     report.metric("spill_pages", worst_spill.spilled_pages);
     report.metric("spill_bytes", worst_spill.spill_bytes);
     report.metric("spill_resident_hw_bytes", worst_spill.resident_hw_bytes);
@@ -671,8 +649,8 @@ int main(int argc, char** argv) {
       const double s2 = t2.elapsed_seconds();
       if (rep == 0 || s2 < orbit_t) orbit_t = s2;
     }
-    fa_par = check_fa_mutex_parallel(fc.registers, fa_naming, /*workers=*/2,
-                                     2'000'000, /*symmetry=*/true);
+    fa_par = check_fa_mutex(fc.registers, fa_naming, 2'000'000,
+                            /*symmetry=*/true, /*workers=*/2);
     bool ok = fa_raw.verdict() == fa_orbit.verdict() &&
               fa_par.verdict() == fa_orbit.verdict() &&
               fa_par.num_states == fa_orbit.num_states &&

@@ -126,10 +126,6 @@ struct renaming_record {
 // Hashing and "empty" predicates.
 // ---------------------------------------------------------------------------
 
-inline std::size_t hash_value(std::uint64_t v) {
-  return static_cast<std::size_t>(mix64(v));
-}
-
 inline std::size_t hash_value(const consensus_record& r) {
   std::size_t seed = 0xc0115e1157;
   hash_combine(seed, r.id);

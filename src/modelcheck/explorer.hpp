@@ -25,25 +25,37 @@
 // stepped machine, the written register) — no full-state copies anywhere on
 // the hot path. By default (options.compress_arena) the seen rows themselves
 // are bit-packed in arena pages (row_store: each column in the bit width of
-// its largest id so far), so reading a stored row back is O(1) arithmetic
-// and needs nothing but its index; the opt-out keeps them verbatim. The
-// reported result is identical in both modes, and identical to the plain
-// object-level BFS of modelcheck/reference_explorer.hpp, which the tests use
-// as the oracle.
+// its pools' id bound), so reading a stored row back is O(1) arithmetic and
+// needs nothing but its index; the opt-out keeps them verbatim. The reported
+// result is identical in both modes, and identical to the plain object-level
+// BFS of modelcheck/reference_explorer.hpp, which the tests use as the
+// oracle.
 //
 // The hot loop itself is a staged batch pipeline (see docs/modelcheck.md
 // "hot-path pipeline"): the frontier is processed in fixed windows of
-// kExpandWindow parents. Stage 1 decodes
-// the window's parent rows behind one batched spill fault-in; stage 2
-// generates every successor of the window into a flat packed-row staging
-// buffer, canonicalizing each row as it is staged (fused, so the component
-// pools intern in exactly the one-at-a-time order — stored-row bytes depend
-// on id assignment); stage 3 hashes the whole batch; stage 4 probes/inserts
-// in discovery order while software-prefetching the probe group of the entry
-// a few slots ahead, so the seen-table miss latency overlaps the probes in
-// flight. The seen table is a Swiss-table-style group-probing index
-// (util/flat_index.hpp): one 16-byte tag compare per group, cell memory
-// touched only for candidate slots.
+// kExpandWindow parents. Stage 1 decodes the window's parent rows behind one
+// batched spill fault-in; stage 2 generates every successor of the window
+// into a flat packed-row staging buffer, canonicalizing and hashing each row
+// as it is staged; stage 3 probes/inserts in discovery order while
+// software-prefetching the probe group of the entry a few slots ahead, so
+// the seen-table miss latency overlaps the probes in flight. The seen table
+// is a Swiss-table-style group-probing index (util/flat_index.hpp): one
+// 16-byte tag compare per group, cell memory touched only for candidate
+// slots.
+//
+// With options.workers > 1 stage 2 — memoised successor generation, packed
+// canonicalization and hashing, the bulk of the CPU time — runs on a
+// fork-join thread_pool, one contiguous slice of the window's parents per
+// worker, each worker with its own op cache, transition memo, canonical
+// scratch and counters. Everything else stays on the calling thread in
+// discovery order: the seen-table probe/insert, the row append, the
+// max_states cap and the safety predicate. The pools intern from every
+// worker, so ids are handed out in thread-timing order, but the state a
+// stored row denotes, its index, parent and schedule are not; before each
+// window's appends the row store reserves the pools' id bounds
+// (row_store::reserve), which depend only on how many components are
+// interned, so the stored bytes are the same at every worker count too.
+// Every worker count reproduces the one-worker run exactly.
 //
 // With options.symmetry the seen-table keys are orbit representatives under
 // the configuration's automorphism group (modelcheck/symmetry.hpp):
@@ -61,6 +73,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mem/naming.hpp"
@@ -70,7 +84,9 @@
 #include "util/check.hpp"
 #include "util/flat_index.hpp"
 #include "util/hash.hpp"
+#include "util/padded.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace anoncoord {
 
@@ -78,9 +94,11 @@ namespace anoncoord {
 /// partition the batched pipeline (they are measured as cycle_clock ticks and
 /// converted once per run against a wall-clock calibration, so each is a few
 /// rdtsc pairs per window, not per successor): expand = parent decode +
-/// successor generation, canonicalize = symmetry-kernel time inside the
-/// generation stage, probe = seen-table find/insert, encode = row-arena
-/// append.
+/// successor generation and hashing, canonicalize = symmetry-kernel time
+/// inside the generation stage, probe = seen-table find/insert, encode =
+/// row-arena append. Expand and canonicalize sum every worker's ticks, so
+/// with several workers they read as CPU time; probe and encode are the
+/// calling thread's time.
 struct explore_phase_stats {
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
@@ -88,16 +106,6 @@ struct explore_phase_stats {
   std::uint64_t encode_ns = 0;
   std::uint64_t probe_groups_scanned = 0;
   std::uint64_t probe_max_group_chain = 0;
-
-  void merge(const explore_phase_stats& o) {
-    expand_ns += o.expand_ns;
-    canonicalize_ns += o.canonicalize_ns;
-    probe_ns += o.probe_ns;
-    encode_ns += o.encode_ns;
-    probe_groups_scanned += o.probe_groups_scanned;
-    if (o.probe_max_group_chain > probe_max_group_chain)
-      probe_max_group_chain = o.probe_max_group_chain;
-  }
 };
 
 /// Memory adapter exposing a plain vector as a register file (the model
@@ -175,8 +183,15 @@ class explorer {
   using value_type = typename Machine::value_type;
 
   struct options {
+    /// Workers for the successor-generation stage (see the file comment).
+    /// Every worker count gives the identical result, stored bytes
+    /// included; 1 runs the stage inline on the calling thread.
+    int workers = 1;
     /// Exploration cap; result.complete reports whether it was reached.
     std::uint64_t max_states = 2'000'000;
+    /// Successor edges are only needed for check_progress(); safety-only
+    /// runs can skip storing them. result.num_edges counts them either way.
+    bool record_edges = true;
     /// Dedup states by their orbit representative under the configuration's
     /// automorphism group (modelcheck/symmetry.hpp): the naming-conjugation
     /// group for process_symmetric_machine types, the full S_n x C_m
@@ -186,7 +201,7 @@ class explorer {
     /// group, making this a no-op rather than a wrong answer.
     bool symmetry = false;
     /// Store seen rows bit-packed in arena pages (state_pool.hpp's
-    /// row_store: each column in the bit width of its largest id so far)
+    /// row_store: each column in the bit width of its pools' id bound)
     /// instead of verbatim 4-byte words. Identical verdicts, counts and
     /// schedules either way. Packed is the recommended default: on the
     /// reference config it stores 4.8x fewer row bytes for about 6% more
@@ -208,7 +223,7 @@ class explorer {
   struct result {
     bool complete = false;        ///< full reachable set explored
     std::uint64_t num_states = 0;
-    std::uint64_t num_edges = 0;
+    std::uint64_t num_edges = 0;   ///< successors generated and probed
     std::uint64_t dedup_hits = 0;  ///< successors that were already known
 
     /// First reachable state violating the safety predicate, if any,
@@ -232,6 +247,7 @@ class explorer {
            std::vector<Machine> initial_machines, options opt = {})
       : registers_(registers), naming_(std::move(naming)),
         initial_machines_(std::move(initial_machines)), opt_(opt) {
+    ANONCOORD_REQUIRE(opt_.workers >= 1, "need at least one worker");
     ANONCOORD_REQUIRE(
         naming_.processes() == static_cast<int>(initial_machines_.size()),
         "naming assignment and machine count disagree");
@@ -272,19 +288,25 @@ class explorer {
       return res;
     }
 
-    res.complete = run(res, is_bad);
+    // Started only now, so a run that stops at the initial state spawns no
+    // threads; a 1-worker pool spawns none at all.
+    thread_pool threads(opt_.workers);
+    res.complete = run(res, is_bad, threads);
     finish(res);
     return res;
   }
 
-  /// After a *complete* explore(): verify that from every reachable state
-  /// satisfying `premise`, some state satisfying `goal` is reachable.
-  /// Populates the progress fields of `res`. Under symmetry the analysis
-  /// runs on the quotient graph — sound for G-invariant predicates.
+  /// After a *complete* explore() with recorded edges: verify that from
+  /// every reachable state satisfying `premise`, some state satisfying
+  /// `goal` is reachable. Populates the progress fields of `res`. Under
+  /// symmetry the analysis runs on the quotient graph — sound for
+  /// G-invariant predicates.
   void check_progress(result& res, const state_predicate& premise,
                       const state_predicate& goal) const {
     ANONCOORD_REQUIRE(res.complete,
                       "progress analysis needs a complete state space");
+    ANONCOORD_REQUIRE(opt_.record_edges,
+                      "progress analysis needs recorded edges");
     const std::size_t n = num_states();
     std::vector<char> reaches_goal(n, 0);
     // Reverse adjacency in CSR form — two passes over the edge records
@@ -365,11 +387,54 @@ class explorer {
   /// Spill counters from the backing arena (all zero when spilling is off).
   arena_spill_stats spill_stats() const { return rows_.spill_stats(); }
 
-  /// Canonicalization prune counters for the last explore() (both domains;
-  /// all zero when the group is trivial).
-  const canonicalize_stats& canonicalize_counters() const { return cstats_; }
+  /// Canonicalization prune counters for the last explore(), summed over
+  /// the workers and the initial state (all zero when the group is
+  /// trivial).
+  canonicalize_stats canonicalize_counters() const {
+    canonicalize_stats total = cstats_;
+    for (const auto& w : workers_) total.merge(w.value.cstats);
+    return total;
+  }
 
  private:
+  /// Sentinel value id for transitions with no register input (internal
+  /// steps); pool ids are dense and never reach it.
+  static constexpr std::uint32_t kNoValueId = 0xffffffffu;
+
+  /// A machine id's peeked op (kind + logical register index), cached per
+  /// pool id. index -2 marks a not-yet-peeked entry.
+  struct cached_op {
+    op_kind kind = op_kind::none;
+    int index = -2;
+  };
+
+  /// Interned-id transition memo entry.
+  struct transition {
+    std::uint64_t key;    ///< machine id << 32 | input value id
+    std::uint32_t mach;   ///< stepped machine id
+    std::uint32_t value;  ///< written (or unchanged input) value id
+  };
+
+  /// A successor staged by the generation stage, waiting for its probe.
+  struct staged_succ {
+    std::int32_t via;   ///< process index that stepped
+    std::int32_t elem;  ///< canonicalizing group element
+    std::size_t hash;   ///< seen-table hash of the staged row
+  };
+
+  /// One generation-stage worker's private state. The caches are keyed by
+  /// pool ids, which every worker shares, so any worker may expand any
+  /// parent; the tick counters are read only after the join.
+  struct worker {
+    std::vector<cached_op> opc;
+    std::vector<transition> tmemo;
+    flat_index tindex;
+    packed_canonical_scratch pks;
+    canonicalize_stats cstats;
+    std::uint64_t pt_expand = 0;  ///< generation ticks (canon included)
+    std::uint64_t pt_canon = 0;   ///< canonicalization ticks within expand
+  };
+
   std::size_t stride() const {
     return static_cast<std::size_t>(registers_) + initial_machines_.size();
   }
@@ -387,13 +452,12 @@ class explorer {
     }
     rows_.configure(stride(), opt_.compress_arena, ropt);
     index_.clear();
-    opc_.clear();
-    tmemo_.clear();
-    tindex_.clear();
+    workers_.clear();
+    workers_.resize(static_cast<std::size_t>(opt_.workers));
     pstats_ = probe_stats{};
     index_.stats = &pstats_;
     phases_ = explore_phase_stats{};
-    pt_expand_ = pt_canon_ = pt_probe_ = pt_encode_ = 0;
+    pt_decode_ = pt_probe_ = pt_encode_ = 0;
     cal_timer_.reset();
     cal_tick0_ = cycle_clock::now();
     parent_.clear();
@@ -404,13 +468,12 @@ class explorer {
     csr_sources_.clear();
   }
 
-  /// A successor staged by the batched pipeline, waiting for its probe.
-  struct staged_succ {
-    std::uint32_t pslot;  ///< parent's slot within the window
-    std::int32_t via;     ///< process index that stepped
-    std::int32_t elem;    ///< canonicalizing group element
-    std::size_t hash;     ///< filled by the batch-hash stage
-  };
+  /// Parents [lo, hi) of a `wlen`-parent window that worker `w` expands.
+  std::pair<std::size_t, std::size_t> slice(std::size_t wlen,
+                                            std::size_t w) const {
+    const std::size_t nw = workers_.size();
+    return {wlen * w / nw, wlen * (w + 1) / nw};
+  }
 
   /// The staged batch pipeline. Returns whether the reachable set was fully
   /// explored; a safety violation or the max_states cap stops early with
@@ -418,23 +481,31 @@ class explorer {
   /// max_states cap is re-checked before each parent's probe group, and the
   /// first violating fresh state in staged order is the first in discovery
   /// order.
-  bool run(result& res, const state_predicate& is_bad) {
-    const std::size_t m = static_cast<std::size_t>(registers_);
+  bool run(result& res, const state_predicate& is_bad, thread_pool& threads) {
     const std::size_t n = initial_machines_.size();
     const std::size_t st = stride();
-    const bool reduce = !group_.is_trivial();
     // Window size doubles as the spill fault-in window: one prefetch_rows
-    // call per window.
+    // call per window. It is fixed — not scaled by the worker count — so
+    // the per-window reserve() points, and with them the stored bytes, are
+    // the same at every worker count.
     constexpr std::uint64_t kExpandWindow = 128;
     // How far ahead of the probe cursor to warm seen-table groups. Far
     // enough to cover a memory round-trip at ~40 probes/us, near enough
     // that the lines still sit in L1 when the probe arrives.
     constexpr std::size_t kPrefetchAhead = 8;
     srows_.resize(static_cast<std::size_t>(kExpandWindow) * n * st);
+    staged_.resize(static_cast<std::size_t>(kExpandWindow) * n);
+    send_.resize(static_cast<std::size_t>(kExpandWindow));
+    bounds_.resize(st);
+    std::size_t wlen = 0;
+    const std::function<void(int)> generate_slice = [&](int w) {
+      const auto [lo, hi] = slice(wlen, static_cast<std::size_t>(w));
+      generate(workers_[static_cast<std::size_t>(w)].value, lo, hi);
+    };
     std::uint64_t frontier = 0;
     while (frontier < num_states()) {
       const std::uint64_t wbegin = frontier;
-      const std::size_t wlen = static_cast<std::size_t>(
+      wlen = static_cast<std::size_t>(
           std::min<std::uint64_t>(kExpandWindow, num_states() - wbegin));
       const std::uint64_t t0 = cycle_clock::now();
       // Stage 1: decode the window's parent rows behind one batched
@@ -444,106 +515,59 @@ class explorer {
       wrows_.resize(wlen * st);
       for (std::size_t k = 0; k < wlen; ++k)
         rows_.load(wbegin + k, wrows_.data() + k * st);
-      // Stage 2: generate every successor of the window into the flat
-      // staging buffer. Canonicalization is fused here, successor by
-      // successor, so the component pools intern in exactly the
-      // one-at-a-time order — pool id values set the packed column widths,
-      // so reordering them would change stored bytes.
-      //
-      // A step is a pure function of (machine id, value id at the op's
-      // register) — that key captures plain reads, plain writes AND the CAS
-      // fallback (a write that reads its target first) — so the transition
-      // memo patches rows without reconstructing states, stepping machines
-      // or re-hashing components. Misses evaluate the real machine and
-      // intern the machine first, then the written value, and a component's
-      // first production always coincides with its producing pair's first
-      // occurrence, so pool id assignment — and with it every stored row
-      // byte — is that of stepping each successor in turn.
-      staged_.clear();
-      soff_.assign(wlen + 1, 0);
-      if (reduce) pk_.maybe_refresh_ranks();
-      for (std::size_t k = 0; k < wlen; ++k) {
-        const std::uint32_t* prow = wrows_.data() + k * st;
-        for (int p = 0; p < static_cast<int>(n); ++p) {
-          const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
-          const cached_op& oc = op_for(w);
-          if (oc.kind == op_kind::none) continue;
-          std::uint32_t vid_in = kNoValueId;
-          std::size_t phys = 0;
-          if (oc.kind != op_kind::internal) {
-            phys = static_cast<std::size_t>(
-                naming_.of(p)[static_cast<std::size_t>(oc.index)]);
-            vid_in = prow[phys];
-          }
-          const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
-          const auto kh = static_cast<std::size_t>(mix64(key));
-          std::uint32_t w_out, vid_out;
-          const std::uint32_t ti = tindex_.find(kh, [&](std::uint32_t i) {
-            return tmemo_[i].key == key;
-          });
-          if (ti != flat_index::npos) {
-            w_out = tmemo_[ti].mach;
-            vid_out = tmemo_[ti].value;
-          } else {
-            std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
-            tindex_.insert(kh, static_cast<std::uint32_t>(tmemo_.size()));
-            tmemo_.push_back({key, w_out, vid_out});
-          }
-          std::uint32_t* row = srows_.data() + staged_.size() * st;
-          std::memcpy(row, prow, st * sizeof(std::uint32_t));
-          row[m + static_cast<std::size_t>(p)] = w_out;
-          if (oc.kind == op_kind::write) row[phys] = vid_out;
-          int elem = 0;
-          if (reduce) {
-            const std::uint64_t c0 = cycle_clock::now();
-            elem = pk_.canonicalize_row_batched(row, pks_, cstats_);
-            pt_canon_ += cycle_clock::now() - c0;
-          }
-          // is_bad is deferred to the probe stage: the staged row IS the
-          // (canonical) state, so fresh states reconstruct it there and
-          // duplicates never pay the predicate.
-          staged_.push_back({static_cast<std::uint32_t>(k), p, elem, 0});
-        }
-        soff_[k + 1] = static_cast<std::uint32_t>(staged_.size());
-      }
+      // Rank snapshots rebuild only here, between forks.
+      if (!group_.is_trivial()) pk_.maybe_refresh_ranks();
+      pt_decode_ += cycle_clock::now() - t0;
+      // Stage 2: every successor of the window, staged with its hash.
+      threads.run(generate_slice);
       const std::uint64_t t1 = cycle_clock::now();
-      pt_expand_ += t1 - t0;
-      // Stage 3: hash the whole batch back to back — pure streaming over
-      // the staging buffer, no table traffic mixed in.
-      for (std::size_t i = 0; i < staged_.size(); ++i)
-        staged_[i].hash = hash_words(srows_.data() + i * st, st);
-      // Stage 4: probe/insert in discovery order, warming the probe group
-      // of the entry kPrefetchAhead slots ahead so its tag and cell lines
-      // are in flight while earlier probes retire.
-      std::size_t si = 0;
-      for (std::size_t k = 0; k < wlen; ++k) {
-        // Re-checked per parent (not per window): an incomplete run stops
-        // before expanding the first parent past the cap, as a BFS taking
-        // one parent at a time would.
-        if (num_states() >= opt_.max_states) {
-          pt_probe_ += cycle_clock::now() - t1;
-          return false;  // incomplete
-        }
-        const auto s = static_cast<std::int64_t>(wbegin + k);
-        for (const std::size_t gend = soff_[k + 1]; si < gend; ++si) {
-          if (si + kPrefetchAhead < staged_.size())
-            index_.prefetch(staged_[si + kPrefetchAhead].hash);
-          const staged_succ& ss = staged_[si];
-          const std::uint32_t* row = srows_.data() + si * st;
-          const auto [idx, fresh] = intern_row(row, ss.hash, s, ss.via, ss.elem);
-          if (!fresh) ++res.dedup_hits;
-          edges_.emplace_back(static_cast<std::uint32_t>(s),
-                              static_cast<std::uint32_t>(idx));
-          if (fresh && is_bad) {
-            // The staged row is the stored (canonical) state; the predicate
-            // (G-invariant by contract under symmetry) runs on its
-            // reconstruction, on fresh states only.
-            fill_state(row, canon_);
-            if (is_bad(canon_)) {
-              res.bad_state = concrete_state(idx);
-              res.bad_schedule = concrete_schedule(idx);
-              pt_probe_ += cycle_clock::now() - t1;
-              return false;
+      // Size the packed columns from the pools' id bounds, not from the
+      // window's ids, which depend on thread timing (see the file comment).
+      std::fill_n(bounds_.begin(), registers_, pool_.value_id_bound());
+      std::fill(bounds_.begin() + registers_, bounds_.end(),
+                pool_.machine_id_bound());
+      rows_.reserve(bounds_.data());
+      // Stage 3: probe/insert in discovery order — slice by slice, each
+      // slice's successors packed from slot lo * n — warming the probe
+      // group of the entry kPrefetchAhead slots ahead so its tag and cell
+      // lines are in flight while earlier probes retire.
+      for (std::size_t w = 0; w < workers_.size(); ++w) {
+        const auto [lo, hi] = slice(wlen, w);
+        if (lo == hi) continue;
+        std::size_t si = lo * n;
+        const std::size_t slice_end = send_[hi - 1];
+        for (std::size_t k = lo; k < hi; ++k) {
+          // Re-checked per parent (not per window): an incomplete run stops
+          // before expanding the first parent past the cap, as a BFS taking
+          // one parent at a time would.
+          if (num_states() >= opt_.max_states) {
+            pt_probe_ += cycle_clock::now() - t1;
+            return false;  // incomplete
+          }
+          const auto s = static_cast<std::int64_t>(wbegin + k);
+          for (; si < send_[k]; ++si) {
+            if (si + kPrefetchAhead < slice_end)
+              index_.prefetch(staged_[si + kPrefetchAhead].hash);
+            const staged_succ& ss = staged_[si];
+            const std::uint32_t* row = srows_.data() + si * st;
+            const auto [idx, fresh] =
+                intern_row(row, ss.hash, s, ss.via, ss.elem);
+            ++res.num_edges;
+            if (!fresh) ++res.dedup_hits;
+            if (opt_.record_edges)
+              edges_.emplace_back(static_cast<std::uint32_t>(s),
+                                  static_cast<std::uint32_t>(idx));
+            if (fresh && is_bad) {
+              // The staged row is the stored (canonical) state; the
+              // predicate (G-invariant by contract under symmetry) runs on
+              // its reconstruction, on fresh states only.
+              fill_state(row, canon_);
+              if (is_bad(canon_)) {
+                res.bad_state = concrete_state(idx);
+                res.bad_schedule = concrete_schedule(idx);
+                pt_probe_ += cycle_clock::now() - t1;
+                return false;
+              }
             }
           }
         }
@@ -554,20 +578,73 @@ class explorer {
     return true;
   }
 
-  /// Sentinel value id for transitions with no register input (internal
-  /// steps); pool ids are dense and never reach it.
-  static constexpr std::uint32_t kNoValueId = 0xffffffffu;
+  /// Stage 2 for parents [lo, hi) of the decoded window: stage each
+  /// successor row at slots lo * n onward and record each parent's end
+  /// slot in send_.
+  ///
+  /// A step is a pure function of (machine id, value id at the op's
+  /// register) — that key captures plain reads, plain writes AND the CAS
+  /// fallback (a write that reads its target first) — so the transition
+  /// memo patches rows without reconstructing states, stepping machines or
+  /// re-hashing components. Misses evaluate the real machine and intern
+  /// the results.
+  void generate(worker& wk, std::size_t lo, std::size_t hi) {
+    const std::uint64_t t0 = cycle_clock::now();
+    const std::size_t m = static_cast<std::size_t>(registers_);
+    const std::size_t n = initial_machines_.size();
+    const std::size_t st = stride();
+    const bool reduce = !group_.is_trivial();
+    std::size_t si = lo * n;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::uint32_t* prow = wrows_.data() + k * st;
+      for (int p = 0; p < static_cast<int>(n); ++p) {
+        const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
+        const cached_op& oc = op_for(wk, w);
+        if (oc.kind == op_kind::none) continue;
+        std::uint32_t vid_in = kNoValueId;
+        std::size_t phys = 0;
+        if (oc.kind != op_kind::internal) {
+          phys = static_cast<std::size_t>(
+              naming_.of(p)[static_cast<std::size_t>(oc.index)]);
+          vid_in = prow[phys];
+        }
+        const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
+        const auto kh = static_cast<std::size_t>(mix64(key));
+        std::uint32_t w_out, vid_out;
+        const std::uint32_t ti = wk.tindex.find(kh, [&](std::uint32_t i) {
+          return wk.tmemo[i].key == key;
+        });
+        if (ti != flat_index::npos) {
+          w_out = wk.tmemo[ti].mach;
+          vid_out = wk.tmemo[ti].value;
+        } else {
+          std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
+          wk.tindex.insert(kh, static_cast<std::uint32_t>(wk.tmemo.size()));
+          wk.tmemo.push_back({key, w_out, vid_out});
+        }
+        std::uint32_t* row = srows_.data() + si * st;
+        std::memcpy(row, prow, st * sizeof(std::uint32_t));
+        row[m + static_cast<std::size_t>(p)] = w_out;
+        if (oc.kind == op_kind::write) row[phys] = vid_out;
+        int elem = 0;
+        if (reduce) {
+          const std::uint64_t c0 = cycle_clock::now();
+          elem = pk_.canonicalize_row_batched(row, wk.pks, wk.cstats);
+          wk.pt_canon += cycle_clock::now() - c0;
+        }
+        // is_bad is deferred to the probe stage: the staged row IS the
+        // (canonical) state, so fresh states reconstruct it there and
+        // duplicates never pay the predicate.
+        staged_[si++] = {p, elem, hash_words(row, st)};
+      }
+      send_[k] = si;
+    }
+    wk.pt_expand += cycle_clock::now() - t0;
+  }
 
-  /// A machine id's peeked op (kind + logical register index), cached per
-  /// pool id. index -2 marks a not-yet-peeked entry.
-  struct cached_op {
-    op_kind kind = op_kind::none;
-    int index = -2;
-  };
-
-  const cached_op& op_for(std::uint32_t w) {
-    if (w >= opc_.size()) opc_.resize(w + 1);
-    cached_op& e = opc_[static_cast<std::size_t>(w)];
+  const cached_op& op_for(worker& wk, std::uint32_t w) const {
+    if (w >= wk.opc.size()) wk.opc.resize(w + 1);
+    cached_op& e = wk.opc[static_cast<std::size_t>(w)];
     if (e.index == -2) {
       const op_desc op = pool_.machine(w).peek();
       e.kind = op.kind;
@@ -704,10 +781,11 @@ class explorer {
 
   void finish(result& res) {
     res.num_states = num_states();
-    res.num_edges = edges_.size();
     // Convert tick accumulators to nanoseconds with one end-of-run
     // calibration (rdtsc frequency is not the core clock; measuring the
-    // ratio against steady_clock over the whole run sidesteps knowing it).
+    // ratio against steady_clock over the whole run sidesteps knowing it;
+    // constant-rate rdtsc is core-invariant, so one ratio serves every
+    // worker).
     const std::uint64_t dt = cycle_clock::now() - cal_tick0_;
     const double ratio =
         dt > 0 ? (cal_timer_.elapsed_seconds() * 1e9) / static_cast<double>(dt)
@@ -715,10 +793,15 @@ class explorer {
     const auto to_ns = [ratio](std::uint64_t ticks) {
       return static_cast<std::uint64_t>(static_cast<double>(ticks) * ratio);
     };
+    std::uint64_t expand = pt_decode_, canon = 0;
+    for (const auto& w : workers_) {
+      expand += w.value.pt_expand;
+      canon += w.value.pt_canon;
+    }
     // The outer brackets include the fused inner ones; report disjoint
     // phases (expand excludes canonicalize, probe excludes encode).
-    phases_.canonicalize_ns = to_ns(pt_canon_);
-    phases_.expand_ns = to_ns(pt_expand_ > pt_canon_ ? pt_expand_ - pt_canon_ : 0);
+    phases_.canonicalize_ns = to_ns(canon);
+    phases_.expand_ns = to_ns(expand > canon ? expand - canon : 0);
     phases_.encode_ns = to_ns(pt_encode_);
     phases_.probe_ns = to_ns(pt_probe_ > pt_encode_ ? pt_probe_ - pt_encode_ : 0);
     phases_.probe_groups_scanned = pstats_.groups_scanned;
@@ -746,29 +829,24 @@ class explorer {
   // Hot-path scratch (members so explore() allocates nothing per successor).
   state_type canon_;
   mutable std::vector<std::uint32_t> rowtmp_;
-  // Batched-pipeline staging.
-  std::vector<staged_succ> staged_;
+  // Batched-pipeline staging; the workers write disjoint slices.
   std::vector<std::uint32_t> wrows_;  ///< decoded window parent rows
-  std::vector<std::uint32_t> srows_;  ///< flat staged successor rows
-  std::vector<std::uint32_t> soff_;   ///< per-parent staged offsets (wlen+1)
-  // Interned-id transition memo (batched generation stage).
-  struct transition {
-    std::uint64_t key;    ///< machine id << 32 | input value id
-    std::uint32_t mach;   ///< stepped machine id
-    std::uint32_t value;  ///< written (or unchanged input) value id
-  };
-  std::vector<cached_op> opc_;
-  std::vector<transition> tmemo_;
-  flat_index tindex_;
-  // Phase breakdown: raw tick accumulators plus the published ns view.
+  std::vector<std::uint32_t> srows_;  ///< staged successor rows, n per parent
+  std::vector<staged_succ> staged_;   ///< their provenance and hashes
+  std::vector<std::size_t> send_;     ///< per-parent end slot in staged_
+  std::vector<std::uint32_t> bounds_;  ///< per-column id bounds for reserve
+  std::vector<padded<worker>> workers_;
+  // Phase breakdown: calling-thread tick accumulators plus the published
+  // ns view.
   explore_phase_stats phases_;
   probe_stats pstats_;
-  std::uint64_t pt_expand_ = 0, pt_canon_ = 0, pt_probe_ = 0, pt_encode_ = 0;
+  std::uint64_t pt_decode_ = 0, pt_probe_ = 0, pt_encode_ = 0;
   stopwatch cal_timer_;
   std::uint64_t cal_tick0_ = 0;
-  // Packed canonicalization kernel state (non-trivial group only).
+  // Packed canonicalization kernel (non-trivial group only), shared by the
+  // workers; its scratch and counters live per worker. cstats_ covers the
+  // initial state's object-domain canonicalize.
   packed_canonicalizer<Machine> pk_;
-  packed_canonical_scratch pks_;
   canonicalize_stats cstats_;
 };
 

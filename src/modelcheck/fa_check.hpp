@@ -34,7 +34,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 
 namespace anoncoord {
 
@@ -55,10 +54,8 @@ inline bool fa_mutex_someone_trying(const global_state<fa_mutex>& s) {
 
 namespace detail {
 
-/// Shared harness: works with explorer<fa_mutex> and
-/// parallel_explorer<fa_mutex> (identical explore/check_progress shape).
-template <class Explorer>
-mutex_check_result run_fa_mutex_check(Explorer& e) {
+/// Shared harness: safety, then progress on a complete safe run.
+inline mutex_check_result run_fa_mutex_check(explorer<fa_mutex>& e) {
   auto res = e.explore(
       [](const global_state<fa_mutex>& s) { return fa_mutex_cs_count(s) >= 2; });
 
@@ -87,28 +84,15 @@ mutex_check_result run_fa_mutex_check(Explorer& e) {
 /// Model-check the fully anonymous mutex: n identical identifier-less
 /// machines over m registers with the given naming. With `symmetry` the
 /// exploration dedups to orbit representatives under the full S_n x C_m
-/// product group (modelcheck/symmetry.hpp).
+/// product group (modelcheck/symmetry.hpp). `workers` parallelises the
+/// explorer's generation stage; the result is identical for every worker
+/// count.
 inline mutex_check_result check_fa_mutex(int m,
                                          const naming_assignment& naming,
                                          std::uint64_t max_states = 2'000'000,
-                                         bool symmetry = false) {
+                                         bool symmetry = false,
+                                         int workers = 1) {
   using ex = explorer<fa_mutex>;
-  typename ex::options opt;
-  opt.max_states = max_states;
-  opt.symmetry = symmetry;
-  std::vector<fa_mutex> machines(
-      static_cast<std::size_t>(naming.processes()), fa_mutex(m));
-  ex e(m, naming, std::move(machines), opt);
-  return detail::run_fa_mutex_check(e);
-}
-
-/// The same check through the parallel reduction-aware engine. Verdicts,
-/// state counts and counterexample schedules are bit-identical to
-/// check_fa_mutex for every worker count.
-inline mutex_check_result check_fa_mutex_parallel(
-    int m, const naming_assignment& naming, int workers,
-    std::uint64_t max_states = 2'000'000, bool symmetry = false) {
-  using ex = parallel_explorer<fa_mutex>;
   typename ex::options opt;
   opt.workers = workers;
   opt.max_states = max_states;

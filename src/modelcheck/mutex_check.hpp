@@ -19,7 +19,6 @@
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 
 namespace anoncoord {
 
@@ -57,8 +56,9 @@ inline bool mutex_someone_trying(const global_state<anon_mutex>& s) {
 
 namespace detail {
 
-/// Shared harness: works with explorer<anon_mutex> and
-/// parallel_explorer<anon_mutex> (identical explore/check_progress shape).
+/// Shared harness: safety, then progress on a complete safe run. Works with
+/// explorer<anon_mutex> and the tests' reference_explorer<anon_mutex>
+/// (identical explore/check_progress shape).
 template <class Explorer>
 mutex_check_result run_mutex_check(Explorer& e) {
   auto res = e.explore(
@@ -102,26 +102,14 @@ inline std::vector<anon_mutex> mutex_machines(
 /// exploration dedups states to orbit representatives under the
 /// configuration's automorphism group — sound here because both predicates
 /// (CS count, someone-trying) are invariant under process permutation and
-/// id renaming, and anon_mutex models process_symmetric_machine.
+/// id renaming, and anon_mutex models process_symmetric_machine. `workers`
+/// parallelises the explorer's generation stage; the result is identical
+/// for every worker count.
 inline mutex_check_result check_anon_mutex(
     int m, const naming_assignment& naming, std::vector<process_id> ids,
-    std::uint64_t max_states = 2'000'000, bool symmetry = false) {
+    std::uint64_t max_states = 2'000'000, bool symmetry = false,
+    int workers = 1) {
   using ex = explorer<anon_mutex>;
-  typename ex::options opt;
-  opt.max_states = max_states;
-  opt.symmetry = symmetry;
-  ex e(m, naming, detail::mutex_machines(m, naming, ids), opt);
-  return detail::run_mutex_check(e);
-}
-
-/// The same check through the parallel reduction-aware engine. Verdicts,
-/// state counts and counterexample schedules are bit-identical to
-/// check_anon_mutex for every worker count.
-inline mutex_check_result check_anon_mutex_parallel(
-    int m, const naming_assignment& naming, std::vector<process_id> ids,
-    int workers, std::uint64_t max_states = 2'000'000,
-    bool symmetry = false) {
-  using ex = parallel_explorer<anon_mutex>;
   typename ex::options opt;
   opt.workers = workers;
   opt.max_states = max_states;

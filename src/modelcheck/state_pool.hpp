@@ -13,7 +13,7 @@
 // footprint drops from sizeof(state) (machines own heap vectors) to
 // 4(m + n) bytes.
 //
-// Thread-safety (the parallel explorer interns from every worker):
+// Thread-safety (the explorer's generation workers intern concurrently):
 //
 //   * intern() routes by hash to one of kShards shards, each guarded by its
 //     own mutex around a flat_index probe + append;
@@ -21,11 +21,12 @@
 //     concurrent interning: storage is segmented, segments are fixed-size
 //     arrays published once with a release store and never moved, so a
 //     reader never observes a reallocation. A thread only dereferences ids
-//     it obtained through a happens-before chain (stripe mutex or the
-//     fork-join barrier), which also carries the component's construction.
+//     it obtained through a happens-before chain (a shard mutex, a memo
+//     table's release/acquire slot, or the fork-join barrier), which also
+//     carries the component's construction.
 //
-// Lock ordering: the parallel explorer interns BEFORE taking a seen-table
-// stripe lock, so shard mutexes and stripe mutexes are never nested.
+// A shard mutex is the only lock an intern takes, and nothing is locked
+// while it is held, so there is no lock ordering to respect.
 #pragma once
 
 #include <algorithm>
@@ -103,8 +104,9 @@ class component_pool {
 
   /// Enumerate every interned id (insertion order within each shard).
   /// QUIESCENT CALLERS ONLY: no intern() may be in flight — the callers are
-  /// the rank-snapshot rebuilds, which run single-threaded between parallel
-  /// levels (the fork-join barrier orders them after every worker intern).
+  /// the rank-snapshot rebuilds, which run on the explorer's calling thread
+  /// between windows (the fork-join barrier orders them after every worker
+  /// intern).
   template <class Fn>
   void for_each_id(Fn&& fn) const {
     for (std::uint32_t s = 0; s < kShards; ++s) {
@@ -187,8 +189,8 @@ class component_pool {
 /// of component `id`, so after warm-up a group element's action on a packed
 /// row is a pure u32 gather with no Machine construction.
 ///
-/// Concurrency contract (the parallel explorer's workers read and fill these
-/// during a level): lookups are lock-free (acquire loads on the segment
+/// Concurrency contract (the explorer's generation workers read and fill
+/// these during a window): lookups are lock-free (acquire loads on the segment
 /// pointer and the slot); a miss recomputes the image through the pools —
 /// interning is deterministic, so racing fillers store the SAME value and
 /// the double store is benign. Segments are fixed-size, allocated under a
@@ -360,7 +362,7 @@ struct row_store_options {
 };
 
 /// Append-only store of packed state rows (stride = m + n words each), the
-/// seen-set payload of both explorers. Two modes:
+/// seen-set payload of the explorers. Two modes:
 ///
 ///   * verbatim — rows kept as flat 4·stride-byte runs; load() is a memcpy.
 ///     This is the reference layout (options.compress_arena = false).
@@ -443,10 +445,10 @@ class row_store {
   }
 
   /// Widen the columns, if needed, so that rows whose column-c ids are at
-  /// most max_ids[c] append without opening another epoch. The parallel
-  /// explorer reserves its pools' id bounds before each level's appends:
-  /// ids are handed out in thread-timing order but the bounds are not, so
-  /// the packed layout is the same at every worker count. No-op verbatim.
+  /// most max_ids[c] append without opening another epoch. The explorer
+  /// reserves its pools' id bounds before each window's appends: ids are
+  /// handed out in thread-timing order but the bounds are not, so the
+  /// packed layout is the same at every worker count. No-op verbatim.
   void reserve(const std::uint32_t* max_ids) {
     if (compressed_ && outgrows(max_ids)) open_epoch(max_ids);
   }
@@ -511,7 +513,7 @@ class row_store {
   arena_spill_stats spill_stats() const { return arena_.spill_stats(); }
 
   /// Enforce the arena's resident budget now; append-path only (same
-  /// contract as append()). The explorers call this at level boundaries.
+  /// contract as append()).
   void spill_over_budget() { arena_.spill_over_budget(); }
 
   /// Test hook: pad the arena so subsequent rows land at or past

@@ -189,8 +189,8 @@ bool process_interchangeable_initial(const std::vector<Machine>& initial) {
   }
 }
 
-/// Reusable buffers for canonicalize(); one per worker in the parallel
-/// explorer so canonicalization allocates nothing steady-state.
+/// Reusable buffers for canonicalize(), so canonicalization allocates
+/// nothing steady-state.
 template <class Machine>
 struct canonical_scratch {
   std::vector<typename Machine::value_type> orig_regs, tmp_regs;
@@ -531,7 +531,7 @@ struct packed_canonical_scratch {
 ///
 /// Sharing: one kernel per engine, attached to the engine's group and pool.
 /// Memo fills race benignly (deterministic interning), rank rebuilds are
-/// quiescent-only (level boundaries / between-expansion points), and
+/// quiescent-only (between the explorer's windows, before a fork), and
 /// canonicalize_row is safe from any number of workers given per-worker
 /// scratch.
 template <class Machine>
@@ -590,9 +590,9 @@ class packed_canonicalizer {
            machine_ranks_.covered() * 8 < pool_->num_machines() * 7;
   }
 
-  /// Rebuild both rank snapshots. QUIESCENT ONLY: single-threaded engines
-  /// call it between expansions, the parallel explorer in prepare_level()
-  /// (after the join, before the next fork).
+  /// Rebuild both rank snapshots. QUIESCENT ONLY: the explorer calls it on
+  /// its calling thread between windows (after the join, before the next
+  /// fork).
   void refresh_ranks() {
     if constexpr (symmetry_reducible_machine<Machine>) {
       value_ranks_.rebuild(

@@ -1,13 +1,14 @@
 // verify_config(): one entry point over every verification engine.
 //
-// The repo now has three mechanical provers — the sequential BFS explorer,
-// the parallel reduction-aware explorer, and the CHESS-style systematic
-// tester (with optional sleep-set reduction). They take the same inputs (a
-// register count, a naming assignment, initial machines, a bad-state
-// predicate) but grew distinct result types. verify_config() runs any of
-// them on a uniform model_config and returns uniform per-run stats (states,
-// dedup hits, schedules, reduction counters, wall time), which is what the
-// scaling bench and the differential tests consume.
+// The repo has two mechanical provers — the BFS explorer (explorer.hpp,
+// whose generation stage runs on options.workers threads) and the
+// CHESS-style systematic tester (with optional sleep-set reduction). They
+// take the same inputs (a register count, a naming assignment, initial
+// machines, a bad-state predicate) but have distinct result types.
+// verify_config() runs either on a uniform model_config and returns uniform
+// per-run stats (states, dedup hits, schedules, reduction counters, wall
+// time), which is what the scaling bench and the differential tests
+// consume.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/sweep_journal.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/systematic.hpp"
 #include "obs/metrics.hpp"
 #include "util/padded.hpp"
@@ -35,8 +35,8 @@
 namespace anoncoord {
 
 enum class verify_engine {
-  bfs,               ///< sequential explorer (explorer.hpp)
-  parallel_bfs,      ///< sharded explorer (parallel_explorer.hpp)
+  bfs,               ///< explorer.hpp at one worker
+  parallel_bfs,      ///< explorer.hpp at verify_options::workers workers
   systematic,        ///< bounded schedule enumeration (systematic.hpp)
   systematic_sleep,  ///< + sleep-set partial-order reduction
 };
@@ -98,10 +98,10 @@ struct verify_report {
   std::uint64_t canon_first_word_pruned = 0;
   std::uint64_t canon_prefix_pruned = 0;
   /// Hot-loop phase breakdown (BFS engines; zero for the systematic
-  /// engines). Sequential runs report wall time per stage; parallel runs sum
-  /// per-worker ticks, so the phase total is aggregate CPU time and can
-  /// exceed wall_seconds. probe_groups_scanned / probe_max_group_chain are
-  /// the group-probe seen-table counters.
+  /// engines; see explore_phase_stats). expand and canonicalize sum the
+  /// generation workers' ticks, so with several workers the phase total is
+  /// partly CPU time and can exceed wall_seconds. probe_groups_scanned /
+  /// probe_max_group_chain are the group-probe seen-table counters.
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
   std::uint64_t probe_ns = 0;
@@ -140,46 +140,17 @@ verify_report verify_config(const model_config<Machine>& cfg,
   };
   stopwatch timer;
   switch (opt.engine) {
-    case verify_engine::bfs: {
+    case verify_engine::bfs:
+    case verify_engine::parallel_bfs: {
       typename explorer<Machine>::options eopt;
+      eopt.workers =
+          opt.engine == verify_engine::parallel_bfs ? opt.workers : 1;
       eopt.max_states = opt.max_states;
+      eopt.record_edges = false;  // safety-only entry point
       eopt.symmetry = opt.symmetry;
       eopt.spill_budget_bytes = opt.spill_budget_bytes;
       eopt.spill_dir = opt.spill_dir;
       explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
-      const auto res = e.explore(as_state_pred);
-      out.complete = res.complete;
-      out.violated = res.safety_violated();
-      out.states = res.num_states;
-      out.edges = res.num_edges;
-      out.dedup_hits = res.dedup_hits;
-      out.violating_schedule = res.bad_schedule;
-      const arena_spill_stats spill = e.spill_stats();
-      out.spill_pages = spill.spilled_pages;
-      out.spill_bytes = spill.spill_bytes;
-      const canonicalize_stats cs = e.canonicalize_counters();
-      out.canon_full_applies = cs.full_applies;
-      out.canon_first_word_pruned = cs.first_word_pruned;
-      out.canon_prefix_pruned = cs.prefix_pruned;
-      const explore_phase_stats& ph = e.phase_counters();
-      out.expand_ns = ph.expand_ns;
-      out.canonicalize_ns = ph.canonicalize_ns;
-      out.probe_ns = ph.probe_ns;
-      out.encode_ns = ph.encode_ns;
-      out.probe_groups_scanned = ph.probe_groups_scanned;
-      out.probe_max_group_chain = ph.probe_max_group_chain;
-      break;
-    }
-    case verify_engine::parallel_bfs: {
-      typename parallel_explorer<Machine>::options popt;
-      popt.workers = opt.workers;
-      popt.max_states = opt.max_states;
-      popt.record_edges = false;  // safety-only entry point
-      popt.symmetry = opt.symmetry;
-      popt.spill_budget_bytes = opt.spill_budget_bytes;
-      popt.spill_dir = opt.spill_dir;
-      parallel_explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial,
-                                   popt);
       const auto res = e.explore(as_state_pred);
       out.complete = res.complete;
       out.violated = res.safety_violated();
@@ -483,9 +454,8 @@ naming_sweep_report verify_naming_sweep(
   if (nworkers <= 1) {
     for (const std::uint64_t idx : todo) run_class(idx);
   } else {
-    // Classes are independent jobs: seed per-worker Chase-Lev deques with
-    // contiguous slices and let dry workers steal — the same discipline as
-    // the parallel explorer's frontier, at job granularity.
+    // Classes are independent jobs of very uneven cost: seed per-worker
+    // Chase-Lev deques with contiguous slices and let dry workers steal.
     auto deques =
         std::make_unique<padded<ws_deque>[]>(static_cast<std::size_t>(nworkers));
     for (int w = 0; w < nworkers; ++w) {

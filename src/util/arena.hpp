@@ -19,11 +19,10 @@
 // unlinked immediately, so the kernel reclaims it when the arena (or the
 // process) goes away.
 //
-// Thread-safety contract (the parallel explorer's discipline): appends are
-// single-threaded, and concurrent readers are only allowed while no append
-// is in flight — the explorer appends exclusively inside the single-threaded
-// level merge, whose fork-join barrier orders every append before every
-// worker read of the next level. Eviction therefore happens only on the
+// Thread-safety contract: appends are single-threaded, and concurrent
+// readers are only allowed while no append is in flight (a fork-join
+// barrier between append and read phases is enough; the explorer itself
+// reads and appends from one thread). Eviction therefore happens only on the
 // append path and in prefetch_range(), whose caller must be the only
 // reader. at() fault-ins are mutex-serialized and only ever ADD resident
 // pages, and read() changes nothing, so a pointer a concurrent reader

@@ -17,6 +17,14 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// Hash of a plain 64-bit register value. Declared here rather than beside
+/// the record payloads so that templates hashing a machine's value_type
+/// (state_pool, global_state) find it by ordinary lookup whatever the
+/// include order: a fundamental type has no associated namespace for ADL.
+inline std::size_t hash_value(std::uint64_t v) {
+  return static_cast<std::size_t>(mix64(v));
+}
+
 /// Fold `v`'s hash into the running seed.
 template <class T>
 void hash_combine(std::size_t& seed, const T& v) {

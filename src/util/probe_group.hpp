@@ -1,22 +1,22 @@
-// 16-slot probe-group primitives for the Swiss-table-style seen tables.
+// 16-slot probe-group primitives for the Swiss-table-style seen tables
+// (util/flat_index.hpp).
 //
-// Both seen tables (the sequential util/flat_index.hpp and the parallel
-// explorer's CAS-insert table) keep a 1-byte tag per slot next to the 8-byte
-// cells: tag 0 means "empty", otherwise the top 7 bits of the cell's hash
-// fragment with the high bit forced on. A probe loads one 16-byte tag group
-// and compares all 16 slots at once, so candidate slots (tag match or empty)
-// fall out of a single vector compare and the probe touches cell memory only
-// for them — one tag group + at most one payload line in the common case,
-// instead of walking 8-byte cells one cache line at a time.
+// A table keeps a 1-byte tag per slot next to the 8-byte cells: tag 0 means
+// "empty", otherwise the top 7 bits of the cell's hash fragment with the
+// high bit forced on. A probe loads one 16-byte tag group and compares all
+// 16 slots at once, so candidate slots (tag match or empty) fall out of a
+// single vector compare and the probe touches cell memory only for them —
+// one tag group + at most one payload line in the common case, instead of
+// walking 8-byte cells one cache line at a time.
 //
 // Backend selection is compile-time:
 //   * SSE2 on x86-64 (baseline — always present),
 //   * NEON on AArch64,
 //   * a portable scalar loop everywhere else.
 // Defining ANONCOORD_PROBE_SCALAR forces the scalar loop on any host; CI
-// builds the bench once with it and diffs the deterministic series at zero
-// tolerance, so the non-x86 fallback stays bit-identical without non-x86
-// hardware.
+// builds the tests once with it and runs the reference-oracle and
+// probe-table suites, so the non-x86 fallback is checked against the
+// oracle without non-x86 hardware.
 #pragma once
 
 #include <bit>
@@ -68,30 +68,6 @@ inline std::uint32_t probe_match_mask(const std::uint8_t* tags,
 #endif
 }
 
-/// Match and empty masks of one group from a SINGLE read of its 16 tags.
-/// Concurrent tables must not derive the two masks from two separate reads:
-/// a tag landing between them would leave its slot in neither mask, and the
-/// probe would skip a slot that already holds the probed state. Plain loads
-/// are not enough — the compiler may re-load the tags for the second compare
-/// — so the empty asm statements pin the one snapshot that was read.
-inline void probe_group_masks(const std::uint8_t* tags, std::uint8_t tag,
-                              std::uint32_t& match, std::uint32_t& empty) {
-#if defined(ANONCOORD_PROBE_SSE2)
-  __m128i group = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
-  __asm__("" : "+x"(group));
-  match = static_cast<std::uint32_t>(_mm_movemask_epi8(
-      _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(tag)))));
-  empty = static_cast<std::uint32_t>(
-      _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_setzero_si128())));
-#else
-  std::uint8_t local[kProbeGroupSlots];
-  for (int i = 0; i < kProbeGroupSlots; ++i) local[i] = tags[i];
-  __asm__ volatile("" : : "r"(local) : "memory");
-  match = probe_match_mask(local, tag);
-  empty = probe_match_mask(local, 0);
-#endif
-}
-
 /// Which compare backend this build selected (reported by benches).
 inline const char* probe_backend() {
 #if defined(ANONCOORD_PROBE_SSE2)
@@ -113,11 +89,6 @@ struct probe_stats {
   void note_chain(std::uint64_t groups) {
     groups_scanned += groups;
     if (groups > max_group_chain) max_group_chain = groups;
-  }
-  void merge(const probe_stats& o) {
-    groups_scanned += o.groups_scanned;
-    if (o.max_group_chain > max_group_chain)
-      max_group_chain = o.max_group_chain;
   }
 };
 

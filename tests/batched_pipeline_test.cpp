@@ -1,11 +1,11 @@
-// The batched frontier-expansion pipeline (explorer::run and
-// parallel_explorer::expand): the staged decode -> expand -> canonicalize ->
-// hash -> group-probe window. Verdicts, counts and schedules are pinned
-// against the reference oracle in reference_oracle_test.cpp; pinned here:
-//   * worker-count bit-identity — the parallel engine matches the
-//     sequential engine at 1/2/4/8 workers, stored row bytes included (the
-//     TSan CI job re-runs this suite to certify the concurrent_tag_index CAS
-//     protocol and the shared transition memo race-free);
+// The batched frontier-expansion pipeline (explorer::run and its worker
+// generation stage): the staged decode -> expand -> canonicalize -> hash ->
+// group-probe window. Verdicts, counts and schedules are pinned against the
+// reference oracle in reference_oracle_test.cpp; pinned here:
+//   * worker-count bit-identity — the explorer at 2/4/8 workers matches its
+//     one-worker run, stored row bytes included (the TSan CI job re-runs
+//     this suite to certify the shared pools and canonicalization memos
+//     race-free);
 //   * phase accounting — runs fill the expand/canonicalize/probe/encode
 //     breakdown and the probe-group counters, and verify() surfaces the
 //     same numbers in its report.
@@ -21,7 +21,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/verify.hpp"
 
 namespace anoncoord {
@@ -70,34 +69,32 @@ TEST(BatchedExpansionTest, ParallelWorkersBitIdenticalBatchedOn) {
     const std::string tag = "workers=" + std::to_string(workers);
     expect_results_identical(
         seq_anon,
-        check_anon_mutex_parallel(3, identity_naming(2, 3), {1, 2}, workers,
-                                  2'000'000, true),
+        check_anon_mutex(3, identity_naming(2, 3), {1, 2}, 2'000'000, true,
+                         workers),
         "anon " + tag);
     expect_results_identical(
         seq_fa,
-        check_fa_mutex_parallel(3, identity_naming(3, 3), workers, 2'000'000,
-                                true),
+        check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true, workers),
         "fa " + tag);
     expect_results_identical(
         seq_dead,
-        check_fa_mutex_parallel(4, identity_naming(2, 4), workers, 2'000'000,
-                                true),
+        check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true, workers),
         "fa deadlock " + tag);
   }
 }
 
 TEST(BatchedExpansionTest, StoredRowBytesIdenticalParallelUnderSymmetry) {
-  // The parallel engine's packed bytes do not depend on the worker count,
-  // also when the packed canonicalization kernel interns group-element
-  // images from every worker.
+  // The packed bytes do not depend on the worker count, also when the
+  // packed canonicalization kernel interns group-element images from every
+  // worker.
   std::uint64_t first = 0;
   for (int workers : {1, 2, 4, 8}) {
-    parallel_explorer<fa_mutex>::options opt;
+    explorer<fa_mutex>::options opt;
     opt.workers = workers;
     opt.max_states = 2'000'000;
     opt.symmetry = true;
-    parallel_explorer<fa_mutex> e(3, identity_naming(3, 3),
-                                  std::vector<fa_mutex>(3, fa_mutex(3)), opt);
+    explorer<fa_mutex> e(3, identity_naming(3, 3),
+                         std::vector<fa_mutex>(3, fa_mutex(3)), opt);
     const auto res = e.explore();
     EXPECT_TRUE(res.complete);
     if (first == 0) first = e.stored_row_bytes();

@@ -20,7 +20,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
@@ -93,13 +92,11 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
     EXPECT_EQ(bfs.violated, par.violated);
     EXPECT_EQ(bfs.violated, sys.violated);
     EXPECT_EQ(bfs.violated, sleep.violated);
-    // The two BFS engines agree exactly, not just on the verdict. (On a
-    // violation the counterexample schedules still match, but the state
-    // counts may not: the sequential engine stops mid-level while the
-    // parallel engine finishes expanding the level before the merged check.)
-    if (!bfs.violated) {
-      EXPECT_EQ(bfs.states, par.states);
-    }
+    // One and several BFS workers agree exactly, not just on the verdict —
+    // on violating runs too.
+    EXPECT_EQ(bfs.states, par.states);
+    EXPECT_EQ(bfs.edges, par.edges);
+    EXPECT_EQ(bfs.dedup_hits, par.dedup_hits);
     EXPECT_EQ(bfs.violating_schedule, par.violating_schedule);
     // Sleep sets only ever prune.
     EXPECT_LE(sleep.schedules, sys.schedules);
@@ -197,15 +194,16 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
     EXPECT_EQ(cres.bad_state, vres.bad_state);
     EXPECT_EQ(cres.bad_schedule, vres.bad_schedule);
 
-    parallel_explorer<scribbler>::options par_opt;
+    explorer<scribbler>::options par_opt;
     par_opt.workers = 3;
     par_opt.compress_arena = true;
-    parallel_explorer<scribbler> par(c.registers, c.naming, c.machines,
-                                     par_opt);
+    explorer<scribbler> par(c.registers, c.naming, c.machines, par_opt);
     const auto pres = par.explore(bad);
     EXPECT_EQ(pres.complete, vres.complete);
     EXPECT_EQ(pres.bad_schedule, vres.bad_schedule);
-    if (!vres.safety_violated()) EXPECT_EQ(pres.num_states, vres.num_states);
+    EXPECT_EQ(pres.num_states, vres.num_states);
+    EXPECT_EQ(pres.num_edges, vres.num_edges);
+    EXPECT_EQ(pres.dedup_hits, vres.dedup_hits);
   }
 }
 
@@ -262,15 +260,15 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     std::uint64_t par_bytes = 0;
     for (int workers : {1, 2, 4, 8}) {
       const std::string where = "workers=" + std::to_string(workers);
-      parallel_explorer<anon_mutex>::options par_opt;
+      explorer<anon_mutex>::options par_opt;
       par_opt.workers = workers;
       par_opt.compress_arena = true;
-      parallel_explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
+      explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
       const auto pres = detail::run_mutex_check(par);
       EXPECT_EQ(pres.verdict(), vres.verdict()) << where;
       EXPECT_EQ(pres.num_states, vres.num_states) << where;
       EXPECT_EQ(pres.counterexample, vres.counterexample) << where;
-      // Workers intern in thread-timing order, but each level's columns
+      // Workers intern in thread-timing order, but each window's columns
       // are sized from the pools' id bounds, so the packed bytes depend
       // neither on the worker count nor on the run.
       if (par_bytes == 0) par_bytes = par.stored_row_bytes();

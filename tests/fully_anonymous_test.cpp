@@ -34,7 +34,6 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/symmetry.hpp"
 #include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
@@ -505,8 +504,8 @@ TEST(FaQuotientDifferentialTest, VerdictsAgreeAcrossEnginesForAllPairNamings) {
       const auto raw = check_fa_mutex(m, naming);
       const auto red = check_fa_mutex(m, naming, 2'000'000, /*symmetry=*/true);
       const auto par =
-          check_fa_mutex_parallel(m, naming, /*workers=*/2, 2'000'000,
-                                  /*symmetry=*/true);
+          check_fa_mutex(m, naming, 2'000'000, /*symmetry=*/true,
+                         /*workers=*/2);
       EXPECT_EQ(red.verdict(), raw.verdict());
       EXPECT_EQ(par.verdict(), raw.verdict());
       EXPECT_EQ(par.num_states, red.num_states);

@@ -1,6 +1,7 @@
 // Out-of-core verification through the verify facade: spill-enabled runs of
-// both BFS engines must be bit-identical to fully in-memory runs (verdict,
-// state/edge counts, counterexample schedule), and the checkpointed sweep
+// the BFS explorer, at one and at several workers, must be bit-identical to
+// fully in-memory runs (verdict, state/edge counts, counterexample schedule,
+// stored row bytes), and the checkpointed sweep
 // scheduler must reproduce a sequential sweep's weighted totals exactly —
 // across worker counts, and across a kill-and-resume split of the classes.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
+#include "modelcheck/explorer.hpp"
 #include "modelcheck/verify.hpp"
 #include "util/check.hpp"
 #include "util/permutation.hpp"
@@ -56,7 +58,7 @@ void expect_reports_identical(const verify_report& mem,
 
 TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnBothEngines) {
   // m = 5, n = 2 exhausts >100k states (~1 MB of compressed arena), so a
-  // two-page resident budget forces real spilling on both engines.
+  // two-page resident budget forces real spilling at one and three workers.
   const model_config<anon_mutex> cfg{5, identity_naming(2, 5), machines(5, 2)};
   for (const bool parallel : {false, true}) {
     verify_options opt;
@@ -90,6 +92,33 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnViolation) {
     const auto sp = verify_config(cfg, two_in_cs, opt);
     expect_reports_identical(mem, sp);
     EXPECT_FALSE(sp.violating_schedule.empty());
+  }
+}
+
+TEST(OutOfCoreVerifyTest, StoredBytesIdenticalAcrossWorkersUnderSpill) {
+  // Symmetry on and a two-page resident budget: the packed bytes, the
+  // counts and the spill traffic are those of the in-memory one-worker run
+  // at every worker count.
+  explorer<anon_mutex>::options opt;
+  opt.symmetry = true;
+  explorer<anon_mutex> mem(5, identity_naming(2, 5), machines(5, 2), opt);
+  const auto want = mem.explore();
+  ASSERT_TRUE(want.complete);
+  opt.spill_budget_bytes = 2 * byte_arena::kPageSize;
+  std::uint64_t spilled = 0;
+  for (const int workers : {1, 2, 4, 8}) {
+    const std::string where = "workers=" + std::to_string(workers);
+    opt.workers = workers;
+    explorer<anon_mutex> e(5, identity_naming(2, 5), machines(5, 2), opt);
+    const auto got = e.explore();
+    EXPECT_TRUE(got.complete) << where;
+    EXPECT_EQ(got.num_states, want.num_states) << where;
+    EXPECT_EQ(got.num_edges, want.num_edges) << where;
+    EXPECT_EQ(got.dedup_hits, want.dedup_hits) << where;
+    EXPECT_EQ(e.stored_row_bytes(), mem.stored_row_bytes()) << where;
+    if (workers == 1) spilled = e.spill_stats().spilled_pages;
+    EXPECT_GT(e.spill_stats().spilled_pages, 0u) << where;
+    EXPECT_EQ(e.spill_stats().spilled_pages, spilled) << where;
   }
 }
 

@@ -17,11 +17,11 @@
 //   * candidate accounting — each non-identity element is counted exactly
 //     once per canonicalization as a full apply, a first-word prune, or
 //     (packed only) a longest-common-prefix prune;
-//   * engine-level equivalence — the parallel engine stays bit-identical to
-//     the sequential one at 1/2/4/8 workers (the TSan CI job re-runs this
-//     suite to certify the shared memo tables race-free); both engines'
-//     verdicts, counts and schedules are pinned against the reference
-//     oracle in reference_oracle_test.cpp.
+//   * engine-level equivalence — the explorer stays bit-identical to its
+//     one-worker run at 2/4/8 workers (the TSan CI job re-runs this suite
+//     to certify the shared memo tables race-free); its verdicts, counts
+//     and schedules are pinned against the reference oracle in
+//     reference_oracle_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/state_pool.hpp"
 #include "modelcheck/symmetry.hpp"
 
@@ -194,18 +193,16 @@ TEST(PackedCanonicalizationTest, ParallelWorkersBitIdenticalPackedOn) {
     const std::string tag = "workers=" + std::to_string(workers);
     expect_results_identical(
         seq_anon,
-        check_anon_mutex_parallel(3, identity_naming(2, 3), {1, 2}, workers,
-                                  2'000'000, true),
+        check_anon_mutex(3, identity_naming(2, 3), {1, 2}, 2'000'000, true,
+                         workers),
         "anon " + tag);
     expect_results_identical(
         seq_fa,
-        check_fa_mutex_parallel(3, identity_naming(3, 3), workers, 2'000'000,
-                                true),
+        check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true, workers),
         "fa " + tag);
     expect_results_identical(
         seq_dead,
-        check_fa_mutex_parallel(4, identity_naming(2, 4), workers, 2'000'000,
-                                true),
+        check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true, workers),
         "fa deadlock " + tag);
   }
 }

@@ -1,7 +1,8 @@
-// Parallel explorer tests: mechanics on a tiny machine, bit-identical
-// equivalence with the sequential explorer, and the determinism guarantee
-// (same counts and verdicts for every worker count, run repeatedly — the
-// test that catches seen-table races).
+// Explorer worker-stage tests: mechanics on a tiny machine at several worker
+// counts, bit-identical equivalence with the one-worker run, and the
+// determinism guarantee (same counts and verdicts for every worker count,
+// run repeatedly — the test that catches races in the shared pools and
+// canonicalization memos).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +11,7 @@
 #include "mem/payloads.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
+#include "modelcheck/verify.hpp"
 #include "util/permutation.hpp"
 
 namespace anoncoord {
@@ -39,11 +40,10 @@ struct toy_machine {
 
 TEST(ParallelExplorerTest, EnumeratesInterleavingsExactly) {
   for (int workers : {1, 2, 3}) {
-    parallel_explorer<toy_machine>::options opt;
+    explorer<toy_machine>::options opt;
     opt.workers = workers;
-    parallel_explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                                     {toy_machine{1, 0}, toy_machine{2, 0}},
-                                     opt);
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
     auto res = e.explore();
     EXPECT_TRUE(res.complete) << "workers=" << workers;
     EXPECT_EQ(res.num_states, 5u) << "workers=" << workers;
@@ -52,11 +52,10 @@ TEST(ParallelExplorerTest, EnumeratesInterleavingsExactly) {
 
 TEST(ParallelExplorerTest, FindsBadStateWithSchedule) {
   for (int workers : {1, 2}) {
-    parallel_explorer<toy_machine>::options opt;
+    explorer<toy_machine>::options opt;
     opt.workers = workers;
-    parallel_explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                                     {toy_machine{1, 0}, toy_machine{2, 0}},
-                                     opt);
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
     auto res = e.explore([](const global_state<toy_machine>& s) {
       return s.regs[0] == 2;  // "bad": register holds 2
     });
@@ -66,15 +65,19 @@ TEST(ParallelExplorerTest, FindsBadStateWithSchedule) {
 }
 
 TEST(ParallelExplorerTest, MaxStatesCapsExploration) {
-  parallel_explorer<toy_machine>::options opt;
-  opt.workers = 2;
-  opt.max_states = 2;
-  parallel_explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
-                                   {toy_machine{1, 0}, toy_machine{2, 0}},
-                                   opt);
-  auto res = e.explore();
-  EXPECT_FALSE(res.complete);
-  EXPECT_LE(res.num_states, 3u);  // cap checked per level
+  // The cap is checked before each parent's successors, so every worker
+  // count stops at the same state: the root's two successors are stored,
+  // then the next parent is refused.
+  for (int workers : {1, 2, 4}) {
+    explorer<toy_machine>::options opt;
+    opt.workers = workers;
+    opt.max_states = 2;
+    explorer<toy_machine> e(1, naming_assignment::identity(2, 1),
+                            {toy_machine{1, 0}, toy_machine{2, 0}}, opt);
+    auto res = e.explore();
+    EXPECT_FALSE(res.complete) << "workers=" << workers;
+    EXPECT_EQ(res.num_states, 3u) << "workers=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -92,8 +95,8 @@ TEST(ParallelExplorerTest, BitIdenticalToSequentialOnMutexConfigs) {
     for (int workers : {1, 2, 4}) {
       naming_assignment naming({identity_permutation(c.m),
                                 rotation_permutation(c.m, c.stride)});
-      const auto par =
-          check_anon_mutex_parallel(c.m, naming, {1, 2}, workers);
+      const auto par = check_anon_mutex(c.m, naming, {1, 2}, 2'000'000,
+                                        /*symmetry=*/false, workers);
       SCOPED_TRACE("m=" + std::to_string(c.m) + " stride=" +
                    std::to_string(c.stride) + " workers=" +
                    std::to_string(workers));
@@ -118,9 +121,9 @@ TEST(ParallelExplorerTest, EdgeAndDedupCountsMatchSequential) {
   const auto sres = seq.explore();
   ASSERT_TRUE(sres.complete);
 
-  parallel_explorer<anon_mutex>::options popt;
+  explorer<anon_mutex>::options popt;
   popt.workers = 3;
-  parallel_explorer<anon_mutex> par(3, naming, machines, popt);
+  explorer<anon_mutex> par(3, naming, machines, popt);
   const auto pres = par.explore();
   ASSERT_TRUE(pres.complete);
 
@@ -130,6 +133,41 @@ TEST(ParallelExplorerTest, EdgeAndDedupCountsMatchSequential) {
   // In a BFS over a deduplicated graph every edge either discovers a state
   // or is a dedup hit; the root is the only undiscovered-by-edge state.
   EXPECT_EQ(pres.num_edges, pres.num_states - 1 + pres.dedup_hits);
+}
+
+TEST(ParallelExplorerTest, VerifyConfigEnginesReportEqualCounts) {
+  // Fig. 1 at m = 3, rotation 1 (14,032 states): bfs and parallel_bfs are
+  // the same explorer at different worker counts, so verify_config reports
+  // the same states, edges and dedup hits for both — edges are counted even
+  // though verify_config stores none.
+  const naming_assignment naming(
+      {identity_permutation(3), rotation_permutation(3, 1)});
+  const model_config<anon_mutex> cfg{3, naming,
+                                     detail::mutex_machines(3, naming, {1, 2})};
+  const config_predicate<anon_mutex> bad =
+      [](const std::vector<anon_mutex::value_type>&,
+         const std::vector<anon_mutex>& procs) {
+        int c = 0;
+        for (const auto& p : procs)
+          if (p.in_critical_section()) ++c;
+        return c >= 2;
+      };
+  verify_options vopt;
+  vopt.engine = verify_engine::bfs;
+  const verify_report seq = verify_config(cfg, bad, vopt);
+  ASSERT_TRUE(seq.ok());
+  EXPECT_EQ(seq.states, 14'032u);
+  EXPECT_EQ(seq.edges, 28'064u);
+  EXPECT_EQ(seq.edges, seq.states - 1 + seq.dedup_hits);
+  vopt.engine = verify_engine::parallel_bfs;
+  for (int workers : {1, 2, 4}) {
+    vopt.workers = workers;
+    const verify_report par = verify_config(cfg, bad, vopt);
+    EXPECT_TRUE(par.ok()) << "workers=" << workers;
+    EXPECT_EQ(par.states, seq.states) << "workers=" << workers;
+    EXPECT_EQ(par.edges, seq.edges) << "workers=" << workers;
+    EXPECT_EQ(par.dedup_hits, seq.dedup_hits) << "workers=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -150,8 +188,8 @@ TEST(ParallelExplorerTest, DeterministicAcrossRunsAndWorkerCounts) {
     const auto reference = check_anon_mutex(c.m, naming, {1, 2});
     for (int workers : {1, 2, 8}) {
       for (int rep = 0; rep < 10; ++rep) {
-        const auto res =
-            check_anon_mutex_parallel(c.m, naming, {1, 2}, workers);
+        const auto res = check_anon_mutex(c.m, naming, {1, 2}, 2'000'000,
+                                          /*symmetry=*/false, workers);
         SCOPED_TRACE("m=" + std::to_string(c.m) + " workers=" +
                      std::to_string(workers) + " rep=" + std::to_string(rep));
         ASSERT_EQ(res.complete, reference.complete);

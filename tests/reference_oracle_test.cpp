@@ -4,14 +4,13 @@
 // The oracle is first pinned on closed forms: n independent counters with
 // limits L_p reach exactly prod(L_p + 1) states, and under the full
 // S_n x C_m group n equal counters reach one state per multiset,
-// C(L + n, n). Then the sequential explorer and the parallel explorer at
-// 1/2/4/8 workers must equal the oracle exactly — completeness, verdicts,
-// state and edge counts, dedup hits, stuck-state counts, bad states and
-// both counterexample schedules — on Fig. 1 (every rotation stride), the
-// fully anonymous mutex (identity and rotation namings, including the
-// n = 2, m = 4 deadlock), the random scribbler family and the pinned
-// reference config. The parallel engine finishes its BFS level before
-// reporting a violation, so on violating runs its counts are not compared.
+// C(L + n, n). Then the explorer at 1/2/4/8 workers must equal the oracle
+// exactly — completeness, verdicts, state and edge counts, dedup hits,
+// stuck-state counts, bad states and both counterexample schedules, on
+// violating runs too — and store the same row bytes at every worker count,
+// on Fig. 1 (every rotation stride), the fully anonymous mutex (identity
+// and rotation namings, including the n = 2, m = 4 deadlock), the random
+// scribbler family and the pinned reference config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/parallel_explorer.hpp"
 #include "modelcheck/reference_explorer.hpp"
 
 #include "random_scribbler.hpp"
@@ -82,16 +80,13 @@ auto run(Engine& e, const predicate<Machine>& bad,
 }
 
 template <class Oracle, class Got>
-void expect_equal(const Oracle& want, const Got& got, bool counts,
-                  const std::string& what) {
+void expect_equal(const Oracle& want, const Got& got, const std::string& what) {
   EXPECT_EQ(got.complete, want.complete) << what;
   EXPECT_EQ(got.safety_violated(), want.safety_violated()) << what;
   EXPECT_EQ(got.progress_violated(), want.progress_violated()) << what;
-  if (counts) {
-    EXPECT_EQ(got.num_states, want.num_states) << what;
-    EXPECT_EQ(got.num_edges, want.num_edges) << what;
-    EXPECT_EQ(got.dedup_hits, want.dedup_hits) << what;
-  }
+  EXPECT_EQ(got.num_states, want.num_states) << what;
+  EXPECT_EQ(got.num_edges, want.num_edges) << what;
+  EXPECT_EQ(got.dedup_hits, want.dedup_hits) << what;
   EXPECT_EQ(got.stuck_states, want.stuck_states) << what;
   EXPECT_EQ(got.bad_state, want.bad_state) << what;
   EXPECT_EQ(got.bad_schedule, want.bad_schedule) << what;
@@ -99,8 +94,8 @@ void expect_equal(const Oracle& want, const Got& got, bool counts,
   EXPECT_EQ(got.stuck_schedule, want.stuck_schedule) << what;
 }
 
-/// The oracle, the sequential engine and the parallel engine at 1/2/4/8
-/// workers on one configuration; every engine must equal the oracle.
+/// The oracle and the explorer at 1/2/4/8 workers on one configuration:
+/// every worker count must equal the oracle, and store the same row bytes.
 template <class Machine>
 void expect_engines_match_oracle(
     int m, const naming_assignment& naming,
@@ -113,18 +108,16 @@ void expect_engines_match_oracle(
   const auto want = run(oracle, bad, premise, goal);
   ASSERT_GT(want.num_states, 0u) << what;
 
-  typename explorer<Machine>::options eopt;
-  eopt.symmetry = symmetry;
-  explorer<Machine> seq(m, naming, initial, eopt);
-  expect_equal(want, run(seq, bad, premise, goal), true, what + " seq");
-
+  std::uint64_t bytes = 0;
   for (const int workers : {1, 2, 4, 8}) {
-    typename parallel_explorer<Machine>::options popt;
-    popt.workers = workers;
-    popt.symmetry = symmetry;
-    parallel_explorer<Machine> par(m, naming, initial, popt);
-    expect_equal(want, run(par, bad, premise, goal), !want.safety_violated(),
-                 what + " workers=" + std::to_string(workers));
+    const std::string tag = what + " workers=" + std::to_string(workers);
+    typename explorer<Machine>::options eopt;
+    eopt.workers = workers;
+    eopt.symmetry = symmetry;
+    explorer<Machine> e(m, naming, initial, eopt);
+    expect_equal(want, run(e, bad, premise, goal), tag);
+    if (workers == 1) bytes = e.stored_row_bytes();
+    EXPECT_EQ(e.stored_row_bytes(), bytes) << tag;
   }
 }
 
@@ -269,7 +262,7 @@ TEST(ReferenceOracleTest, ReferenceConfigSequential) {
   EXPECT_FALSE(want.safety_violated());
   EXPECT_EQ(want.stuck_states, 0u);
   explorer<anon_mutex> seq(5, naming, initial);
-  expect_equal(want, run(seq, bad, premise, goal), true, "m=5 stride=2 seq");
+  expect_equal(want, run(seq, bad, premise, goal), "m=5 stride=2 seq");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Regression pins for the paper's two dichotomy theorems, driven through
-// the parallel engine, with the extracted counterexample schedules
+// the explorer at two workers, with the extracted counterexample schedules
 // golden-filed under tests/data/ (the Theorem 3.1 files are also the
 // reference oracle's answers).
 //
@@ -60,7 +60,7 @@ void expect_matches_golden(const std::vector<int>& schedule,
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 3.1 through the parallel engine.
+// Theorem 3.1 through the explorer at two workers.
 // ---------------------------------------------------------------------------
 
 TEST(Theorem31Regression, OddMVerifiesCleanThroughParallelEngine) {
@@ -69,8 +69,8 @@ TEST(Theorem31Regression, OddMVerifiesCleanThroughParallelEngine) {
       naming_assignment naming(
           {identity_permutation(m), rotation_permutation(m, stride)});
       const auto res =
-          check_anon_mutex_parallel(m, naming, {1, 2}, /*workers=*/2,
-                                    /*max_states=*/5'000'000);
+          check_anon_mutex(m, naming, {1, 2}, /*max_states=*/5'000'000,
+                           /*symmetry=*/false, /*workers=*/2);
       EXPECT_TRUE(res.ok()) << "m=" << m << " stride=" << stride << ": "
                             << res.verdict();
     }
@@ -88,8 +88,8 @@ TEST(Theorem31Regression, EvenMDeadlocksThroughParallelEngine) {
         config{4, 2, "thm31_m4_stride2_deadlock.sched"}}) {
     naming_assignment naming(
         {identity_permutation(c.m), rotation_permutation(c.m, c.stride)});
-    const auto res =
-        check_anon_mutex_parallel(c.m, naming, {1, 2}, /*workers=*/2);
+    const auto res = check_anon_mutex(c.m, naming, {1, 2}, 2'000'000,
+                                      /*symmetry=*/false, /*workers=*/2);
     ASSERT_TRUE(res.complete) << "m=" << c.m;
     EXPECT_TRUE(res.mutual_exclusion) << "ME never breaks for Fig. 1";
     EXPECT_FALSE(res.progress) << "even m must deadlock at stride m/2";
@@ -103,8 +103,8 @@ TEST(Theorem31Regression, EvenMDeadlocksThroughParallelEngine) {
             "extracted by parallel_explorer (deterministic for any worker "
             "count)");
     // The reference oracle must land on the same golden schedule: the
-    // parallel engine is checked against the file, the file against the
-    // oracle. (Only the parallel engine may rewrite the golden.)
+    // explorer is checked against the file, the file against the oracle.
+    // (Only the explorer may rewrite the golden.)
     if (!update_goldens()) {
       reference_explorer<anon_mutex> oracle(
           c.m, naming, detail::mutex_machines(c.m, naming, {1, 2}));
@@ -125,9 +125,9 @@ TEST(Theorem31Regression, EvenOddBoundaryAtLargeM) {
   for (int stride : {3, 1}) {
     naming_assignment naming(
         {identity_permutation(6), rotation_permutation(6, stride)});
-    const auto res = check_anon_mutex_parallel(6, naming, {1, 2},
-                                               /*workers=*/2,
-                                               /*max_states=*/4'000'000);
+    const auto res = check_anon_mutex(6, naming, {1, 2},
+                                      /*max_states=*/4'000'000,
+                                      /*symmetry=*/false, /*workers=*/2);
     ASSERT_TRUE(res.complete) << "m=6 stride=" << stride;
     EXPECT_TRUE(res.mutual_exclusion) << "ME never breaks for Fig. 1";
     EXPECT_FALSE(res.progress) << "m=6 stride=" << stride;
