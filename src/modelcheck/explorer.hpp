@@ -629,7 +629,7 @@ class explorer {
         int elem = 0;
         if (reduce) {
           const std::uint64_t c0 = cycle_clock::now();
-          elem = pk_.canonicalize_row_batched(row, wk.pks, wk.cstats);
+          elem = pk_.canonicalize_row(row, wk.pks, wk.cstats);
           wk.pt_canon += cycle_clock::now() - c0;
         }
         // is_bad is deferred to the probe stage: the staged row IS the

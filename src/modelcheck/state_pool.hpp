@@ -212,8 +212,10 @@ class id_memo_table {
       delete[] segs_[s].load(std::memory_order_relaxed);
   }
 
-  /// kUnset when `id` has no cached image yet.
+  /// kUnset when `id` has no cached image yet, including ids past the
+  /// directory (store() rejects those).
   std::uint32_t lookup(std::uint32_t id) const {
+    if ((id >> kSegBits) >= kMaxSegments) return kUnset;
     const std::atomic<std::uint32_t>* seg =
         segs_[id >> kSegBits].load(std::memory_order_acquire);
     if (seg == nullptr) return kUnset;

@@ -72,6 +72,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -81,6 +82,7 @@
 #include "mem/naming.hpp"
 #include "modelcheck/state_pool.hpp"
 #include "util/check.hpp"
+#include "util/math.hpp"
 #include "util/permutation.hpp"
 
 namespace anoncoord {
@@ -198,11 +200,14 @@ struct canonical_scratch {
 };
 
 /// Prune-effectiveness counters for canonicalization, in either domain.
-/// An element's candidate image can be rejected on its first word
-/// (first_word_pruned), rejected after materializing only a longest common
-/// prefix of rank words (prefix_pruned — packed kernel only; the object
-/// domain has no partial apply), or fully materialized (full_applies: it won,
-/// tied, or — object domain — had to be applied before comparing at all).
+/// A candidate can be rejected on its first word (first_word_pruned),
+/// rejected after materializing only a longest common prefix of rank words
+/// (prefix_pruned — packed kernel only; the object domain has no partial
+/// apply), or fully materialized (full_applies: it won, tied, or — object
+/// domain — had to be applied before comparing at all). A candidate is one
+/// non-identity element, except where the packed kernel sorts prefix
+/// classes (packed_canonicalizer::sorts_classes): there it is one class,
+/// pruned on its value prefix or sorted and compared.
 struct canonicalize_stats {
   std::uint64_t full_applies = 0;
   std::uint64_t first_word_pruned = 0;
@@ -492,11 +497,6 @@ class symmetry_group {
 struct packed_canonical_scratch {
   std::vector<std::uint32_t> orig;  ///< the pre-canonical row (images read it)
   std::vector<std::uint32_t> tmp;   ///< candidate image assembly buffer
-  /// Working set for canonicalize_row_batched's class-shared scan (fully
-  /// anonymous machines): one prefix-vs-incumbent outcome byte per prefix
-  /// class, and a lazily gathered machine-image id per (class, process).
-  std::vector<std::uint8_t> cls_status;
-  std::vector<std::uint32_t> cls_mapped;
 };
 
 /// The packed-word canonicalization kernel: symmetry_group::canonicalize
@@ -529,6 +529,17 @@ struct packed_canonical_scratch {
 /// longest-common-prefix prune: a candidate is abandoned at its first losing
 /// rank word, having materialized only the tied prefix.
 ///
+/// Fully anonymous groups mostly skip the element scan. Values move
+/// unrenamed, so the elements sharing one register map pi_inv and one shift
+/// vector (a prefix class) share one value-word image, and their machine
+/// words are the same n per-process images memo[shift[p]][row[m + p]] in
+/// sigma's order. When every class holds all n! sigmas (identity namings,
+/// also under a global register relabeling), the class minimum is those n
+/// images sorted: the kernel compares each class's value prefix once,
+/// sorts the survivors' images and compares the sorted row — O(m·n log n)
+/// per row instead of O(n!·m). Other groups (rotation namings, the
+/// process-symmetric regime) scan elements.
+///
 /// Sharing: one kernel per engine, attached to the engine's group and pool.
 /// Memo fills race benignly (deterministic interning), rank rebuilds are
 /// quiescent-only (between the explorer's windows, before a fork), and
@@ -550,30 +561,14 @@ class packed_canonicalizer {
     n_ = static_cast<std::size_t>(processes);
     value_ranks_.reset();
     machine_ranks_.reset();
-    prefix_class_.clear();
-    num_classes_ = 0;
+    classes_.clear();
+    class_elems_.clear();
     if constexpr (fully_anonymous_machine<Machine>) {
       // Machine memos keyed by rotation amount, shared across elements.
       memo_count_ = static_cast<std::size_t>(registers);
       value_memos_.reset();
       machine_memos_ = std::make_unique<id_memo_table[]>(memo_count_);
-      // Prefix classes for the batched kernel (canonicalize_row_batched):
-      // fa values move unrenamed, so every element with the same pi_inv has
-      // the SAME value-word prefix image, and elements additionally sharing
-      // the shift vector draw their machine-word images from the same
-      // per-process gather memo[shift[p]][orig[m+p]] — sigma only reorders
-      // them. Identity/rotation namings collapse all n!*m elements into
-      // just m classes.
-      std::vector<std::pair<const permutation*, const std::vector<int>*>> keys;
-      for (int ei = 0; ei < group_->size(); ++ei) {
-        const auto& e = group_->at(ei);
-        std::uint32_t c = 0;
-        for (; c < keys.size(); ++c)
-          if (*keys[c].first == e.pi_inv && *keys[c].second == e.shift) break;
-        if (c == keys.size()) keys.push_back({&e.pi_inv, &e.shift});
-        prefix_class_.push_back(c);
-      }
-      num_classes_ = keys.size();
+      build_classes();
     } else if constexpr (process_symmetric_machine<Machine>) {
       memo_count_ = static_cast<std::size_t>(group_->size());
       value_memos_ = std::make_unique<id_memo_table[]>(memo_count_);
@@ -614,7 +609,9 @@ class packed_canonicalizer {
   /// Replace `row` (m value words then n machine words) with the
   /// lexicographically least image in its orbit; returns the canonicalizing
   /// element index — bit-identical to the object-domain
-  /// symmetry_group::canonicalize on the reconstructed state.
+  /// symmetry_group::canonicalize on the reconstructed state. Full-class
+  /// fully anonymous groups sort (sort_classes); every other group scans
+  /// its elements here, one stat per element.
   int canonicalize_row(std::uint32_t* row, packed_canonical_scratch& scratch,
                        canonicalize_stats& stats) {
     if constexpr (symmetry_reducible_machine<Machine>) {
@@ -622,6 +619,10 @@ class packed_canonicalizer {
       if (gsize <= 1) return 0;
       const std::size_t stride = m_ + n_;
       scratch.orig.assign(row, row + stride);
+      if constexpr (fully_anonymous_machine<Machine>) {
+        if (sorts_classes())
+          return sort_classes(row, scratch.orig.data(), stats);
+      }
       scratch.tmp.resize(stride);
       const std::uint32_t* orig = scratch.orig.data();
       std::uint32_t* tmp = scratch.tmp.data();
@@ -665,144 +666,121 @@ class packed_canonicalizer {
     }
   }
 
-  /// canonicalize_row, restructured for the staged batch pipeline's
-  /// throughput: bit-identical row, element index, prune counters AND
-  /// component-interning order, so the pools (and with them every stored
-  /// row byte) are exactly those the plain kernel would produce.
-  ///
-  /// The speedup exploits the fa product structure through the prefix
-  /// classes computed in attach(): all elements of a class share one
-  /// value-prefix image, so its compare against the incumbent is evaluated
-  /// once and replayed for the rest of the class — a pruned class retires
-  /// ~|S_n| elements at one branch each instead of one gather+compare each.
-  /// Sound because fa value words are raw source ids (no renaming, no
-  /// interning), so skipped prefix scans skip no side effects; a cached
-  /// outcome is only replayed while the incumbent value prefix is unchanged
-  /// (a tied-prefix swap rewrites machine words only); and the per-element
-  /// stats increments are exactly the ones the plain scan would make at the
-  /// same first-differing word. Tied classes still walk machine words
-  /// element by element, but gather each (class, process) image id once via
-  /// a lazy per-row cache — lazily, in the plain kernel's first-touch
-  /// order, so memo misses intern in the identical sequence.
-  ///
-  /// Non-fa machines rename values per element (no shared prefixes); they
-  /// fall through to the plain kernel unchanged.
-  int canonicalize_row_batched(std::uint32_t* row,
-                               packed_canonical_scratch& scratch,
-                               canonicalize_stats& stats) {
-    if constexpr (fully_anonymous_machine<Machine>) {
-      const int gsize = group_->size();
-      if (gsize <= 1) return 0;
-      constexpr std::uint32_t kUnset = id_memo_table::kUnset;
-      const std::size_t stride = m_ + n_;
-      scratch.orig.assign(row, row + stride);
-      scratch.tmp.resize(stride);
-      scratch.cls_status.assign(num_classes_, 0);
-      scratch.cls_mapped.assign(num_classes_ * n_, kUnset);
-      const std::uint32_t* orig = scratch.orig.data();
-      std::uint32_t* tmp = scratch.tmp.data();
-      std::uint8_t* cst = scratch.cls_status.data();
-      std::uint32_t* cmap = scratch.cls_mapped.data();
-      // Status codes: 0 = not evaluated against the current incumbent
-      // prefix, 1 = value prefix ties it, 2 = image prefix loses at word 0,
-      // 3 = loses at a later prefix word. "Wins" are never cached: the
-      // winning element swaps the incumbent, so the next class member faces
-      // a new (tying) prefix and re-evaluates.
-      int best = 0;
-      for (int ei = 1; ei < gsize; ++ei) {
-        const element& e = group_->at(ei);
-        const std::uint32_t c = prefix_class_[static_cast<std::size_t>(ei)];
-        std::uint8_t s = cst[c];
-        if (s >= 2) {  // replay the shared prune at the shared word
-          if (s == 2) {
-            ++stats.first_word_pruned;
-          } else {
-            ++stats.prefix_pruned;
-          }
-          continue;
-        }
-        if (s == 0) {
-          // First class member since the incumbent prefix last changed:
-          // evaluate the shared value prefix once.
-          std::size_t r = 0;
-          for (; r < m_; ++r) {
-            const std::uint32_t a =
-                orig[static_cast<std::size_t>(e.pi_inv[r])];
-            const std::uint32_t b = row[r];
-            if (a == b) {
-              tmp[r] = a;
-              continue;
-            }
-            if (word_less(a, b, r)) {
-              // Strictly smaller inside the prefix: full apply + swap. The
-              // value prefix changes, so every cached outcome is stale.
-              tmp[r] = a;
-              for (std::size_t r2 = r + 1; r2 < stride; ++r2)
-                tmp[r2] = image_word(e, ei, orig, r2);
-              std::memcpy(row, tmp, stride * sizeof(std::uint32_t));
-              best = ei;
-              ++stats.full_applies;
-              std::fill_n(cst, num_classes_, std::uint8_t{0});
-            } else {
-              cst[c] = (r == 0) ? std::uint8_t{2} : std::uint8_t{3};
-              if (r == 0) {
-                ++stats.first_word_pruned;
-              } else {
-                ++stats.prefix_pruned;
-              }
-            }
-            break;
-          }
-          if (r < m_) continue;  // pruned or swapped inside the prefix
-          cst[c] = 1;
-        }
-        // Tied value prefix: scan machine words. Image ids come through the
-        // per-(class, process) gather cache; misses fill it via the memo in
-        // the same first-touch order the plain kernel's scan would.
-        const std::size_t cbase = static_cast<std::size_t>(c) * n_;
-        std::size_t r = m_;
-        for (; r < stride; ++r) {
-          const auto p = static_cast<std::size_t>(e.sigma_inv[r - m_]);
-          std::uint32_t a = cmap[cbase + p];
-          if (a == kUnset) {
-            a = map_machine_shift(static_cast<std::size_t>(e.shift[p]),
-                                  orig[m_ + p]);
-            cmap[cbase + p] = a;
-          }
-          const std::uint32_t b = row[r];
-          if (a == b) {
-            tmp[r] = a;
-            continue;
-          }
-          if (word_less(a, b, r)) {
-            tmp[r] = a;
-            for (std::size_t r2 = r + 1; r2 < stride; ++r2)
-              tmp[r2] = image_word(e, ei, orig, r2);
-            // The image's value prefix ties the incumbent's, which row
-            // already holds — swap in the machine words only. Cached class
-            // outcomes stay valid: they only depend on that prefix.
-            std::memcpy(row + m_, tmp + m_, n_ * sizeof(std::uint32_t));
-            best = ei;
-            ++stats.full_applies;
-          } else {
-            ++stats.prefix_pruned;
-          }
-          break;
-        }
-        // r == stride: ties the incumbent on every word — a full
-        // materialization that does not displace it (strict-less contract).
-        if (r == stride) ++stats.full_applies;
-      }
-      return best;
-    } else {
-      return canonicalize_row(row, scratch, stats);
-    }
-  }
+  /// Whether canonicalize_row sorts prefix classes, and how many there are.
+  /// The stats count classes when it sorts, elements when it scans.
+  bool sorts_classes() const { return !classes_.empty(); }
+  std::size_t num_classes() const { return classes_.size(); }
 
   /// Accumulated prune counters live with the engines (per worker), not
   /// here: the kernel itself holds no hot-path mutable state.
 
  private:
+  /// symmetry_group::compute caps n at 8, so sorts use fixed arrays.
+  static constexpr std::size_t kMaxSortedProcs = 8;
+
+  /// The full-class kernel, per prefix class: compare the value prefix
+  /// against the incumbent and drop the class if it loses; otherwise gather
+  /// the n machine images, stably sort them by rank and compare the sorted
+  /// row. The stable sort yields the lexicographically least sigma reaching
+  /// the class minimum, which is the class's least element index
+  /// (build_classes checks this), and ties across classes keep the smaller
+  /// index — so the answer is the least index reaching the orbit minimum,
+  /// the scan's strict-less tie-break. Counts one stat per class.
+  int sort_classes(std::uint32_t* row, const std::uint32_t* orig,
+                   canonicalize_stats& stats) {
+    std::array<std::uint32_t, kMaxSortedProcs> img;
+    std::array<std::size_t, kMaxSortedProcs> order;  // process in slot q
+    int best = 0;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      const element& e = *classes_[c];
+      std::size_t r = 0;
+      while (r < m_ && orig[static_cast<std::size_t>(e.pi_inv[r])] == row[r])
+        ++r;
+      const bool prefix_wins =
+          r < m_ &&
+          word_less(orig[static_cast<std::size_t>(e.pi_inv[r])], row[r], r);
+      if (r < m_ && !prefix_wins) {
+        ++(r == 0 ? stats.first_word_pruned : stats.prefix_pruned);
+        continue;
+      }
+      ++stats.full_applies;
+      // Gather and insertion-sort together; strict less keeps it stable.
+      for (std::size_t p = 0; p < n_; ++p) {
+        img[p] = map_machine_shift(static_cast<std::size_t>(e.shift[p]),
+                                   orig[m_ + p]);
+        std::size_t q = p;
+        for (; q > 0 && machine_less(img[p], img[order[q - 1]]); --q)
+          order[q] = order[q - 1];
+        order[q] = p;
+      }
+      int cmp = prefix_wins ? -1 : 0;
+      for (std::size_t q = 0; q < n_ && cmp == 0; ++q) {
+        const std::uint32_t a = img[order[q]];
+        if (a != row[m_ + q]) cmp = word_less(a, row[m_ + q], m_ + q) ? -1 : 1;
+      }
+      if (cmp > 0) continue;
+      const int ei = class_elems_[c * nfact_ + inverse_lex_rank(order.data())];
+      if (cmp == 0) {
+        best = std::min(best, ei);
+        continue;
+      }
+      for (r = 0; r < m_; ++r)
+        row[r] = orig[static_cast<std::size_t>(e.pi_inv[r])];
+      for (std::size_t q = 0; q < n_; ++q) row[m_ + q] = img[order[q]];
+      best = ei;
+    }
+    return best;
+  }
+
+  /// Fully anonymous only: group the elements into prefix classes (same
+  /// pi_inv, same shift vector) and, when every class holds all n! sigmas,
+  /// fill class_elems_[class * n! + lex rank of sigma] with element indices.
+  /// Otherwise classes_ stays empty and canonicalize_row scans.
+  void build_classes() {
+    const int gsize = group_->size();
+    if (gsize <= 1 || n_ > kMaxSortedProcs) return;
+    nfact_ = static_cast<std::size_t>(factorial(static_cast<int>(n_)));
+    std::vector<int> elems;
+    std::vector<std::size_t> inv(n_);
+    for (int ei = 0; ei < gsize; ++ei) {
+      const element& e = group_->at(ei);
+      std::size_t c = 0;
+      while (c < classes_.size() && !(classes_[c]->pi_inv == e.pi_inv &&
+                                      classes_[c]->shift == e.shift))
+        ++c;
+      if (c == classes_.size()) {
+        classes_.push_back(&e);
+        elems.resize(elems.size() + nfact_, -1);
+      }
+      for (std::size_t p = 0; p < n_; ++p)
+        inv[p] = static_cast<std::size_t>(e.sigma_inv[p]);
+      // Elements are distinct, so each (class, sigma) slot fills once.
+      elems[c * nfact_ + inverse_lex_rank(inv.data())] = ei;
+    }
+    // Every slot filled, and indices ascending in sigma's lex order within
+    // each class (compute() enumerates sigma outermost).
+    for (std::size_t i = 0; i < elems.size(); ++i)
+      if (elems[i] < 0 || (i % nfact_ != 0 && elems[i] < elems[i - 1])) {
+        classes_.clear();
+        return;
+      }
+    class_elems_ = std::move(elems);
+  }
+
+  /// Lexicographic rank among the n! permutations of sigma, given its
+  /// inverse (inv[q] = the process sigma sends to slot q).
+  std::size_t inverse_lex_rank(const std::size_t* inv) const {
+    std::array<std::size_t, kMaxSortedProcs> sigma;
+    for (std::size_t q = 0; q < n_; ++q) sigma[inv[q]] = q;
+    std::size_t rank = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::size_t smaller = 0;
+      for (std::size_t j = i + 1; j < n_; ++j) smaller += sigma[j] < sigma[i];
+      rank = rank * (n_ - i) + smaller;
+    }
+    return rank;
+  }
+
   /// Word r of element e's image of `orig` — a memo gather.
   std::uint32_t image_word(const element& e, int ei, const std::uint32_t* orig,
                            std::size_t r) {
@@ -864,6 +842,11 @@ class packed_canonicalizer {
     }
   }
 
+  /// word_less on machine ids; equal ids are equal machines.
+  bool machine_less(std::uint32_t a, std::uint32_t b) const {
+    return a != b && word_less(a, b, m_);
+  }
+
   /// Order-isomorphic word compare: ranks when both covered, object order
   /// otherwise. `r` selects the domain (value words before m_, machine after).
   bool word_less(std::uint32_t a, std::uint32_t b, std::size_t r) const {
@@ -898,10 +881,12 @@ class packed_canonicalizer {
   std::unique_ptr<id_memo_table[]> machine_memos_;
   id_rank_snapshot value_ranks_;
   id_rank_snapshot machine_ranks_;
-  /// Fully anonymous only (canonicalize_row_batched): per element, the index
-  /// of its (pi_inv, shift) prefix class; class count in num_classes_.
-  std::vector<std::uint32_t> prefix_class_;
-  std::size_t num_classes_ = 0;
+  /// Fully anonymous, full classes only (see build_classes): one
+  /// representative element per prefix class, and the element index of
+  /// (class c, sigma of lex rank k) at class_elems_[c * nfact_ + k].
+  std::vector<const element*> classes_;
+  std::vector<int> class_elems_;
+  std::size_t nfact_ = 0;
 };
 
 }  // namespace anoncoord

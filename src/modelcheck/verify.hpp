@@ -90,10 +90,12 @@ struct verify_report {
   std::uint64_t spill_pages = 0;  ///< arena pages written out-of-core
   std::uint64_t spill_bytes = 0;  ///< bytes written to the spill file
   /// Canonicalization prune effectiveness (BFS engines; zero for trivial
-  /// groups and the systematic engines). full_applies counts elements whose
-  /// image was fully materialized (or fully compared on a tie);
-  /// first_word_pruned / prefix_pruned count elements rejected at word 0 /
-  /// at a later word of the longest-common-prefix compare.
+  /// groups and the systematic engines). full_applies counts candidates
+  /// whose image was fully materialized (or fully compared on a tie);
+  /// first_word_pruned / prefix_pruned count candidates rejected at word 0 /
+  /// at a later word of the longest-common-prefix compare. A candidate is a
+  /// group element, or a prefix class where the kernel sorts classes (fully
+  /// anonymous identity namings): a sorted class is one full apply.
   std::uint64_t canon_full_applies = 0;
   std::uint64_t canon_first_word_pruned = 0;
   std::uint64_t canon_prefix_pruned = 0;

@@ -5,18 +5,21 @@
 //
 // Pinned here:
 //   * kernel vs object bit-identity — canonical image AND canonicalizing
-//     element index (the sigma-chain tie-break) — exhaustively over every
-//     stored state of n <= 3 x m <= 3 configurations, anon_mutex (the
-//     process-symmetric regime, per-element value memos) and fa_mutex (the
-//     fully anonymous regime, shift-keyed machine memos), under identity
-//     and rotation namings;
+//     element index (the sigma-chain tie-break) — through canonicalize_row,
+//     the entry point the explorer calls, over every stored state of small
+//     configurations: anon_mutex (the process-symmetric regime, per-element
+//     value memos) and fa_mutex (the fully anonymous regime, shift-keyed
+//     machine memos) up to n = 4, under identity, globally relabeled
+//     identity and rotation namings — so both the class-sorting path (full
+//     prefix classes) and the element scan (everything else) run;
 //   * rank-snapshot order-isomorphism under churn — ids interned AFTER the
 //     last snapshot rebuild must flow through the object-domain fallback
 //     and keep the compare exact, so the differential also runs with a
 //     deliberately stale snapshot (one early rebuild, then none);
-//   * candidate accounting — each non-identity element is counted exactly
-//     once per canonicalization as a full apply, a first-word prune, or
-//     (packed only) a longest-common-prefix prune;
+//   * candidate accounting — each canonicalization ticks exactly one
+//     counter per prefix class when the kernel sorts, and one per
+//     non-identity element when it scans (full apply, first-word prune or
+//     longest-common-prefix prune);
 //   * engine-level equivalence — the explorer stays bit-identical to its
 //     one-worker run at 2/4/8 workers (the TSan CI job re-runs this suite
 //     to certify the shared memo tables race-free); its verdicts, counts
@@ -25,6 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/anon_mutex.hpp"
@@ -79,16 +85,31 @@ void expect_results_identical(const mutex_check_result& a,
 // Kernel vs object-domain differential.
 // ---------------------------------------------------------------------------
 
+/// Counter ticks per canonicalize_row call: one per prefix class when the
+/// kernel sorts, one per non-identity element when it scans.
+template <class Machine>
+std::uint64_t candidates_per_row(const packed_canonicalizer<Machine>& pk,
+                                 const symmetry_group<Machine>& g) {
+  return pk.sorts_classes() ? pk.num_classes()
+                            : static_cast<std::uint64_t>(g.size() - 1);
+}
+
+std::uint64_t tally(const canonicalize_stats& c) {
+  return c.full_applies + c.first_word_pruned + c.prefix_pruned;
+}
+
 /// Explore unreduced, then canonicalize every stored state through both
 /// paths and demand identical images and element indices. `refresh_each`
 /// rebuilds the rank snapshots before every row (full coverage, the
 /// rank-speed compare); otherwise only one early rebuild happens and later
 /// rows hit ids the snapshot has never seen — the object-domain fallback —
-/// which must not change a single answer.
+/// which must not change a single answer. `sorts` is whether the kernel
+/// should take the class-sorting path for this group.
 template <class Machine, class Pred>
 void expect_kernel_bit_identical(int m, const naming_assignment& naming,
                                  const std::vector<Machine>& initial,
-                                 const Pred& pred, bool refresh_each) {
+                                 const Pred& pred, bool refresh_each,
+                                 bool sorts) {
   const auto g = symmetry_group<Machine>::compute(naming, initial);
   const int n = static_cast<int>(initial.size());
   typename explorer<Machine>::options opt;
@@ -100,6 +121,7 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   state_pool<Machine> pool;
   packed_canonicalizer<Machine> pk;
   pk.attach(&g, &pool, m, n);
+  ASSERT_EQ(pk.sorts_classes(), sorts);
   packed_canonical_scratch pks;
   canonical_scratch<Machine> cs;
   canonicalize_stats pstats{}, ostats{};
@@ -130,14 +152,12 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   }
 
   if (g.size() > 1) {
-    // Exactly one counter ticks per (state, non-identity element) candidate,
-    // in both domains; the object domain never partial-applies.
-    const std::uint64_t candidates =
+    // Exactly one counter ticks per (state, candidate); the object domain
+    // scans elements and never partial-applies.
+    EXPECT_EQ(tally(pstats), res.num_states * candidates_per_row(pk, g));
+    const std::uint64_t elements =
         res.num_states * static_cast<std::uint64_t>(g.size() - 1);
-    EXPECT_EQ(pstats.full_applies + pstats.first_word_pruned +
-                  pstats.prefix_pruned,
-              candidates);
-    EXPECT_EQ(ostats.full_applies + ostats.first_word_pruned, candidates);
+    EXPECT_EQ(ostats.full_applies + ostats.first_word_pruned, elements);
     EXPECT_EQ(ostats.prefix_pruned, 0u);
     if (!refresh_each && res.num_states > 1) {
       EXPECT_TRUE(went_stale) << "stale-snapshot variant never went stale";
@@ -145,20 +165,40 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   }
 }
 
+/// Identity naming with every register relabeled by one global permutation
+/// (the shape perfbench's seeded fa-sym runs): the group is still the full
+/// S_n x C_m, conjugated.
+naming_assignment relabeled_identity(int n, int m) {
+  permutation pi(static_cast<std::size_t>(m));
+  for (int j = 0; j < m; ++j)  // a reflection: no rotation once m >= 3
+    pi[static_cast<std::size_t>(j)] = m - 1 - j;
+  return apply_global_permutation(identity_naming(n, m), pi);
+}
+
+/// The fully anonymous configurations of both differentials: identity and
+/// relabeled identity sort prefix classes, rotations fall back to the scan.
+void expect_fa_kernel_bit_identical(int n, int m, bool refresh_each) {
+  const auto procs = fa_machines(m, n);
+  expect_kernel_bit_identical(m, identity_naming(n, m), procs, fa_two_in_cs,
+                              refresh_each, /*sorts=*/true);
+  expect_kernel_bit_identical(m, relabeled_identity(n, m), procs,
+                              fa_two_in_cs, refresh_each, /*sorts=*/true);
+  expect_kernel_bit_identical(m, naming_assignment::rotations(n, m, 1), procs,
+                              fa_two_in_cs, refresh_each, /*sorts=*/false);
+}
+
 TEST(PackedCanonicalizationTest, KernelBitIdenticalExhaustiveSmallOrbits) {
   for (int n : {2, 3})
     for (int m : {2, 3}) {
       expect_kernel_bit_identical(m, identity_naming(n, m), machines(m, n),
-                                  two_in_cs, /*refresh_each=*/true);
+                                  two_in_cs, /*refresh_each=*/true,
+                                  /*sorts=*/false);
       expect_kernel_bit_identical(m, naming_assignment::rotations(n, m, 1),
                                   machines(m, n), two_in_cs,
-                                  /*refresh_each=*/true);
-      expect_kernel_bit_identical(m, identity_naming(n, m), fa_machines(m, n),
-                                  fa_two_in_cs, /*refresh_each=*/true);
-      expect_kernel_bit_identical(m, naming_assignment::rotations(n, m, 1),
-                                  fa_machines(m, n), fa_two_in_cs,
-                                  /*refresh_each=*/true);
+                                  /*refresh_each=*/true, /*sorts=*/false);
     }
+  for (int n : {2, 3, 4})
+    for (int m : {2, 3}) expect_fa_kernel_bit_identical(n, m, true);
 }
 
 TEST(PackedCanonicalizationTest, StaleSnapshotsFallBackToObjectOrder) {
@@ -167,15 +207,24 @@ TEST(PackedCanonicalizationTest, StaleSnapshotsFallBackToObjectOrder) {
   // unranked ids, and the kernel must still match the object path on all
   // of them (the fallback IS the object order, so this pins the
   // order-isomorphism claim at its seam).
-  for (int n : {2, 3}) {
+  for (int n : {2, 3})
     expect_kernel_bit_identical(3, identity_naming(n, 3), machines(3, n),
-                                two_in_cs, /*refresh_each=*/false);
-    expect_kernel_bit_identical(3, identity_naming(n, 3), fa_machines(3, n),
-                                fa_two_in_cs, /*refresh_each=*/false);
-    expect_kernel_bit_identical(3, naming_assignment::rotations(n, 3, 1),
-                                fa_machines(3, n), fa_two_in_cs,
-                                /*refresh_each=*/false);
-  }
+                                two_in_cs, /*refresh_each=*/false,
+                                /*sorts=*/false);
+  for (int n : {2, 3, 4}) expect_fa_kernel_bit_identical(n, 3, false);
+}
+
+TEST(PackedCanonicalizationTest, MemoLookupPastDirectoryIsUnset) {
+  // Pool ids reach 2^27 (8 shards of 2^24 locals), beyond the memo's
+  // 4,096-segment directory: a lookup there must report a miss rather
+  // than read past the directory, so the store that follows is rejected.
+  id_memo_table memo;
+  const std::uint32_t past = std::uint32_t{1} << 24;
+  EXPECT_EQ(memo.lookup(past), id_memo_table::kUnset);
+  EXPECT_EQ(memo.lookup(~std::uint32_t{0}), id_memo_table::kUnset);
+  EXPECT_THROW(memo.store(past, 7), precondition_error);
+  memo.store(past - 1, 7);
+  EXPECT_EQ(memo.lookup(past - 1), 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,24 +257,35 @@ TEST(PackedCanonicalizationTest, ParallelWorkersBitIdenticalPackedOn) {
 }
 
 TEST(PackedCanonicalizationTest, EngineCountersAccountForEveryCandidate) {
-  // Through the engine the same per-candidate accounting must hold: with
-  // G the group and C canonicalization calls, the three counters sum to
-  // C * (|G| - 1), so the sum is divisible by |G| - 1 and nonzero.
-  const auto naming = identity_naming(2, 3);
-  const auto procs = machines(3, 2);
-  const auto g = symmetry_group<anon_mutex>::compute(naming, procs);
-  ASSERT_GT(g.size(), 1);
-  explorer<anon_mutex>::options opt;
-  opt.max_states = 2'000'000;
-  opt.symmetry = true;
-  explorer<anon_mutex> e(3, naming, procs, opt);
-  const auto res = e.explore(two_in_cs);
-  EXPECT_TRUE(res.complete);
-  const canonicalize_stats& c = e.canonicalize_counters();
-  const std::uint64_t total =
-      c.full_applies + c.first_word_pruned + c.prefix_pruned;
-  EXPECT_GT(total, 0u);
-  EXPECT_EQ(total % static_cast<std::uint64_t>(g.size() - 1), 0u);
+  // Through the engine every successor is canonicalized once by the kernel,
+  // so the three counters sum to edges * (|G| - 1) where it scans elements
+  // and to edges * (class count) where it sorts prefix classes — plus
+  // |G| - 1 for the initial state, which the object domain canonicalizes.
+  const auto expect_tally = [](const auto& naming, const auto& procs,
+                               const auto& bad, int m, bool sorts) {
+    using machine = typename std::decay_t<decltype(procs)>::value_type;
+    const auto g = symmetry_group<machine>::compute(naming, procs);
+    ASSERT_GT(g.size(), 1);
+    state_pool<machine> pool;
+    packed_canonicalizer<machine> pk;
+    pk.attach(&g, &pool, m, static_cast<int>(procs.size()));
+    ASSERT_EQ(pk.sorts_classes(), sorts);
+    typename explorer<machine>::options opt;
+    opt.max_states = 2'000'000;
+    opt.symmetry = true;
+    explorer<machine> e(m, naming, procs, opt);
+    const auto res = e.explore(bad);
+    EXPECT_TRUE(res.complete);
+    EXPECT_GT(res.num_edges, 0u);
+    EXPECT_EQ(tally(e.canonicalize_counters()),
+              res.num_edges * candidates_per_row(pk, g) +
+                  static_cast<std::uint64_t>(g.size() - 1));
+  };
+  expect_tally(identity_naming(2, 3), machines(3, 2), two_in_cs, 3, false);
+  expect_tally(identity_naming(3, 3), fa_machines(3, 3), fa_two_in_cs, 3,
+               true);
+  expect_tally(naming_assignment::rotations(3, 3, 1), fa_machines(3, 3),
+               fa_two_in_cs, 3, false);
 }
 
 }  // namespace

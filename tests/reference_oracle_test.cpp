@@ -8,9 +8,10 @@
 // exactly — completeness, verdicts, state and edge counts, dedup hits,
 // stuck-state counts, bad states and both counterexample schedules, on
 // violating runs too — and store the same row bytes at every worker count,
-// on Fig. 1 (every rotation stride), the fully anonymous mutex (identity
-// and rotation namings, including the n = 2, m = 4 deadlock), the random
-// scribbler family and the pinned reference config.
+// on Fig. 1 (every rotation stride), the fully anonymous mutex (identity,
+// relabeled identity and rotation namings, up to n = 4 and including the
+// n = 2, m = 4 deadlock), the random scribbler family and the pinned
+// reference config.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -199,26 +200,33 @@ TEST(ReferenceOracleTest, FaMutexIdentityAndRotationNamings) {
   };
   struct config {
     int n, m;
-    bool rotation;
+    naming_assignment naming;
+    const char* shape;
   };
   std::vector<config> configs;
   for (int n = 2; n <= 3; ++n)
-    for (int m = 2; m <= 3; ++m)
-      for (const bool rotation : {false, true})
-        configs.push_back({n, m, rotation});
-  configs.push_back({2, 4, false});  // Theorem 3.1's shape: a deadlock
+    for (int m = 2; m <= 3; ++m) {
+      configs.push_back({n, m, naming_assignment::identity(n, m), "identity"});
+      configs.push_back(
+          {n, m, naming_assignment::rotations(n, m, 1), "rotation"});
+    }
+  // Theorem 3.1's shape: a deadlock.
+  configs.push_back({2, 4, naming_assignment::identity(2, 4), "identity"});
+  // |G| = 48.
+  configs.push_back({4, 2, naming_assignment::identity(4, 2), "identity"});
+  // Identity conjugated by a register reflection: still full prefix classes.
+  configs.push_back({3, 3,
+                     apply_global_permutation(
+                         naming_assignment::identity(3, 3), {2, 1, 0}),
+                     "relabeled"});
   for (const config& c : configs)
     for (const bool sym : {false, true}) {
-      const naming_assignment naming =
-          c.rotation ? naming_assignment::rotations(c.n, c.m, 1)
-                     : naming_assignment::identity(c.n, c.m);
       expect_engines_match_oracle<fa_mutex>(
-          c.m, naming,
+          c.m, c.naming,
           std::vector<fa_mutex>(static_cast<std::size_t>(c.n), fa_mutex(c.m)),
           sym, bad, fa_mutex_someone_trying, goal,
-          "fa n=" + std::to_string(c.n) + " m=" + std::to_string(c.m) +
-              (c.rotation ? " rotation" : " identity") +
-              " sym=" + std::to_string(sym));
+          "fa n=" + std::to_string(c.n) + " m=" + std::to_string(c.m) + " " +
+              c.shape + " sym=" + std::to_string(sym));
     }
   const auto dead = check_fa_mutex(4, naming_assignment::identity(2, 4));
   EXPECT_EQ(dead.verdict(), "DEADLOCK");
