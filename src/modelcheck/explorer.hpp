@@ -65,6 +65,15 @@
 // G-invariant verdict. Counterexample schedules are stored against quotient
 // states, so they are mapped back to concrete schedules by folding the
 // per-state group elements (sigma-inverse chain) and re-validated by replay.
+//
+// Per-state bookkeeping outside the row store is kept narrow, since the
+// spill budget bounds only the rows: a 32-bit parent index and a one-byte
+// process index per state (so at most 255 processes), the canonicalizing
+// group element only when the group is non-trivial, and the recorded edges
+// as per-state successor slots — a state's successors are probed together
+// and in state order, so one 32-bit target per edge plus a one-byte
+// out-degree per state replaces (from, to) pairs. bookkeeping_bytes()
+// reports these records next to stored_row_bytes().
 #pragma once
 
 #include <algorithm>
@@ -106,6 +115,20 @@ struct explore_phase_stats {
   std::uint64_t encode_ns = 0;
   std::uint64_t probe_groups_scanned = 0;
   std::uint64_t probe_max_group_chain = 0;
+};
+
+/// The explorer's resident bytes outside the row store, none of which the
+/// spill budget bounds. Counted from element counts, not vector capacities,
+/// so the figures are deterministic.
+struct explorer_bookkeeping {
+  std::uint64_t seen_table = 0;       ///< seen-table cells and probe tags
+  std::uint64_t provenance = 0;       ///< parent, via and group element
+  std::uint64_t successor_slots = 0;  ///< edge targets and out-degrees
+  std::uint64_t csr = 0;  ///< check_progress's reverse adjacency
+
+  std::uint64_t total() const {
+    return seen_table + provenance + successor_slots + csr;
+  }
 };
 
 /// Memory adapter exposing a plain vector as a register file (the model
@@ -189,8 +212,9 @@ class explorer {
     int workers = 1;
     /// Exploration cap; result.complete reports whether it was reached.
     std::uint64_t max_states = 2'000'000;
-    /// Successor edges are only needed for check_progress(); safety-only
-    /// runs can skip storing them. result.num_edges counts them either way.
+    /// Record successor edges — per-state successor slots, 4 B per edge
+    /// plus 1 B per state — for check_progress(); safety-only runs skip
+    /// them. result.num_edges counts the edges either way.
     bool record_edges = true;
     /// Dedup states by their orbit representative under the configuration's
     /// automorphism group (modelcheck/symmetry.hpp): the naming-conjugation
@@ -248,6 +272,9 @@ class explorer {
       : registers_(registers), naming_(std::move(naming)),
         initial_machines_(std::move(initial_machines)), opt_(opt) {
     ANONCOORD_REQUIRE(opt_.workers >= 1, "need at least one worker");
+    ANONCOORD_REQUIRE(initial_machines_.size() <= kMaxProcesses,
+                      "explorer records the stepping process in one byte: "
+                      "at most 255 processes");
     ANONCOORD_REQUIRE(
         naming_.processes() == static_cast<int>(initial_machines_.size()),
         "naming assignment and machine count disagree");
@@ -278,8 +305,8 @@ class explorer {
       std::vector<std::uint32_t> row;
       for (const auto& r : canon_.regs) row.push_back(pool_.intern_value(r));
       for (const auto& p : canon_.procs) row.push_back(pool_.intern_machine(p));
-      intern_row(row.data(), hash_words(row.data(), stride()),
-                 /*parent=*/-1, /*via=*/-1, elem);
+      intern_row(row.data(), hash_words(row.data(), stride()), kNoParent,
+                 /*via=*/0, elem);
     }
     if (is_bad && is_bad(canon_)) {
       res.bad_state = concrete_state(0);
@@ -298,29 +325,41 @@ class explorer {
 
   /// After a *complete* explore() with recorded edges: verify that from
   /// every reachable state satisfying `premise`, some state satisfying
-  /// `goal` is reachable. Populates the progress fields of `res`. Under
-  /// symmetry the analysis runs on the quotient graph — sound for
-  /// G-invariant predicates.
+  /// `goal` is reachable. Overwrites the progress fields of `res`, so the
+  /// same result may be re-checked with other predicates. Under symmetry
+  /// the analysis runs on the quotient graph — sound for G-invariant
+  /// predicates.
   void check_progress(result& res, const state_predicate& premise,
                       const state_predicate& goal) const {
     ANONCOORD_REQUIRE(res.complete,
                       "progress analysis needs a complete state space");
     ANONCOORD_REQUIRE(opt_.record_edges,
                       "progress analysis needs recorded edges");
+    res.stuck_states = 0;
+    res.stuck_state.reset();
+    res.stuck_schedule.clear();
     const std::size_t n = num_states();
     std::vector<char> reaches_goal(n, 0);
-    // Reverse adjacency in CSR form — two passes over the edge records
-    // instead of one heap-allocated bucket per state. Cached across calls
-    // (naming sweeps re-check the same run with different predicates, and
-    // reduced/raw comparison runs re-enter here per run).
+    // Reverse adjacency in CSR form, cached across calls (naming sweeps
+    // re-check the same run with different predicates, and reduced/raw
+    // comparison runs re-enter here per run). Count in-degrees, take
+    // inclusive prefix sums (offsets[t] = end of t's bucket), then walk the
+    // successor slots backwards, decrementing into place: each bucket ends
+    // up holding its predecessors in ascending order, and offsets[t] ends
+    // at the bucket's start.
     if (csr_offsets_.size() != n + 1) {
+      ANONCOORD_REQUIRE(succ_.size() < flat_index::npos,
+                        "edge count exceeds the 32-bit CSR offsets");
       csr_offsets_.assign(n + 1, 0);
-      for (const auto& [from, to] : edges_) ++csr_offsets_[to + 1];
-      for (std::size_t i = 0; i < n; ++i) csr_offsets_[i + 1] += csr_offsets_[i];
-      csr_sources_.resize(edges_.size());
-      std::vector<std::uint32_t> cursor(csr_offsets_.begin(),
-                                        csr_offsets_.end() - 1);
-      for (const auto& [from, to] : edges_) csr_sources_[cursor[to]++] = from;
+      for (const std::uint32_t to : succ_) ++csr_offsets_[to];
+      for (std::size_t i = 1; i < n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
+      csr_offsets_[n] = static_cast<std::uint32_t>(succ_.size());
+      csr_sources_.resize(succ_.size());
+      std::size_t slot = succ_.size();
+      for (std::size_t from = n; from-- > 0;)
+        for (std::uint8_t d = outdeg_[from]; d > 0; --d)
+          csr_sources_[--csr_offsets_[succ_[--slot]]] =
+              static_cast<std::uint32_t>(from);
     }
     const std::vector<std::uint32_t>& offsets = csr_offsets_;
     const std::vector<std::uint32_t>& sources = csr_sources_;
@@ -354,8 +393,8 @@ class explorer {
       if (premise(scratch)) {
         ++res.stuck_states;
         if (!res.stuck_state) {
-          res.stuck_state = concrete_state(static_cast<std::int64_t>(i));
-          res.stuck_schedule = concrete_schedule(static_cast<std::int64_t>(i));
+          res.stuck_state = concrete_state(static_cast<std::uint32_t>(i));
+          res.stuck_schedule = concrete_schedule(static_cast<std::uint32_t>(i));
         }
       }
     }
@@ -380,6 +419,21 @@ class explorer {
   /// bytes-per-state numerator; same accounting basis in both modes).
   std::uint64_t stored_row_bytes() const { return rows_.stored_bytes(); }
 
+  /// Resident bytes of the per-state records outside the row store (see
+  /// explorer_bookkeeping): the seen table, provenance, successor slots
+  /// and, once check_progress has run, the reverse CSR.
+  explorer_bookkeeping bookkeeping_bytes() const {
+    const auto bytes = [](const auto& v) {
+      return static_cast<std::uint64_t>(v.size() * sizeof(v[0]));
+    };
+    explorer_bookkeeping b;
+    b.seen_table = bytes(index_.cells) + bytes(index_.tags);
+    b.provenance = bytes(parent_) + bytes(via_) + bytes(elem_);
+    b.successor_slots = bytes(succ_) + bytes(outdeg_);
+    b.csr = bytes(csr_offsets_) + bytes(csr_sources_);
+    return b;
+  }
+
   /// Rows that opened a width epoch in the packed store (diagnostics; 0 in
   /// verbatim mode where the notion does not apply).
   std::uint64_t keyframe_rows() const { return rows_.keyframes(); }
@@ -400,6 +454,11 @@ class explorer {
   /// Sentinel value id for transitions with no register input (internal
   /// steps); pool ids are dense and never reach it.
   static constexpr std::uint32_t kNoValueId = 0xffffffffu;
+  /// The initial state's parent. State indices stay below flat_index::npos
+  /// (intern_row), so no stored state has this index.
+  static constexpr std::uint32_t kNoParent = flat_index::npos;
+  /// via_ and the out-degrees are one byte each.
+  static constexpr std::size_t kMaxProcesses = 255;
 
   /// A machine id's peeked op (kind + logical register index), cached per
   /// pool id. index -2 marks a not-yet-peeked entry.
@@ -417,7 +476,7 @@ class explorer {
 
   /// A successor staged by the generation stage, waiting for its probe.
   struct staged_succ {
-    std::int32_t via;   ///< process index that stepped
+    std::uint8_t via;   ///< process index that stepped
     std::int32_t elem;  ///< canonicalizing group element
     std::size_t hash;   ///< seen-table hash of the staged row
   };
@@ -463,7 +522,8 @@ class explorer {
     parent_.clear();
     via_.clear();
     elem_.clear();
-    edges_.clear();
+    succ_.clear();
+    outdeg_.clear();
     csr_offsets_.clear();
     csr_sources_.clear();
   }
@@ -544,7 +604,9 @@ class explorer {
             pt_probe_ += cycle_clock::now() - t1;
             return false;  // incomplete
           }
-          const auto s = static_cast<std::int64_t>(wbegin + k);
+          const auto s = static_cast<std::uint32_t>(wbegin + k);
+          if (opt_.record_edges)
+            outdeg_.push_back(static_cast<std::uint8_t>(send_[k] - si));
           for (; si < send_[k]; ++si) {
             if (si + kPrefetchAhead < slice_end)
               index_.prefetch(staged_[si + kPrefetchAhead].hash);
@@ -554,9 +616,7 @@ class explorer {
                 intern_row(row, ss.hash, s, ss.via, ss.elem);
             ++res.num_edges;
             if (!fresh) ++res.dedup_hits;
-            if (opt_.record_edges)
-              edges_.emplace_back(static_cast<std::uint32_t>(s),
-                                  static_cast<std::uint32_t>(idx));
+            if (opt_.record_edges) succ_.push_back(idx);
             if (fresh && is_bad) {
               // The staged row is the stored (canonical) state; the
               // predicate (G-invariant by contract under symmetry) runs on
@@ -635,7 +695,8 @@ class explorer {
         // is_bad is deferred to the probe stage: the staged row IS the
         // (canonical) state, so fresh states reconstruct it there and
         // duplicates never pay the predicate.
-        staged_[si++] = {p, elem, hash_words(row, st)};
+        staged_[si++] = {static_cast<std::uint8_t>(p), elem,
+                         hash_words(row, st)};
       }
       send_[k] = si;
     }
@@ -691,9 +752,9 @@ class explorer {
 
   /// Dedup-insert a packed row with a precomputed hash; returns (index,
   /// inserted-fresh).
-  std::pair<std::int64_t, bool> intern_row(const std::uint32_t* row,
-                                           std::size_t h, std::int64_t parent,
-                                           int via, int elem) {
+  std::pair<std::uint32_t, bool> intern_row(const std::uint32_t* row,
+                                            std::size_t h, std::uint32_t parent,
+                                            std::uint8_t via, int elem) {
     const auto eq = [&](std::uint32_t i) { return rows_.equals(i, row); };
     const std::uint32_t found = index_.find(h, eq);
     if (found != flat_index::npos) return {found, false};
@@ -705,8 +766,8 @@ class explorer {
     index_.insert(h, static_cast<std::uint32_t>(idx));
     parent_.push_back(parent);
     via_.push_back(via);
-    elem_.push_back(elem);
-    return {static_cast<std::int64_t>(idx), true};
+    if (!group_.is_trivial()) elem_.push_back(elem);
+    return {static_cast<std::uint32_t>(idx), true};
   }
 
   /// Expand a packed row into component form, reusing `out`'s capacity.
@@ -739,24 +800,22 @@ class explorer {
   /// with h_i the composition g_i o ... o g_root of the per-state elements,
   /// the concrete process is sigma_{h_i}^-1(via_{i+1}), and the inverse
   /// folds as sigma_{h_{i+1}}^-1 = sigma_{h_i}^-1 o sigma_{g_{i+1}}^-1.
-  std::vector<int> concrete_schedule(std::int64_t idx) const {
-    std::vector<std::int64_t> path;
-    for (std::int64_t i = idx; i >= 0; i = parent_[static_cast<std::size_t>(i)])
-      path.push_back(i);
+  std::vector<int> concrete_schedule(std::uint32_t idx) const {
+    std::vector<std::uint32_t> path;
+    for (std::uint32_t i = idx; i != kNoParent; i = parent_[i]) path.push_back(i);
     std::reverse(path.begin(), path.end());
     std::vector<int> sched;
     sched.reserve(path.size() - 1);
     if (group_.is_trivial()) {
       for (std::size_t k = 1; k < path.size(); ++k)
-        sched.push_back(via_[static_cast<std::size_t>(path[k])]);
+        sched.push_back(via_[path[k]]);
       return sched;
     }
-    std::vector<int> sinv =
-        group_.at(elem_[static_cast<std::size_t>(path[0])]).sigma_inv;
+    std::vector<int> sinv = group_.at(elem_[path[0]]).sigma_inv;
     std::vector<int> next(sinv.size());
     for (std::size_t k = 1; k < path.size(); ++k) {
-      const auto st = static_cast<std::size_t>(path[k]);
-      sched.push_back(sinv[static_cast<std::size_t>(via_[st])]);
+      const std::uint32_t st = path[k];
+      sched.push_back(sinv[via_[st]]);
       const std::vector<int>& g_sinv = group_.at(elem_[st]).sigma_inv;
       for (std::size_t x = 0; x < sinv.size(); ++x)
         next[x] = sinv[static_cast<std::size_t>(g_sinv[x])];
@@ -767,8 +826,8 @@ class explorer {
 
   /// The concrete state reaching stored state `idx`: the stored row itself
   /// without symmetry, the replay of the concrete schedule with it.
-  state_type concrete_state(std::int64_t idx) const {
-    if (group_.is_trivial()) return state(static_cast<std::uint64_t>(idx));
+  state_type concrete_state(std::uint32_t idx) const {
+    if (group_.is_trivial()) return state(idx);
     state_type s;
     s.regs.assign(static_cast<std::size_t>(registers_), value_type{});
     s.procs = initial_machines_;
@@ -817,10 +876,15 @@ class explorer {
   state_pool<Machine> pool_;
   row_store rows_;    ///< seen rows, bit-packed or verbatim per options
   flat_index index_;  ///< group-probing seen table
-  std::vector<std::int64_t> parent_;
-  std::vector<int> via_;
-  std::vector<int> elem_;  ///< canonicalizing group element per state
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;
+  // Provenance per state: BFS-tree parent, the process that stepped into
+  // it and, for a non-trivial group only, its canonicalizing element.
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint8_t> via_;
+  std::vector<int> elem_;
+  // Recorded edges as successor slots: state s's targets are the outdeg_[s]
+  // entries of succ_ after those of states 0..s-1.
+  std::vector<std::uint32_t> succ_;
+  std::vector<std::uint8_t> outdeg_;
   // Reverse-CSR progress structure, built lazily by check_progress and
   // reused by subsequent calls on the same run.
   mutable std::vector<std::uint32_t> csr_offsets_;

@@ -96,11 +96,15 @@ class reference_explorer {
 
   /// After a complete explore(): count the stored states satisfying
   /// `premise` from which no `goal` state is reachable, and report the
-  /// first of them (lowest index) with its concrete schedule.
+  /// first of them (lowest index) with its concrete schedule. Overwrites
+  /// the progress fields of `res`.
   void check_progress(result& res, const state_predicate& premise,
                       const state_predicate& goal) const {
     ANONCOORD_REQUIRE(res.complete,
                       "progress analysis needs a complete state space");
+    res.stuck_states = 0;
+    res.stuck_state.reset();
+    res.stuck_schedule.clear();
     const std::size_t n = nodes_.size();
     std::vector<std::vector<std::uint32_t>> preds(n);
     for (std::size_t s = 0; s < n; ++s)

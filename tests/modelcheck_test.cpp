@@ -7,6 +7,7 @@
 
 #include <tuple>
 
+#include "core/fa_mutex.hpp"
 #include "mem/payloads.hpp"
 #include "modelcheck/agreement_check.hpp"
 #include "modelcheck/explorer.hpp"
@@ -73,6 +74,64 @@ TEST(ExplorerTest, MaxStatesCapsExploration) {
   auto res = e.explore();
   EXPECT_FALSE(res.complete);
   EXPECT_LE(res.num_states, 3u);  // cap checked per expansion wave
+}
+
+TEST(ExplorerTest, RejectsMoreThan255Processes) {
+  // The stepping process is recorded in one byte. Construction only: no
+  // threads are started and nothing is explored.
+  const auto machines = [](int n) {
+    std::vector<toy_machine> out;
+    for (int p = 0; p < n; ++p)
+      out.push_back(toy_machine{static_cast<std::uint64_t>(p), 0});
+    return out;
+  };
+  EXPECT_THROW(explorer<toy_machine>(1, naming_assignment::identity(256, 1),
+                                     machines(256)),
+               precondition_error);
+  EXPECT_NO_THROW(explorer<toy_machine>(
+      1, naming_assignment::identity(255, 1), machines(255)));
+}
+
+TEST(ExplorerTest, BookkeepingBytesOnReferenceConfig) {
+  // Fig. 1 at n = 2, m = 5, stride 2 (342,886 states), trivial group: a
+  // 4-byte parent and a 1-byte via per state, no group element, and one
+  // 4-byte target per edge plus a 1-byte out-degree per state.
+  const naming_assignment naming(
+      {identity_permutation(5), rotation_permutation(5, 2)});
+  explorer<anon_mutex> e(5, naming, detail::mutex_machines(5, naming, {1, 2}));
+  auto res = e.explore();
+  ASSERT_TRUE(res.complete);
+  ASSERT_EQ(res.num_states, 342'886u);
+  const std::uint64_t states = res.num_states;
+  const std::uint64_t edges = res.num_edges;
+  explorer_bookkeeping b = e.bookkeeping_bytes();
+  EXPECT_EQ(b.provenance, 5 * states);
+  EXPECT_EQ(b.successor_slots, 4 * edges + states);
+  EXPECT_EQ(b.csr, 0u);
+  // 8-byte cells plus 1-byte tags, at most 70% full.
+  EXPECT_GE(b.seen_table * 7, 9 * states * 10);
+
+  e.check_progress(res, mutex_someone_trying,
+                   [](const global_state<anon_mutex>& s) {
+                     return mutex_cs_count(s) >= 1;
+                   });
+  EXPECT_EQ(res.stuck_states, 0u);
+  b = e.bookkeeping_bytes();
+  EXPECT_EQ(b.csr, 4 * (states + 1) + 4 * edges);
+  EXPECT_EQ(b.total(),
+            b.seen_table + 5 * states + 4 * edges + states + b.csr);
+}
+
+TEST(ExplorerTest, BookkeepingKeepsGroupElementsOnlyUnderSymmetry) {
+  // fa n = 3, m = 3 under S_3 x C_3: the element index joins parent and
+  // via, 9 B/state.
+  explorer<fa_mutex>::options opt;
+  opt.symmetry = true;
+  explorer<fa_mutex> e(3, naming_assignment::identity(3, 3),
+                       std::vector<fa_mutex>(3, fa_mutex(3)), opt);
+  const auto res = e.explore();
+  ASSERT_TRUE(res.complete);
+  EXPECT_EQ(e.bookkeeping_bytes().provenance, 9 * res.num_states);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@
 // on Fig. 1 (every rotation stride), the fully anonymous mutex (identity,
 // relabeled identity and rotation namings, up to n = 4 and including the
 // n = 2, m = 4 deadlock), the random scribbler family and the pinned
-// reference config.
+// reference config; Fig. 1's even-m half rotations must deadlock there.
+// check_progress re-run on one result with other predicates must match a
+// fresh single check, on both engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -97,8 +99,9 @@ void expect_equal(const Oracle& want, const Got& got, const std::string& what) {
 
 /// The oracle and the explorer at 1/2/4/8 workers on one configuration:
 /// every worker count must equal the oracle, and store the same row bytes.
+/// Returns the oracle's result.
 template <class Machine>
-void expect_engines_match_oracle(
+typename explorer<Machine>::result expect_engines_match_oracle(
     int m, const naming_assignment& naming,
     const std::vector<Machine>& initial, bool symmetry,
     const predicate<Machine>& bad, const predicate<Machine>& premise,
@@ -107,7 +110,7 @@ void expect_engines_match_oracle(
   ropt.symmetry = symmetry;
   reference_explorer<Machine> oracle(m, naming, initial, ropt);
   const auto want = run(oracle, bad, premise, goal);
-  ASSERT_GT(want.num_states, 0u) << what;
+  EXPECT_GT(want.num_states, 0u) << what;
 
   std::uint64_t bytes = 0;
   for (const int workers : {1, 2, 4, 8}) {
@@ -120,6 +123,7 @@ void expect_engines_match_oracle(
     if (workers == 1) bytes = e.stored_row_bytes();
     EXPECT_EQ(e.stored_row_bytes(), bytes) << tag;
   }
+  return want;
 }
 
 TEST(ReferenceOracleTest, IndependentCountersGiveProductStateCount) {
@@ -183,12 +187,65 @@ TEST(ReferenceOracleTest, AnonMutexEveryStride) {
       for (const bool sym : {false, true}) {
         const naming_assignment naming(
             {identity_permutation(m), rotation_permutation(m, stride)});
-        expect_engines_match_oracle<anon_mutex>(
+        const std::string what = "anon m=" + std::to_string(m) +
+                                 " stride=" + std::to_string(stride) +
+                                 " sym=" + std::to_string(sym);
+        const auto want = expect_engines_match_oracle<anon_mutex>(
             m, naming, detail::mutex_machines(m, naming, {1, 2}), sym, bad,
-            mutex_someone_trying, goal,
-            "anon m=" + std::to_string(m) + " stride=" +
-                std::to_string(stride) + " sym=" + std::to_string(sym));
+            mutex_someone_trying, goal, what);
+        // Theorem 3.1's even-m half rotation deadlocks, so the stuck count
+        // and the first stuck state's schedule, both read through the
+        // reverse CSR, are compared at every worker count.
+        if (m % 2 == 0 && stride == m / 2) {
+          EXPECT_GT(want.stuck_states, 0u) << what;
+          EXPECT_FALSE(want.stuck_schedule.empty()) << what;
+        }
       }
+}
+
+/// check_progress on one explored result, goal after goal, must report
+/// exactly what a fresh explore() plus a single check reports per goal.
+template <class Make>
+void expect_recheck_matches_fresh(
+    const Make& make, const std::vector<predicate<anon_mutex>>& goals,
+    const std::string& what) {
+  auto e = make();
+  auto res = e.explore();
+  ASSERT_TRUE(res.complete) << what;
+  for (std::size_t k = 0; k < goals.size(); ++k) {
+    e.check_progress(res, mutex_someone_trying, goals[k]);
+    auto fresh_engine = make();
+    auto fresh = fresh_engine.explore();
+    fresh_engine.check_progress(fresh, mutex_someone_trying, goals[k]);
+    expect_equal(fresh, res, what + " goal #" + std::to_string(k));
+  }
+}
+
+TEST(ReferenceOracleTest, RecheckedProgressMatchesFreshCheck) {
+  // m = 4 half rotation: "someone in the CS" has stuck states, "anything"
+  // has none, so a check that accumulated across calls or kept an earlier
+  // stuck state would differ from the fresh one.
+  constexpr int m = 4;
+  const naming_assignment naming(
+      {identity_permutation(m), rotation_permutation(m, m / 2)});
+  const auto initial = detail::mutex_machines(m, naming, {1, 2});
+  const predicate<anon_mutex> in_cs = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 1;
+  };
+  const predicate<anon_mutex> anything = [](const global_state<anon_mutex>&) {
+    return true;
+  };
+  const std::vector<predicate<anon_mutex>> goals = {in_cs, anything, in_cs};
+  expect_recheck_matches_fresh(
+      [&] { return reference_explorer<anon_mutex>(m, naming, initial); },
+      goals, "oracle");
+  for (const int workers : {1, 2}) {
+    explorer<anon_mutex>::options opt;
+    opt.workers = workers;
+    expect_recheck_matches_fresh(
+        [&] { return explorer<anon_mutex>(m, naming, initial, opt); }, goals,
+        "explorer workers=" + std::to_string(workers));
+  }
 }
 
 TEST(ReferenceOracleTest, FaMutexIdentityAndRotationNamings) {
