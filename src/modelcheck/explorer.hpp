@@ -35,13 +35,15 @@
 // "hot-path pipeline"): the frontier is processed in fixed windows of
 // kExpandWindow parents. Stage 1 decodes the window's parent rows behind one
 // batched spill fault-in; stage 2 generates every successor of the window
-// into a flat packed-row staging buffer, canonicalizing and hashing each row
-// as it is staged; stage 3 probes/inserts in discovery order while
-// software-prefetching the probe group of the entry a few slots ahead, so
-// the seen-table miss latency overlaps the probes in flight. The seen table
-// is a Swiss-table-style group-probing index (util/flat_index.hpp): one
-// 16-byte tag compare per group, cell memory touched only for candidate
-// slots.
+// into a flat packed-row staging buffer, then canonicalizes and hashes the
+// staged rows in passes of their own; stage 3 probes/inserts in discovery
+// order while software-prefetching the probe group of the entry a few slots
+// ahead, so the seen-table miss latency overlaps the probes in flight, and
+// then appends the window's fresh rows to the row store as one batch. The
+// seen table is a Swiss-table-style group-probing index (util/flat_index.hpp):
+// one 16-byte tag compare per group, cell memory touched only for candidate
+// slots, and one walk per successor — a miss returns the slot a fresh state
+// is placed in.
 //
 // With options.workers > 1 stage 2 — memoised successor generation, packed
 // canonicalization and hashing, the bulk of the CPU time — runs on a
@@ -82,7 +84,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -100,14 +101,18 @@
 namespace anoncoord {
 
 /// Per-phase hot-loop breakdown of an exploration run. The four phase times
-/// partition the batched pipeline (they are measured as cycle_clock ticks and
-/// converted once per run against a wall-clock calibration, so each is a few
-/// rdtsc pairs per window, not per successor): expand = parent decode +
-/// successor generation and hashing, canonicalize = symmetry-kernel time
-/// inside the generation stage, probe = seen-table find/insert, encode =
-/// row-arena append. Expand and canonicalize sum every worker's ticks, so
-/// with several workers they read as CPU time; probe and encode are the
-/// calling thread's time.
+/// partition the batched pipeline. They are measured as cycle_clock ticks,
+/// converted once per run against a wall-clock calibration, and no clock is
+/// read per successor: expand = parent decode + successor generation and
+/// hashing (one tick pair per window for the decode, one per worker slice
+/// for generation), canonicalize = the symmetry kernel's pass over a slice's
+/// staged rows (one tick pair per slice), probe = seen-table lookup and
+/// claim (one tick pair per window), encode = row-arena append (a window's
+/// fresh rows are appended as one batch: one tick pair per window). Expand
+/// and canonicalize sum every worker's ticks, so with several workers they
+/// read as CPU time; probe and encode are the calling thread's time.
+/// probe_groups_scanned counts one probe walk per successor (a fresh
+/// state's placement reuses its miss).
 struct explore_phase_stats {
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
@@ -307,6 +312,7 @@ class explorer {
       for (const auto& p : canon_.procs) row.push_back(pool_.intern_machine(p));
       intern_row(row.data(), hash_words(row.data(), stride()), kNoParent,
                  /*via=*/0, elem);
+      store_rows();
     }
     if (is_bad && is_bad(canon_)) {
       res.bad_state = concrete_state(0);
@@ -460,18 +466,25 @@ class explorer {
   /// via_ and the out-degrees are one byte each.
   static constexpr std::size_t kMaxProcesses = 255;
 
-  /// A machine id's peeked op (kind + logical register index), cached per
-  /// pool id. index -2 marks a not-yet-peeked entry.
+  /// End of a transition-memo list.
+  static constexpr std::uint32_t kNoTransition = 0xffffffffu;
+
+  /// A machine id's peeked op (kind + logical register index) and the head
+  /// of its transition-memo list, cached per pool id. index -2 marks a
+  /// not-yet-peeked entry.
   struct cached_op {
     op_kind kind = op_kind::none;
     int index = -2;
+    std::uint32_t memo = kNoTransition;
   };
 
-  /// Interned-id transition memo entry.
+  /// Interned-id transition memo entry: one step of the machine id whose
+  /// list it is on. A machine reads few distinct values, so lists are short.
   struct transition {
-    std::uint64_t key;    ///< machine id << 32 | input value id
+    std::uint32_t in;     ///< input value id (kNoValueId for internal steps)
     std::uint32_t mach;   ///< stepped machine id
     std::uint32_t value;  ///< written (or unchanged input) value id
+    std::uint32_t next;   ///< next entry of the same machine id
   };
 
   /// A successor staged by the generation stage, waiting for its probe.
@@ -487,7 +500,6 @@ class explorer {
   struct worker {
     std::vector<cached_op> opc;
     std::vector<transition> tmemo;
-    flat_index tindex;
     packed_canonical_scratch pks;
     canonicalize_stats cstats;
     std::uint64_t pt_expand = 0;  ///< generation ticks (canon included)
@@ -535,6 +547,9 @@ class explorer {
     return {wlen * w / nw, wlen * (w + 1) / nw};
   }
 
+  /// How a window's probe stage ended.
+  enum class window_end { done, capped, violated };
+
   /// The staged batch pipeline. Returns whether the reachable set was fully
   /// explored; a safety violation or the max_states cap stops early with
   /// false. Observable effects are those of a one-parent-at-a-time BFS: the
@@ -549,12 +564,9 @@ class explorer {
     // the per-window reserve() points, and with them the stored bytes, are
     // the same at every worker count.
     constexpr std::uint64_t kExpandWindow = 128;
-    // How far ahead of the probe cursor to warm seen-table groups. Far
-    // enough to cover a memory round-trip at ~40 probes/us, near enough
-    // that the lines still sit in L1 when the probe arrives.
-    constexpr std::size_t kPrefetchAhead = 8;
     srows_.resize(static_cast<std::size_t>(kExpandWindow) * n * st);
     staged_.resize(static_cast<std::size_t>(kExpandWindow) * n);
+    unstored_.reserve(static_cast<std::size_t>(kExpandWindow) * n);
     send_.resize(static_cast<std::size_t>(kExpandWindow));
     bounds_.resize(st);
     std::size_t wlen = 0;
@@ -587,79 +599,104 @@ class explorer {
       std::fill(bounds_.begin() + registers_, bounds_.end(),
                 pool_.machine_id_bound());
       rows_.reserve(bounds_.data());
-      // Stage 3: probe/insert in discovery order — slice by slice, each
-      // slice's successors packed from slot lo * n — warming the probe
-      // group of the entry kPrefetchAhead slots ahead so its tag and cell
-      // lines are in flight while earlier probes retire.
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        const auto [lo, hi] = slice(wlen, w);
-        if (lo == hi) continue;
-        std::size_t si = lo * n;
-        const std::size_t slice_end = send_[hi - 1];
-        for (std::size_t k = lo; k < hi; ++k) {
-          // Re-checked per parent (not per window): an incomplete run stops
-          // before expanding the first parent past the cap, as a BFS taking
-          // one parent at a time would.
-          if (num_states() >= opt_.max_states) {
-            pt_probe_ += cycle_clock::now() - t1;
-            return false;  // incomplete
-          }
-          const auto s = static_cast<std::uint32_t>(wbegin + k);
-          if (opt_.record_edges)
-            outdeg_.push_back(static_cast<std::uint8_t>(send_[k] - si));
-          for (; si < send_[k]; ++si) {
-            if (si + kPrefetchAhead < slice_end)
-              index_.prefetch(staged_[si + kPrefetchAhead].hash);
-            const staged_succ& ss = staged_[si];
-            const std::uint32_t* row = srows_.data() + si * st;
-            const auto [idx, fresh] =
-                intern_row(row, ss.hash, s, ss.via, ss.elem);
-            ++res.num_edges;
-            if (!fresh) ++res.dedup_hits;
-            if (opt_.record_edges) succ_.push_back(idx);
-            if (fresh && is_bad) {
-              // The staged row is the stored (canonical) state; the
-              // predicate (G-invariant by contract under symmetry) runs on
-              // its reconstruction, on fresh states only.
-              fill_state(row, canon_);
-              if (is_bad(canon_)) {
-                res.bad_state = concrete_state(idx);
-                res.bad_schedule = concrete_schedule(idx);
-                pt_probe_ += cycle_clock::now() - t1;
-                return false;
-              }
-            }
-          }
-        }
+      // Stage 3: probe/insert. Stage 4: the window's fresh rows reach the
+      // arena in one batch; a stopped run's counterexample is read back
+      // only after it.
+      std::uint32_t bad = 0;
+      const window_end end = probe_window(res, is_bad, wbegin, wlen, bad);
+      const std::uint64_t t2 = cycle_clock::now();
+      store_rows();
+      pt_probe_ += t2 - t1;
+      pt_encode_ += cycle_clock::now() - t2;
+      if (end == window_end::violated) {
+        res.bad_state = concrete_state(bad);
+        res.bad_schedule = concrete_schedule(bad);
       }
-      pt_probe_ += cycle_clock::now() - t1;
+      if (end != window_end::done) return false;
       frontier = wbegin + wlen;
     }
     return true;
   }
 
+  /// Stage 3 for the window [wbegin, wbegin + wlen): probe/insert in
+  /// discovery order — slice by slice, each slice's successors packed from
+  /// slot lo * n — warming the probe group of the entry kPrefetchAhead
+  /// slots ahead so its tag and cell lines are in flight while earlier
+  /// probes retire. On a violation `bad` is the violating state's index.
+  window_end probe_window(result& res, const state_predicate& is_bad,
+                          std::uint64_t wbegin, std::size_t wlen,
+                          std::uint32_t& bad) {
+    // How far ahead of the probe cursor to warm seen-table groups. Far
+    // enough to cover a memory round-trip at ~40 probes/us, near enough
+    // that the lines still sit in L1 when the probe arrives.
+    constexpr std::size_t kPrefetchAhead = 8;
+    const std::size_t n = initial_machines_.size();
+    const std::size_t st = stride();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      const auto [lo, hi] = slice(wlen, w);
+      if (lo == hi) continue;
+      std::size_t si = lo * n;
+      const std::size_t slice_end = send_[hi - 1];
+      for (std::size_t k = lo; k < hi; ++k) {
+        // Re-checked per parent (not per window): an incomplete run stops
+        // before expanding the first parent past the cap, as a BFS taking
+        // one parent at a time would.
+        if (num_states() >= opt_.max_states) return window_end::capped;
+        const auto s = static_cast<std::uint32_t>(wbegin + k);
+        if (opt_.record_edges)
+          outdeg_.push_back(static_cast<std::uint8_t>(send_[k] - si));
+        for (; si < send_[k]; ++si) {
+          if (si + kPrefetchAhead < slice_end)
+            index_.prefetch(staged_[si + kPrefetchAhead].hash);
+          const staged_succ& ss = staged_[si];
+          const std::uint32_t* row = srows_.data() + si * st;
+          const auto [idx, fresh] =
+              intern_row(row, ss.hash, s, ss.via, ss.elem);
+          ++res.num_edges;
+          if (!fresh) ++res.dedup_hits;
+          if (opt_.record_edges) succ_.push_back(idx);
+          if (fresh && is_bad) {
+            // The staged row is the stored (canonical) state; the
+            // predicate (G-invariant by contract under symmetry) runs on
+            // its reconstruction, on fresh states only.
+            fill_state(row, canon_);
+            if (is_bad(canon_)) {
+              bad = idx;
+              return window_end::violated;
+            }
+          }
+        }
+      }
+    }
+    return window_end::done;
+  }
+
   /// Stage 2 for parents [lo, hi) of the decoded window: stage each
   /// successor row at slots lo * n onward and record each parent's end
-  /// slot in send_.
+  /// slot in send_. Three passes over the slice — patch, canonicalize (a
+  /// non-trivial group only; one tick pair for the whole pass), hash — so
+  /// no clock is read per row.
   ///
   /// A step is a pure function of (machine id, value id at the op's
   /// register) — that key captures plain reads, plain writes AND the CAS
   /// fallback (a write that reads its target first) — so the transition
   /// memo patches rows without reconstructing states, stepping machines or
-  /// re-hashing components. Misses evaluate the real machine and intern
-  /// the results.
+  /// re-hashing components. The memo is indexed by machine id: the op cache
+  /// entry holds the head of that machine's list of (input value id ->
+  /// result) entries. Misses evaluate the real machine and intern the
+  /// results.
   void generate(worker& wk, std::size_t lo, std::size_t hi) {
     const std::uint64_t t0 = cycle_clock::now();
     const std::size_t m = static_cast<std::size_t>(registers_);
     const std::size_t n = initial_machines_.size();
     const std::size_t st = stride();
-    const bool reduce = !group_.is_trivial();
-    std::size_t si = lo * n;
+    const std::size_t first = lo * n;
+    std::size_t si = first;
     for (std::size_t k = lo; k < hi; ++k) {
       const std::uint32_t* prow = wrows_.data() + k * st;
       for (int p = 0; p < static_cast<int>(n); ++p) {
         const std::uint32_t w = prow[m + static_cast<std::size_t>(p)];
-        const cached_op& oc = op_for(wk, w);
+        cached_op& oc = op_for(wk, w);
         if (oc.kind == op_kind::none) continue;
         std::uint32_t vid_in = kNoValueId;
         std::size_t phys = 0;
@@ -668,42 +705,40 @@ class explorer {
               naming_.of(p)[static_cast<std::size_t>(oc.index)]);
           vid_in = prow[phys];
         }
-        const std::uint64_t key = (std::uint64_t{w} << 32) | vid_in;
-        const auto kh = static_cast<std::size_t>(mix64(key));
-        std::uint32_t w_out, vid_out;
-        const std::uint32_t ti = wk.tindex.find(kh, [&](std::uint32_t i) {
-          return wk.tmemo[i].key == key;
-        });
-        if (ti != flat_index::npos) {
-          w_out = wk.tmemo[ti].mach;
-          vid_out = wk.tmemo[ti].value;
-        } else {
-          std::tie(w_out, vid_out) = eval_transition(w, oc, vid_in);
-          wk.tindex.insert(kh, static_cast<std::uint32_t>(wk.tmemo.size()));
-          wk.tmemo.push_back({key, w_out, vid_out});
+        std::uint32_t t = oc.memo;
+        while (t != kNoTransition && wk.tmemo[t].in != vid_in)
+          t = wk.tmemo[t].next;
+        if (t == kNoTransition) {
+          const auto [w_out, vid_out] = eval_transition(w, oc, vid_in);
+          t = static_cast<std::uint32_t>(wk.tmemo.size());
+          wk.tmemo.push_back({vid_in, w_out, vid_out, oc.memo});
+          oc.memo = t;
         }
+        const transition& tr = wk.tmemo[t];
         std::uint32_t* row = srows_.data() + si * st;
         std::memcpy(row, prow, st * sizeof(std::uint32_t));
-        row[m + static_cast<std::size_t>(p)] = w_out;
-        if (oc.kind == op_kind::write) row[phys] = vid_out;
-        int elem = 0;
-        if (reduce) {
-          const std::uint64_t c0 = cycle_clock::now();
-          elem = pk_.canonicalize_row(row, wk.pks, wk.cstats);
-          wk.pt_canon += cycle_clock::now() - c0;
-        }
+        row[m + static_cast<std::size_t>(p)] = tr.mach;
+        if (oc.kind == op_kind::write) row[phys] = tr.value;
         // is_bad is deferred to the probe stage: the staged row IS the
         // (canonical) state, so fresh states reconstruct it there and
         // duplicates never pay the predicate.
-        staged_[si++] = {static_cast<std::uint8_t>(p), elem,
-                         hash_words(row, st)};
+        staged_[si++] = {static_cast<std::uint8_t>(p), 0, 0};
       }
       send_[k] = si;
     }
+    if (!group_.is_trivial()) {
+      const std::uint64_t c0 = cycle_clock::now();
+      for (std::size_t j = first; j < si; ++j)
+        staged_[j].elem =
+            pk_.canonicalize_row(srows_.data() + j * st, wk.pks, wk.cstats);
+      wk.pt_canon += cycle_clock::now() - c0;
+    }
+    for (std::size_t j = first; j < si; ++j)
+      staged_[j].hash = hash_words(srows_.data() + j * st, st);
     wk.pt_expand += cycle_clock::now() - t0;
   }
 
-  const cached_op& op_for(worker& wk, std::uint32_t w) const {
+  cached_op& op_for(worker& wk, std::uint32_t w) const {
     if (w >= wk.opc.size()) wk.opc.resize(w + 1);
     cached_op& e = wk.opc[static_cast<std::size_t>(w)];
     if (e.index == -2) {
@@ -751,23 +786,34 @@ class explorer {
   }
 
   /// Dedup-insert a packed row with a precomputed hash; returns (index,
-  /// inserted-fresh).
+  /// inserted-fresh). One seen-table walk: a miss's slot is claimed once
+  /// the row is queued in unstored_, where it stays — and is compared in
+  /// place — until store_rows() appends the batch to the arena. `row` must
+  /// stay valid until then.
   std::pair<std::uint32_t, bool> intern_row(const std::uint32_t* row,
                                             std::size_t h, std::uint32_t parent,
                                             std::uint8_t via, int elem) {
-    const auto eq = [&](std::uint32_t i) { return rows_.equals(i, row); };
-    const std::uint32_t found = index_.find(h, eq);
-    if (found != flat_index::npos) return {found, false};
+    const std::uint64_t stored = rows_.size();
+    const std::size_t bytes = stride() * sizeof(std::uint32_t);
+    const flat_index::probe pr = index_.lookup(h, [&](std::uint32_t i) {
+      return i < stored ? rows_.equals(i, row)
+                        : std::memcmp(unstored_[i - stored], row, bytes) == 0;
+    });
+    if (pr.hit()) return {pr.found, false};
     const std::uint64_t idx = num_states();
     ANONCOORD_REQUIRE(idx < flat_index::npos, "state index space exhausted");
-    const std::uint64_t e0 = cycle_clock::now();
-    rows_.append(row);
-    pt_encode_ += cycle_clock::now() - e0;
-    index_.insert(h, static_cast<std::uint32_t>(idx));
+    unstored_.push_back(row);
+    index_.claim(pr, static_cast<std::uint32_t>(idx));
     parent_.push_back(parent);
     via_.push_back(via);
     if (!group_.is_trivial()) elem_.push_back(elem);
     return {static_cast<std::uint32_t>(idx), true};
+  }
+
+  /// Append the rows intern_row() queued, in index order.
+  void store_rows() {
+    for (const std::uint32_t* row : unstored_) rows_.append(row);
+    unstored_.clear();
   }
 
   /// Expand a packed row into component form, reusing `out`'s capacity.
@@ -857,12 +903,12 @@ class explorer {
       expand += w.value.pt_expand;
       canon += w.value.pt_canon;
     }
-    // The outer brackets include the fused inner ones; report disjoint
-    // phases (expand excludes canonicalize, probe excludes encode).
+    // A slice's generation bracket includes its canonicalization pass;
+    // report disjoint phases (expand excludes canonicalize).
     phases_.canonicalize_ns = to_ns(canon);
     phases_.expand_ns = to_ns(expand > canon ? expand - canon : 0);
     phases_.encode_ns = to_ns(pt_encode_);
-    phases_.probe_ns = to_ns(pt_probe_ > pt_encode_ ? pt_probe_ - pt_encode_ : 0);
+    phases_.probe_ns = to_ns(pt_probe_);
     phases_.probe_groups_scanned = pstats_.groups_scanned;
     phases_.probe_max_group_chain = pstats_.max_group_chain;
   }
@@ -897,6 +943,8 @@ class explorer {
   std::vector<std::uint32_t> wrows_;  ///< decoded window parent rows
   std::vector<std::uint32_t> srows_;  ///< staged successor rows, n per parent
   std::vector<staged_succ> staged_;   ///< their provenance and hashes
+  /// Fresh rows not yet in rows_ (staged rows; indices from rows_.size()).
+  std::vector<const std::uint32_t*> unstored_;
   std::vector<std::size_t> send_;     ///< per-parent end slot in staged_
   std::vector<std::uint32_t> bounds_;  ///< per-column id bounds for reserve
   std::vector<padded<worker>> workers_;

@@ -72,21 +72,27 @@ class component_pool {
     const auto s = static_cast<std::uint32_t>(h & (kShards - 1));
     shard& sh = shards_[s];
     std::lock_guard lk(sh.mu);
-    const std::uint32_t found = sh.index.find(
+    const flat_index::probe pr = sh.index.lookup(
         h, [&](std::uint32_t local) { return shard_get(sh, local) == v; });
-    if (found != flat_index::npos) return encode(found, s);
+    if (pr.hit()) return encode(pr.found, s);
+    // The miss's slot is claimed only once the component is constructed: a
+    // throwing copy leaves the shard as it was (a segment it allocated is
+    // kept for the retry and freed by clear()).
     const std::uint32_t local = sh.count;
+    const std::uint32_t id = encode(local, s);
     const std::size_t seg = local >> kSegBits;
     const std::size_t off = local & (kSegSize - 1);
     if (off == 0) {
       ANONCOORD_REQUIRE(seg < kMaxSegments, "component pool exhausted");
-      T* mem = static_cast<T*>(::operator new(kSegSize * sizeof(T)));
-      sh.segs[seg].store(mem, std::memory_order_release);
+      if (sh.segs[seg].load(std::memory_order_relaxed) == nullptr) {
+        T* mem = static_cast<T*>(::operator new(kSegSize * sizeof(T)));
+        sh.segs[seg].store(mem, std::memory_order_release);
+      }
     }
     new (sh.segs[seg].load(std::memory_order_relaxed) + off) T(v);
-    sh.index.insert(h, local);
+    sh.index.claim(pr, local);
     ++sh.count;
-    return encode(local, s);
+    return id;
   }
 
   /// Lock-free id -> component. `id` must come from intern() on this pool.

@@ -201,16 +201,15 @@ class systematic_tester {
       for (const auto& q : canon_procs)
         wbuf.push_back(pool.intern_machine(q));
       const std::size_t h = hash_words(wbuf.data(), stride());
-      std::uint32_t id = index.find(h, [&](std::uint32_t i) {
+      const flat_index::probe pr = index.lookup(h, [&](std::uint32_t i) {
         return std::memcmp(words.data() + i * stride(), wbuf.data(),
                            stride() * sizeof(std::uint32_t)) == 0;
       });
-      if (id == flat_index::npos) {
-        id = static_cast<std::uint32_t>(entries.size());
-        words.insert(words.end(), wbuf.begin(), wbuf.end());
-        entries.emplace_back();
-        index.insert(h, id);
-      }
+      if (pr.hit()) return {pr.found, elem};
+      const auto id = static_cast<std::uint32_t>(entries.size());
+      words.insert(words.end(), wbuf.begin(), wbuf.end());
+      entries.emplace_back();
+      index.claim(pr, id);
       return {id, elem};
     }
   };

@@ -1,6 +1,6 @@
 // Open-addressed group-probing index from a precomputed hash to a
-// caller-side record index — the explorer's seen table and transition memo,
-// the hash-consing state pool and the systematic tester's state cache.
+// caller-side record index — the explorer's seen table, the hash-consing
+// state pool and the systematic tester's state cache.
 //
 // Layout: 8-byte cells packing a 32-bit hash fragment with the entry index,
 // plus one 1-byte tag per cell (util/probe_group.hpp). A probe walks
@@ -15,6 +15,11 @@
 // group with an empty slot — the group-granular analogue of linear probing's
 // "stop at the first empty cell". The probe start is a pure function of the
 // fragment, so grow() re-places cells without the original hashes.
+//
+// Because a missing lookup stops exactly where placement would land, a
+// dedup-insert is one walk: lookup() returns either the matching entry or
+// that empty slot, and claim() writes the slot once the caller has stored
+// the record it indexes. Nothing may touch the index between the two calls.
 //
 // The index is single-threaded; concurrent owners (state_pool's shards)
 // guard it with their own lock.
@@ -69,38 +74,64 @@ struct flat_index {
 #endif
   }
 
-  /// Find the entry for hash `h` that satisfies `eq`, or npos.
+  /// One probe walk's outcome: the matching entry, or on a miss the slot
+  /// an insert lands in — the first empty slot of the first group with one,
+  /// where the walk stopped.
+  struct probe {
+    std::uint32_t found = npos;  ///< matching entry, npos on a miss
+    std::uint32_t frag = 0;
+    std::size_t slot = 0;  ///< miss only: the empty slot to claim
+    bool hit() const { return found != npos; }
+  };
+
+  /// Walk the probe chain for hash `h` once: stop at the entry that
+  /// satisfies `eq` or at the first group with an empty slot. Notes one
+  /// chain length in the stats sink.
   template <class Eq>
-  std::uint32_t find(std::size_t h, const Eq& eq) const {
-    const std::uint32_t frag = fragment(h);
-    const std::uint8_t tag = probe_tag(frag);
+  probe lookup(std::size_t h, const Eq& eq) const {
+    probe out;
+    out.frag = fragment(h);
+    const std::uint8_t tag = probe_tag(out.frag);
     std::uint64_t chain = 0;
-    std::uint32_t out = npos;
-    for (std::size_t g = start_group(frag);; g = (g + 1) & group_mask) {
+    for (std::size_t g = start_group(out.frag);; g = (g + 1) & group_mask) {
       ++chain;
       const std::uint8_t* t = tags.data() + g * kProbeGroupSlots;
       for (std::uint32_t m = probe_match_mask(t, tag); m != 0; m &= m - 1) {
         const std::size_t i =
             g * kProbeGroupSlots + static_cast<std::size_t>(std::countr_zero(m));
         const std::uint64_t cell = cells[i];
-        if (static_cast<std::uint32_t>(cell >> 32) == frag) {
+        if (static_cast<std::uint32_t>(cell >> 32) == out.frag) {
           const auto local = static_cast<std::uint32_t>(cell) - 1;
           if (eq(local)) {
-            out = local;
+            out.found = local;
             break;
           }
         }
       }
-      if (out != npos || probe_match_mask(t, 0) != 0) break;
+      if (out.found != npos) break;
+      const std::uint32_t empties = probe_match_mask(t, 0);
+      if (empties != 0) {
+        out.slot = g * kProbeGroupSlots +
+                   static_cast<std::size_t>(std::countr_zero(empties));
+        break;
+      }
     }
     if (stats) stats->note_chain(chain);
     return out;
   }
 
-  void insert(std::size_t h, std::uint32_t local) {
-    if ((used + 1) * 10 >= cells.size() * 7) grow(cells.size() * 2);
-    const std::uint64_t chain = place(fragment(h), local);
-    if (stats) stats->note_chain(chain);
+  /// Record `local` for a missed lookup(). If this entry crosses the load
+  /// limit the table grows and re-places it with a second walk; otherwise
+  /// the miss's slot is written directly. Either way the layout is the one
+  /// a find-then-place pair would leave.
+  void claim(const probe& miss, std::uint32_t local) {
+    if ((used + 1) * 10 >= cells.size() * 7) {
+      grow(cells.size() * 2);
+      place(miss.frag, local);
+    } else {
+      cells[miss.slot] = (std::uint64_t{miss.frag} << 32) | (local + 1);
+      tags[miss.slot] = probe_tag(miss.frag);
+    }
     ++used;
   }
 
@@ -123,12 +154,9 @@ struct flat_index {
               static_cast<std::uint32_t>(cell) - 1);
   }
 
-  /// First empty slot of the first group with one; returns the group-chain
-  /// length for the stats sink.
-  std::uint64_t place(std::uint32_t frag, std::uint32_t local) {
-    std::uint64_t chain = 0;
+  /// First empty slot of the first group with one.
+  void place(std::uint32_t frag, std::uint32_t local) {
     for (std::size_t g = start_group(frag);; g = (g + 1) & group_mask) {
-      ++chain;
       const std::uint32_t empties =
           probe_match_mask(tags.data() + g * kProbeGroupSlots, 0);
       if (empties == 0) continue;
@@ -137,7 +165,7 @@ struct flat_index {
           static_cast<std::size_t>(std::countr_zero(empties));
       cells[i] = (std::uint64_t{frag} << 32) | (local + 1);
       tags[i] = probe_tag(frag);
-      return chain;
+      return;
     }
   }
 };

@@ -14,9 +14,9 @@
 //   * NEON on AArch64,
 //   * a portable scalar loop everywhere else.
 // Defining ANONCOORD_PROBE_SCALAR forces the scalar loop on any host; CI
-// builds the tests once with it and runs the reference-oracle and
-// probe-table suites, so the non-x86 fallback is checked against the
-// oracle without non-x86 hardware.
+// builds the tests once with it and runs the reference-oracle, probe-table
+// and flat_index edge-case suites, so the non-x86 fallback is checked
+// against the oracle without non-x86 hardware.
 #pragma once
 
 #include <bit>
@@ -79,9 +79,10 @@ inline const char* probe_backend() {
 #endif
 }
 
-/// Probe-cost counters a table accumulates per find/insert when a sink is
-/// attached: total tag groups scanned and the longest single-probe group
-/// chain (a direct read on clustering health).
+/// Probe-cost counters a table accumulates per lookup when a sink is
+/// attached — one note per walk, so a dedup-insert counts once: total tag
+/// groups scanned and the longest single-probe group chain (a direct read
+/// on clustering health).
 struct probe_stats {
   std::uint64_t groups_scanned = 0;
   std::uint64_t max_group_chain = 0;

@@ -108,17 +108,27 @@ TEST(BatchedExpansionTest, StoredRowBytesIdenticalParallelUnderSymmetry) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchedExpansionTest, PhaseCountersFilled) {
-  explorer<anon_mutex>::options opt;
-  opt.max_states = 2'000'000;
-  opt.symmetry = true;
-  explorer<anon_mutex> e(3, identity_naming(2, 3), machines(3, 2), opt);
-  const auto res = e.explore(two_in_cs);
-  EXPECT_TRUE(res.complete);
-  const explore_phase_stats& ph = e.phase_counters();
-  EXPECT_GT(ph.expand_ns, 0u);
-  EXPECT_GT(ph.probe_ns, 0u);
-  EXPECT_GT(ph.probe_groups_scanned, 0u);
-  EXPECT_GE(ph.probe_max_group_chain, 1u);
+  // Every phase is timed per window or per slice, and encode from a fixed
+  // sample of appends, so each must still read nonzero when it ran — and
+  // canonicalize exactly zero when the group is trivial and it never ran.
+  for (const bool symmetry : {true, false}) {
+    explorer<anon_mutex>::options opt;
+    opt.max_states = 2'000'000;
+    opt.symmetry = symmetry;
+    explorer<anon_mutex> e(3, identity_naming(2, 3), machines(3, 2), opt);
+    const auto res = e.explore(two_in_cs);
+    EXPECT_TRUE(res.complete);
+    const explore_phase_stats& ph = e.phase_counters();
+    EXPECT_GT(ph.expand_ns, 0u) << "symmetry=" << symmetry;
+    EXPECT_GT(ph.probe_ns, 0u) << "symmetry=" << symmetry;
+    EXPECT_GT(ph.encode_ns, 0u) << "symmetry=" << symmetry;
+    EXPECT_GT(ph.probe_groups_scanned, 0u) << "symmetry=" << symmetry;
+    EXPECT_GE(ph.probe_max_group_chain, 1u) << "symmetry=" << symmetry;
+    if (symmetry)
+      EXPECT_GT(ph.canonicalize_ns, 0u);
+    else
+      EXPECT_EQ(ph.canonicalize_ns, 0u);
+  }
 }
 
 TEST(BatchedExpansionTest, VerifyReportSurfacesPhaseBreakdown) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -562,14 +563,85 @@ TEST(WsDequeTest, ConcurrentStealsPartitionTheItems) {
 }
 
 // ---------------------------------------------------------------------------
+// component_pool: interning when a component's copy throws
+// ---------------------------------------------------------------------------
+
+/// A pooled component whose next copy can be made to throw. Equality flags
+/// any compare against storage that holds no constructed object, which is
+/// what a seen-table slot claimed before construction would point at.
+struct fragile {
+  static constexpr std::uint64_t kLive = 0x11fe11fe11fe11feull;
+  static inline bool throw_next_copy = false;
+  static inline bool compared_unconstructed = false;
+
+  std::uint64_t live = kLive;
+  int key = 0;
+
+  explicit fragile(int k) : key(k) {}
+  fragile(const fragile& o) : key(o.key) {
+    if (throw_next_copy) {
+      throw_next_copy = false;
+      throw std::runtime_error("copy failed");
+    }
+  }
+  fragile& operator=(const fragile&) = default;
+  ~fragile() { live = 0; }
+
+  friend bool operator==(const fragile& a, const fragile& b) {
+    if (a.live != kLive || b.live != kLive) compared_unconstructed = true;
+    return a.key == b.key;
+  }
+};
+
+struct fragile_hash {
+  std::size_t operator()(const fragile& f) const {
+    return static_cast<std::size_t>(f.key);
+  }
+};
+
+TEST(ComponentPoolTest, ThrowingCopyClaimsNoSlot) {
+  using pool_t = detail::component_pool<fragile, fragile_hash>;
+  pool_t pool;
+  fragile::compared_unconstructed = false;
+  // Keys 5, 13, 21 share shard 5 (the hash is the key). The first throw
+  // hits a fresh segment's first slot, the second a slot behind a live one.
+  for (const int key : {5, 21}) {
+    const std::uint64_t before = pool.size();
+    fragile::throw_next_copy = true;
+    EXPECT_THROW(pool.intern(fragile(key)), std::runtime_error);
+    EXPECT_EQ(pool.size(), before);
+    const std::uint32_t id = pool.intern(fragile(key));
+    EXPECT_EQ(pool.size(), before + 1);
+    EXPECT_EQ(pool.intern(fragile(key)), id);
+    EXPECT_EQ(pool.size(), before + 1);
+    EXPECT_EQ(pool.at(id).key, key);
+    if (key == 5) {
+      const std::uint32_t id13 = pool.intern(fragile(13));
+      EXPECT_NE(id13, id);
+      EXPECT_EQ(pool.at(id13).key, 13);
+    }
+  }
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_FALSE(fragile::compared_unconstructed);
+  pool.clear();
+  EXPECT_EQ(pool.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // flat_index.hpp edge cases
 // ---------------------------------------------------------------------------
+
+/// Add a record the caller knows is absent: a lookup that matches nothing,
+/// then claim its slot.
+void add_absent(flat_index& idx, std::size_t h, std::uint32_t local) {
+  idx.claim(idx.lookup(h, [](std::uint32_t) { return false; }), local);
+}
 
 TEST(FlatIndexTest, EmptyIndexFindsNothing) {
   flat_index idx;
   const auto never = [](std::uint32_t) { return true; };
-  EXPECT_EQ(idx.find(0, never), flat_index::npos);
-  EXPECT_EQ(idx.find(hash_words(nullptr, 0), never), flat_index::npos);
+  EXPECT_EQ(idx.lookup(0, never).found, flat_index::npos);
+  EXPECT_EQ(idx.lookup(hash_words(nullptr, 0), never).found, flat_index::npos);
   EXPECT_EQ(idx.used, 0u);
 }
 
@@ -578,13 +650,13 @@ TEST(FlatIndexTest, SingleBucketCollisionsResolveByCallback) {
   // the fragment matches every time, so only the eq callback separates them.
   flat_index idx;
   const std::size_t h = 12345;
-  for (std::uint32_t local = 0; local < 8; ++local) idx.insert(h, local);
+  for (std::uint32_t local = 0; local < 8; ++local) add_absent(idx, h, local);
   for (std::uint32_t want = 0; want < 8; ++want) {
     const auto eq = [&](std::uint32_t local) { return local == want; };
-    EXPECT_EQ(idx.find(h, eq), want);
+    EXPECT_EQ(idx.lookup(h, eq).found, want);
   }
   const auto none = [](std::uint32_t local) { return local == 99; };
-  EXPECT_EQ(idx.find(h, none), flat_index::npos);
+  EXPECT_EQ(idx.lookup(h, none).found, flat_index::npos);
 }
 
 TEST(FlatIndexTest, GrowthBoundaryKeepsEveryEntryFindable) {
@@ -596,13 +668,13 @@ TEST(FlatIndexTest, GrowthBoundaryKeepsEveryEntryFindable) {
   int rehashes = 0;
   for (std::uint32_t i = 0; i < 2000; ++i) {
     hashes.push_back(static_cast<std::size_t>(mix64(i)) | 1);
-    idx.insert(hashes.back(), i);
+    add_absent(idx, hashes.back(), i);
     if (idx.cells.size() != last_capacity) {
       ++rehashes;
       last_capacity = idx.cells.size();
       for (std::uint32_t j = 0; j <= i; ++j) {
         const auto eq = [&](std::uint32_t local) { return local == j; };
-        ASSERT_EQ(idx.find(hashes[j], eq), j)
+        ASSERT_EQ(idx.lookup(hashes[j], eq).found, j)
             << "entry lost at rehash to " << last_capacity;
       }
     }
@@ -635,7 +707,7 @@ TEST(FlatIndexTest, LookupDuringInsertFromConcurrentReaders) {
         const auto i = static_cast<std::uint32_t>(rng.below(hi));
         std::lock_guard<std::mutex> lock(mu);
         const auto eq = [&](std::uint32_t local) { return local == i; };
-        ASSERT_EQ(idx.find(key(i), eq), i);
+        ASSERT_EQ(idx.lookup(key(i), eq).found, i);
         lookups.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -643,7 +715,7 @@ TEST(FlatIndexTest, LookupDuringInsertFromConcurrentReaders) {
   for (std::uint32_t i = 0; i < 5000; ++i) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      idx.insert(key(i), i);
+      add_absent(idx, key(i), i);
     }
     published.store(i + 1, std::memory_order_release);
   }
