@@ -302,8 +302,6 @@ int main(int argc, char** argv) {
     std::uint64_t base_states = 0;
     for (int workers = 1; workers <= max_scale_workers; workers *= 2) {
       verify_options opt;
-      opt.engine = workers == 1 ? verify_engine::bfs
-                                : verify_engine::parallel_bfs;
       opt.workers = workers;
       const auto rep = verify_config(cfg, double_entry, opt);
       if (workers == 1) {

@@ -1,5 +1,5 @@
-// Verification-throughput scaling: the BFS explorer's worker stage and the
-// reduction-aware engines against their one-worker / unreduced baselines,
+// Verification-throughput scaling: the BFS explorer's worker stage and its
+// reductions against their one-worker / unreduced baselines,
 // on the fixed reference configuration (Fig. 1 mutex, n = 2, m = 5,
 // process 1 rotated by 2).
 //
@@ -8,9 +8,8 @@
 // EF-progress), with states, dedup hits and wall time per run. Verdicts and
 // state counts are bit-identical by construction; the table shows it.
 //
-// Part 2 — schedule enumeration: the CHESS-style systematic tester with and
-// without sleep-set partial-order reduction at the same depth bound, with
-// the schedule/step reduction ratios.
+// There is no part 2; the other parts keep their numbers so that existing
+// --part=N selections stay valid.
 //
 // Part 3 — symmetry reduction: stored-state counts with orbit
 // canonicalization off vs on. Two configurations: the shared-naming n = 2
@@ -24,11 +23,10 @@
 // verdict counts must agree exactly (full = orbit x m!) and the sweep runs
 // >= 5x faster.
 //
-// Part 5 — compressed state arenas: verbatim vs bit-packed row storage on
-// the reference config and on a deadlocking even-m config (so a
-// counterexample schedule is decoded through the packed path). Verdicts,
-// state counts and counterexample schedules must be identical across
-// verbatim, packed and packed at two workers, and the
+// Part 5 — packed state arenas: bit-packed row storage on the reference
+// config and on a deadlocking even-m config (so a counterexample schedule is
+// decoded through the packed path). Verdicts, state counts and
+// counterexample schedules must be identical at one and two workers, and the
 // packed footprint must stay <= 12 B per stored state; any disagreement
 // makes the bench exit nonzero.
 //
@@ -59,7 +57,7 @@
 // skipped, and says so, on a single-core host). Merge record/duplicate/
 // missing counts land in the JSON metrics counters.
 //
-// --part=N runs a single part (1-8; 0 = all) so CI perf-smoke jobs can
+// --part=N runs a single part (1, 3-8; 0 = all) so CI perf-smoke jobs can
 // scope to the gates they diff. Skipped parts report nothing and their
 // acceptance gates pass vacuously.
 //
@@ -70,14 +68,13 @@
 // interrupted run (--sweep-max-classes caps classes per invocation) picks up
 // where it stopped with identical weighted totals.
 //
-//   ./bench_modelcheck_scaling [--part=0] [--m=5] [--stride=2] [--depth=21]
-//                              [--reps=3] [--sweep-m=0]
+//   ./bench_modelcheck_scaling [--part=0] [--m=5] [--stride=2] [--reps=3]
+//                              [--sweep-m=0]
 //                              [--sweep-workers=1] [--sweep-checkpoint=FILE]
 //                              [--sweep-max-classes=0]
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -101,24 +98,10 @@
 
 using namespace anoncoord;
 
-namespace {
-
-double best_of(int reps, const std::function<double()>& run_once) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double t = run_once();
-    if (r == 0 || t < best) best = t;
-  }
-  return best;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   cli_args args;
   args.define("m", "5", "registers in the reference config (Fig. 1, n = 2)");
   args.define("stride", "2", "rotation offset of process 1's numbering");
-  args.define("depth", "21", "systematic tester depth bound");
   args.define("reps", "3", "timing repetitions (best-of)");
   args.define("sweep-m", "0",
               "if >= 2, also run the full weighted naming sweep at this m "
@@ -130,14 +113,13 @@ int main(int argc, char** argv) {
   args.define("sweep-max-classes", "0",
               "verify at most this many classes per invocation (0 = all; "
               "use with --sweep-checkpoint to split a long sweep)");
-  args.define("part", "0", "run only this part (1-8; 0 = all)");
+  args.define("part", "0", "run only this part (1, 3-8; 0 = all)");
   if (!args.parse(argc, argv)) {
     std::cout << args.help("bench_modelcheck_scaling");
     return 0;
   }
   const int m = static_cast<int>(args.get_int("m"));
   const int stride = static_cast<int>(args.get_int("stride"));
-  const int depth = static_cast<int>(args.get_int("depth"));
   const int reps = std::max(1, static_cast<int>(args.get_int("reps")));
   const int sweep_quotient_m = static_cast<int>(args.get_int("sweep-m"));
   const int sweep_workers =
@@ -152,7 +134,6 @@ int main(int argc, char** argv) {
   report.config("part", part_sel);
   report.config("m", m);
   report.config("stride", stride);
-  report.config("depth", depth);
   report.config("reps", reps);
   const unsigned hw_cores = std::max(1u, std::thread::hardware_concurrency());
   report.config("hardware_concurrency", static_cast<int>(hw_cores));
@@ -230,7 +211,6 @@ int main(int argc, char** argv) {
                     t, "s");
       // dedup hits: from a safety-only verify_config run.
       verify_options vopt;
-      vopt.engine = verify_engine::parallel_bfs;
       vopt.workers = workers;
       vopt.max_states = 8'000'000;
       const auto stats = verify_config<anon_mutex>(cfg, two_in_cs, vopt);
@@ -246,47 +226,6 @@ int main(int argc, char** argv) {
                                  "measurable on this host)"
                                : "")
               << "\n\n";
-  }
-
-  // -------------------------------------------------------------------
-  // Part 2: systematic schedule enumeration, unreduced vs sleep sets.
-  // The exhaustive-equivalence regime (preemptions >= depth) is where the
-  // reduction is sound and the schedule explosion is worst.
-  // -------------------------------------------------------------------
-  verify_report plain, sleep;
-  if (run_part(2)) {
-    ascii_table sys_table({"tester", "depth", "schedules", "steps", "pruned",
-                           "verdict", "ms", "reduction"});
-    for (bool use_sleep : {false, true}) {
-      verify_options vopt;
-      vopt.engine = use_sleep ? verify_engine::systematic_sleep
-                              : verify_engine::systematic;
-      vopt.max_steps = depth;
-      vopt.max_preemptions = depth;  // exhaustive-equivalence regime
-      verify_report rep;
-      const double t = best_of(reps, [&] {
-        rep = verify_config(cfg, two_in_cs, vopt);
-        return rep.wall_seconds;
-      });
-      rep.wall_seconds = t;
-      (use_sleep ? sleep : plain) = rep;
-      report.sample(use_sleep ? "systematic_sleep_seconds"
-                              : "systematic_seconds",
-                    t, "s");
-      report.sample(use_sleep ? "systematic_sleep_schedules"
-                              : "systematic_schedules",
-                    static_cast<double>(rep.schedules));
-      const double reduction =
-          use_sleep && rep.schedules
-              ? static_cast<double>(plain.schedules) /
-                    static_cast<double>(rep.schedules)
-              : 1.0;
-      sys_table.add(use_sleep ? "sleep-set" : "unreduced", depth,
-                    rep.schedules, rep.states, rep.sleep_pruned,
-                    rep.violated ? "VIOLATED" : "no violation", t * 1e3,
-                    reduction);
-    }
-    std::cout << sys_table.render() << "\n";
   }
 
   // -------------------------------------------------------------------
@@ -420,15 +359,15 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Part 5: compressed state arenas, verbatim vs bit-packed rows. The
-  // deadlock config decodes a stuck-schedule counterexample through the
-  // packed path; the reference config carries the <= 12 B/state bound.
+  // Part 5: packed state arenas at one and two workers. The deadlock config
+  // decodes a stuck-schedule counterexample through the packed path; the
+  // reference config carries the <= 12 B/state bound.
   // -------------------------------------------------------------------
   bool arena_match = true;
   bool arena_bytes_ok = true;
   double compressed_bps = 0;
   if (run_part(5)) {
-  ascii_table arena_table({"config", "engine", "states", "B/state",
+  ascii_table arena_table({"config", "workers", "states", "B/state",
                            "epochs", "verdict", "cex-len", "ms"});
   struct arena_config {
     const char* name;
@@ -443,24 +382,15 @@ int main(int argc, char** argv) {
                                  rotation_permutation(ac.m, ac.stride)});
     const auto amach = detail::mutex_machines(ac.m, anm, {1, 2});
     mutex_check_result base;
-    std::uint64_t base_states = 0;
-    struct engine_spec {
-      const char* name;
-      bool compress;
-      int workers;
-    };
-    for (const engine_spec es : {engine_spec{"verbatim", false, 1},
-                                 engine_spec{"packed", true, 1},
-                                 engine_spec{"packed, 2 workers", true, 2}}) {
+    for (const int workers : {1, 2}) {
       mutex_check_result res;
       std::uint64_t row_bytes = 0, keyframes = 0;
       double t_best = 0;
       for (int rep = 0; rep < reps; ++rep) {
         stopwatch t;
         explorer<anon_mutex>::options eopt;
-        eopt.workers = es.workers;
+        eopt.workers = workers;
         eopt.max_states = 8'000'000;
-        eopt.compress_arena = es.compress;
         explorer<anon_mutex> e(ac.m, anm, amach, eopt);
         res = detail::run_mutex_check(e);
         row_bytes = e.stored_row_bytes();
@@ -472,22 +402,20 @@ int main(int argc, char** argv) {
                              ? static_cast<double>(row_bytes) /
                                    static_cast<double>(res.num_states)
                              : 0.0;
-      if (es.workers == 1 && !es.compress) {
+      if (workers == 1) {
         base = res;
-        base_states = res.num_states;
+        if (ac.is_reference) compressed_bps = bps;
       } else {
         arena_match = arena_match && res.verdict() == base.verdict() &&
-                      res.num_states == base_states &&
+                      res.num_states == base.num_states &&
                       res.counterexample == base.counterexample;
       }
-      if (ac.is_reference && es.workers == 1 && es.compress)
-        compressed_bps = bps;
       const std::string tag = std::string(ac.is_reference ? "ref" : "dead") +
-                              "/" + (es.compress ? "compressed" : "verbatim") +
-                              (es.workers > 1 ? "/parallel" : "");
+                              "/compressed" +
+                              (workers > 1 ? "/parallel" : "");
       report.sample("arena_bytes_per_state/" + tag, bps, "B");
       report.sample("arena_seconds/" + tag, t_best, "s");
-      arena_table.add(ac.name, es.name, res.num_states, bps, keyframes,
+      arena_table.add(ac.name, workers, res.num_states, bps, keyframes,
                       res.verdict(), res.counterexample.size(), t_best * 1e3);
     }
   }
@@ -495,7 +423,8 @@ int main(int argc, char** argv) {
   std::cout << arena_table.render() << "\n";
   std::cout << "packed rows: " << compressed_bps
             << " B/state on the reference config (bound <= 12), "
-            << "verdicts/states/counterexamples identical across engines: "
+            << "verdicts/states/counterexamples identical at 1 and 2 "
+               "workers: "
             << (arena_match ? "yes" : "NO — BUG") << "\n\n";
   report.metric("arena_verdicts_match", arena_match ? 1 : 0);
   report.metric("arena_bytes_bound_met", arena_bytes_ok ? 1 : 0);
@@ -525,7 +454,6 @@ int main(int argc, char** argv) {
       stopwatch t;
       explorer<anon_mutex>::options eopt;
       eopt.max_states = 8'000'000;
-      eopt.compress_arena = true;
       explorer<anon_mutex> e(m, naming, oc_mach, eopt);
       mem_res = detail::run_mutex_check(e);
       inmem_bytes = e.stored_row_bytes();
@@ -548,7 +476,6 @@ int main(int argc, char** argv) {
       explorer<anon_mutex>::options eopt;
       eopt.workers = se.workers;
       eopt.max_states = 8'000'000;
-      eopt.compress_arena = true;
       eopt.spill_budget_bytes = spill_budget;
       explorer<anon_mutex> e(m, naming, oc_mach, eopt);
       const mutex_check_result res = detail::run_mutex_check(e);
@@ -842,16 +769,9 @@ int main(int argc, char** argv) {
     report.metric("shard_speedup_ok", shard_speedup_ok ? 1 : 0);
   }
 
-  const double schedule_reduction =
-      sleep.schedules ? static_cast<double>(plain.schedules) /
-                            static_cast<double>(sleep.schedules)
-                      : 0.0;
-  const bool verdicts_match = plain.violated == sleep.violated;
-
   std::cout << "ACCEPTANCE parallel-speedup@8workers=" << speedup_at_8
             << "x (target >= 2x; needs >= 2 cores, host has " << hw_cores
-            << ")  sleep-set-schedule-reduction="
-            << schedule_reduction << "x (target >= 3x)  symmetry-reduction="
+            << ")  symmetry-reduction="
             << reduction_n2 << "x@n=2 (n! ceiling) / " << reduction_n3
             << "x@n=3 (target >= 3x)  fa-product-reduction=" << fa_reduction_n2
             << "x@n=2 (target > 2x) / " << fa_reduction_n3
@@ -867,7 +787,7 @@ int main(int argc, char** argv) {
             << (hw_cores >= 2 ? (shard_speedup_ok ? "met" : "NOT MET")
                               : "skipped, single core")
             << ")  verdicts-match="
-            << (verdicts_match && identical && symmetry_verdicts_match &&
+            << (identical && symmetry_verdicts_match &&
                         fa_verdicts_match && sweep_verdicts_match &&
                         arena_match && spill_match
                     ? "yes"
@@ -878,17 +798,16 @@ int main(int argc, char** argv) {
   // checker rejects a zero bytes-per-state, and a zero series would
   // collide with a full run's real value in the deterministic diff).
   if (run_part(1)) report.sample("parallel_speedup_at_8", speedup_at_8, "x");
-  if (run_part(2)) report.sample("sleep_set_reduction", schedule_reduction, "x");
   if (run_part(5)) report.sample("bytes_per_stored_state", compressed_bps, "B");
   report.metric("verdicts_match",
-                verdicts_match && identical && symmetry_verdicts_match &&
+                identical && symmetry_verdicts_match &&
                         fa_verdicts_match && sweep_verdicts_match &&
                         arena_match && spill_match
                     ? 1
                     : 0);
   report.metric("fa_factors_ok", fa_factors_ok ? 1 : 0);
   report.write();
-  return identical && verdicts_match && symmetry_verdicts_match &&
+  return identical && symmetry_verdicts_match &&
                  fa_verdicts_match && fa_factors_ok && sweep_verdicts_match &&
                  arena_match && arena_bytes_ok && spill_match &&
                  spill_budget_held && spill_refault_bounded &&

@@ -23,13 +23,11 @@
 // (row_store::equals), hashing is util/hash.hpp's hash_words, and a
 // successor reuses its parent's row with at most two patched words (the
 // stepped machine, the written register) — no full-state copies anywhere on
-// the hot path. By default (options.compress_arena) the seen rows themselves
-// are bit-packed in arena pages (row_store: each column in the bit width of
-// its pools' id bound), so reading a stored row back is O(1) arithmetic and
-// needs nothing but its index; the opt-out keeps them verbatim. The reported
-// result is identical in both modes, and identical to the plain object-level
-// BFS of modelcheck/reference_explorer.hpp, which the tests use as the
-// oracle.
+// the hot path. The seen rows themselves are bit-packed in arena pages
+// (row_store: each column in the bit width of its pools' id bound), so
+// reading a stored row back is O(1) arithmetic and needs nothing but its
+// index. The reported result is identical to the plain object-level BFS of
+// modelcheck/reference_explorer.hpp, which the tests use as the oracle.
 //
 // The hot loop itself is a staged batch pipeline (see docs/modelcheck.md
 // "hot-path pipeline"): the frontier is processed in fixed windows of
@@ -229,20 +227,11 @@ class explorer {
     /// the group action; machine types with neither trait get the trivial
     /// group, making this a no-op rather than a wrong answer.
     bool symmetry = false;
-    /// Store seen rows bit-packed in arena pages (state_pool.hpp's
-    /// row_store: each column in the bit width of its pools' id bound)
-    /// instead of verbatim 4-byte words. Identical verdicts, counts and
-    /// schedules either way. Packed is the recommended default: on the
-    /// reference config it stores 4.8x fewer row bytes for about 6% more
-    /// CPU (docs/modelcheck.md, "the packed state arena"), and only packed
-    /// rows can spill; verbatim is the reference layout the differential
-    /// tests compare against.
-    bool compress_arena = true;
-    /// Out-of-core mode (packed arena only): resident budget in bytes for
-    /// the row arena; cold pages spill to an unlinked temp file under
-    /// spill_dir ("" = $TMPDIR or /tmp). The frontier and the progress pass
-    /// fault them back window by window, evicting behind themselves;
-    /// duplicate checks read single rows from the file without faulting.
+    /// Out-of-core mode: resident budget in bytes for the row arena; cold
+    /// pages spill to an unlinked temp file under spill_dir ("" = $TMPDIR
+    /// or /tmp). The frontier and the progress pass fault them back window
+    /// by window, evicting behind themselves; duplicate checks read single
+    /// rows from the file without faulting.
     /// Verdicts, counts and counterexamples are bit-identical to in-memory
     /// runs. 0 keeps everything resident.
     std::uint64_t spill_budget_bytes = 0;
@@ -440,8 +429,7 @@ class explorer {
     return b;
   }
 
-  /// Rows that opened a width epoch in the packed store (diagnostics; 0 in
-  /// verbatim mode where the notion does not apply).
+  /// Rows that opened a width epoch in the packed store (diagnostics).
   std::uint64_t keyframe_rows() const { return rows_.keyframes(); }
 
   /// Spill counters from the backing arena (all zero when spilling is off).
@@ -517,11 +505,9 @@ class explorer {
       pk_.attach(&group_, &pool_, registers_,
                  static_cast<int>(initial_machines_.size()));
     row_store_options ropt;
-    if (opt_.compress_arena) {
-      ropt.spill.budget_bytes = opt_.spill_budget_bytes;
-      ropt.spill.dir = opt_.spill_dir;
-    }
-    rows_.configure(stride(), opt_.compress_arena, ropt);
+    ropt.spill.budget_bytes = opt_.spill_budget_bytes;
+    ropt.spill.dir = opt_.spill_dir;
+    rows_.configure(stride(), ropt);
     index_.clear();
     workers_.clear();
     workers_.resize(static_cast<std::size_t>(opt_.workers));
@@ -920,7 +906,7 @@ class explorer {
   symmetry_group<Machine> group_;
 
   state_pool<Machine> pool_;
-  row_store rows_;    ///< seen rows, bit-packed or verbatim per options
+  row_store rows_;    ///< seen rows, bit-packed
   flat_index index_;  ///< group-probing seen table
   // Provenance per state: BFS-tree parent, the process that stepped into
   // it and, for a non-trivial group only, its canonicalizing element.

@@ -8,10 +8,10 @@
 // millions. state_pool interns each component once and hands out a dense
 // 32-bit id; a global state becomes a packed row of (m + n) ids ("words").
 // Interning is injective, so two states are equal iff their word rows are
-// equal — seen-tables compare with memcmp over 4(m + n) bytes and hash with
+// equal — seen tables compare rows column by column and hash with
 // hash_words instead of walking full state content, and the per-state memory
-// footprint drops from sizeof(state) (machines own heap vectors) to
-// 4(m + n) bytes.
+// footprint drops from sizeof(state) (machines own heap vectors) to one
+// row_store row: each column bit-packed into its ids' width.
 //
 // Thread-safety (the explorer's generation workers intern concurrently):
 //
@@ -370,29 +370,24 @@ struct row_store_options {
 };
 
 /// Append-only store of packed state rows (stride = m + n words each), the
-/// seen-set payload of the explorers. Two modes:
+/// seen-set payload of the explorer. Column c (m register-value ids, then n
+/// machine ids) is stored in bit_width(largest id appended to column c so
+/// far) bits, the fields concatenated LSB-first into ceil(bits / 8) bytes
+/// per row and written and read as a stream of little-endian 32-bit chunks.
+/// Widths only grow, so rows are appended in WIDTH EPOCHS: a new epoch opens
+/// only when an appended id outgrows its column (at most 32 times per
+/// column) or reserve() widens the columns ahead of a batch. Within an epoch
+/// every row has the same byte size and rows fill arena pages back to back
+/// (byte_arena never splits a row across pages), so a row's offset follows
+/// from its epoch's base offset by arithmetic alone: no per-row offset,
+/// depth or parent data. Each page keeps kReadSlack bytes after its last
+/// row, so a row's final chunk never reaches past its page.
 ///
-///   * verbatim — rows kept as flat 4·stride-byte runs; load() is a memcpy.
-///     This is the reference layout (options.compress_arena = false).
-///   * packed — column c (m register-value ids, then n machine ids) is
-///     stored in bit_width(largest id appended to column c so far) bits, the
-///     fields concatenated LSB-first into ceil(bits / 8) bytes per row and
-///     written and read as a stream of little-endian 32-bit chunks.
-///     Widths only grow, so rows are appended in WIDTH EPOCHS: a new epoch
-///     opens only when an appended id outgrows its column (at most 32 times
-///     per column) or reserve() widens the columns ahead of a batch. Within
-///     an epoch every row has the same byte size and rows fill arena pages
-///     back to back (byte_arena never splits a row across pages), so a row's
-///     offset follows from its epoch's base offset by arithmetic alone: no
-///     per-row offset, depth or parent data. Each page keeps kReadSlack
-///     bytes after its last row, so a row's final chunk never reaches past
-///     its page.
-///
-/// load() and equals() are O(1) in both modes. Appends are single-threaded;
-/// loads may run concurrently from many threads provided no append is in
-/// flight — the same fork-join contract as byte_arena. Every packed row byte
-/// lives in the arena, so a spill budget (row_store_options) bounds all of
-/// them; only the epoch table stays resident. Scans fault spilled pages back
+/// load() and equals() are O(1). Appends are single-threaded; loads may run
+/// concurrently from many threads provided no append is in flight — the
+/// same fork-join contract as byte_arena. Every row byte lives in the
+/// arena, so a spill budget (row_store_options) bounds all of them; only
+/// the epoch table stays resident. Scans fault spilled pages back
 /// in window by window (prefetch_rows); duplicate checks read single rows
 /// from the spill file without faulting (equals).
 class row_store {
@@ -401,18 +396,12 @@ class row_store {
   /// every page keeps them free after its last row.
   static constexpr std::uint32_t kReadSlack = 3;
 
-  void configure(std::size_t stride, bool compress) {
-    configure(stride, compress, row_store_options{});
-  }
-
-  void configure(std::size_t stride, bool compress,
-                 const row_store_options& opt) {
+  void configure(std::size_t stride, const row_store_options& opt = {}) {
     ANONCOORD_REQUIRE(stride > 0 && stride < (std::size_t{1} << 13),
                       "row stride out of range");
     clear();
     arena_.configure(opt.page_bits, opt.spill);
     stride_ = stride;
-    compressed_ = compress;
   }
 
   std::uint64_t size() const { return count_; }
@@ -420,10 +409,6 @@ class row_store {
   /// Append one row (stride words); returns its index == the previous size().
   std::uint64_t append(const std::uint32_t* row) {
     ANONCOORD_REQUIRE(count_ < 0xFFFFFFFFull, "row store index space exhausted");
-    if (!compressed_) {
-      words_.insert(words_.end(), row, row + stride_);
-      return count_++;
-    }
     if (outgrows(row)) open_epoch(row);
     epoch& e = epochs_.back();
     const std::uint8_t* w = widths_.data() + e.widths;
@@ -456,19 +441,14 @@ class row_store {
   /// most max_ids[c] append without opening another epoch. The explorer
   /// reserves its pools' id bounds before each window's appends: ids are
   /// handed out in thread-timing order but the bounds are not, so the
-  /// packed layout is the same at every worker count. No-op verbatim.
+  /// packed layout is the same at every worker count.
   void reserve(const std::uint32_t* max_ids) {
-    if (compressed_ && outgrows(max_ids)) open_epoch(max_ids);
+    if (outgrows(max_ids)) open_epoch(max_ids);
   }
 
   /// Decode row `idx` into `out` (stride words). A spilled row faults its
   /// page back in: loads come from scans, which read the neighbours next.
   void load(std::uint64_t idx, std::uint32_t* out) const {
-    if (!compressed_) {
-      std::memcpy(out, words_.data() + idx * stride_,
-                  stride_ * sizeof(std::uint32_t));
-      return;
-    }
     const epoch& e = epoch_of(idx);
     unpack(e, arena_.at(offset_of(e, idx)),
            [&](std::size_t c, std::uint32_t v) {
@@ -482,9 +462,6 @@ class row_store {
   /// are scattered over the whole store, so a spilled row is copied out of
   /// the spill file without faulting its page in (byte_arena::read).
   bool equals(std::uint64_t idx, const std::uint32_t* row) const {
-    if (!compressed_)
-      return std::memcmp(words_.data() + idx * stride_, row,
-                         stride_ * sizeof(std::uint32_t)) == 0;
     const epoch& e = epoch_of(idx);
     std::vector<std::uint8_t> cold;
     return unpack(e,
@@ -497,9 +474,9 @@ class row_store {
   /// arena-append order, so the window is one contiguous page range; under
   /// a spill budget other pages are evicted to make room, so a whole scan
   /// stays within the budget. The caller must be the only reader (see
-  /// byte_arena::prefetch_range). No-op in verbatim or fully-resident mode.
+  /// byte_arena::prefetch_range). No-op when fully resident.
   void prefetch_rows(std::uint64_t lo, std::uint64_t hi) const {
-    if (!compressed_ || !arena_.spill_enabled()) return;
+    if (!arena_.spill_enabled()) return;
     hi = std::min(hi, count_);
     if (lo >= hi) return;
     const epoch& last = epoch_of(hi - 1);
@@ -508,13 +485,12 @@ class row_store {
   }
 
   /// Bytes of row storage actually committed: arena bytes (page tails
-  /// included) plus the epoch table when packed, 4·stride per row verbatim.
+  /// included) plus the epoch table.
   std::uint64_t stored_bytes() const {
-    if (!compressed_) return count_ * stride_ * sizeof(std::uint32_t);
     return arena_.used() + epochs_.size() * sizeof(epoch) + widths_.size();
   }
 
-  /// Width epochs opened so far (0 in verbatim mode).
+  /// Width epochs opened so far.
   std::uint64_t keyframes() const { return epochs_.size(); }
 
   bool spill_enabled() const { return arena_.spill_enabled(); }
@@ -528,7 +504,6 @@ class row_store {
   /// `target_offset` (exercising offsets beyond 2^32 without writing
   /// gigabytes). The next row starts a fresh epoch, based past the hole.
   void pad_arena_for_test(std::uint64_t target_offset) {
-    ANONCOORD_REQUIRE(compressed_, "pad_arena_for_test needs packed mode");
     arena_.pad_to(target_offset);
     if (epochs_.empty()) return;
     epochs_.push_back(epochs_.back());
@@ -537,7 +512,6 @@ class row_store {
 
   void clear() {
     count_ = 0;
-    words_.clear();
     arena_.clear();
     epochs_.clear();
     widths_.clear();
@@ -642,10 +616,8 @@ class row_store {
   }
 
   std::size_t stride_ = 0;
-  bool compressed_ = true;
   std::uint64_t count_ = 0;
-  std::vector<std::uint32_t> words_;  // verbatim mode
-  byte_arena arena_;                  // packed mode: row bytes…
+  byte_arena arena_;                  // row bytes…
   std::vector<epoch> epochs_;         // …their width epochs…
   std::vector<std::uint8_t> widths_;  // …and stride column widths per epoch
 };

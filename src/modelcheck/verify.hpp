@@ -1,22 +1,21 @@
-// verify_config(): one entry point over every verification engine.
+// verify_config(): the safety entry point over the BFS explorer.
 //
-// The repo has two mechanical provers — the BFS explorer (explorer.hpp,
-// whose generation stage runs on options.workers threads) and the
-// CHESS-style systematic tester (with optional sleep-set reduction). They
-// take the same inputs (a register count, a naming assignment, initial
-// machines, a bad-state predicate) but have distinct result types.
-// verify_config() runs either on a uniform model_config and returns uniform
-// per-run stats (states, dedup hits, schedules, reduction counters, wall
-// time), which is what the scaling bench and the differential tests
-// consume.
+// The explorer (explorer.hpp, whose generation stage runs on
+// options.workers threads) is the one mechanical prover: it exhausts the
+// reachable state space, so its verdict holds over every interleaving.
+// verify_config() runs it on a uniform model_config with a predicate over
+// (registers, machines) and returns uniform per-run stats (states, edges,
+// dedup hits, spill and canonicalization counters, phase times, wall time),
+// which is what the scaling bench, the naming sweeps and the differential
+// tests consume.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -25,85 +24,51 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/sweep_journal.hpp"
-#include "modelcheck/systematic.hpp"
 #include "obs/metrics.hpp"
-#include "util/padded.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
-#include "util/work_steal.hpp"
 
 namespace anoncoord {
 
-enum class verify_engine {
-  bfs,               ///< explorer.hpp at one worker
-  parallel_bfs,      ///< explorer.hpp at verify_options::workers workers
-  systematic,        ///< bounded schedule enumeration (systematic.hpp)
-  systematic_sleep,  ///< + sleep-set partial-order reduction
-};
-
-inline std::string to_string(verify_engine e) {
-  switch (e) {
-    case verify_engine::bfs: return "bfs";
-    case verify_engine::parallel_bfs: return "parallel-bfs";
-    case verify_engine::systematic: return "systematic";
-    case verify_engine::systematic_sleep: return "systematic+sleep";
-  }
-  return "?";
-}
-
 struct verify_options {
-  verify_engine engine = verify_engine::bfs;
-  int workers = 1;                         ///< parallel_bfs only
-  std::uint64_t max_states = 2'000'000;    ///< BFS engines
-  int max_steps = 40;                      ///< systematic engines
-  int max_preemptions = 2;                 ///< systematic engines
-  std::uint64_t max_runs = 50'000'000;     ///< systematic engines
-  /// Orbit-representative symmetry reduction (modelcheck/symmetry.hpp).
-  /// BFS engines dedup states by canonical form; systematic engines key
-  /// their dominance cache by canonical form (implies state_cache). The
-  /// predicate must be invariant under the configuration's automorphisms.
+  int workers = 1;  ///< explorer generation-stage workers
+  std::uint64_t max_states = 2'000'000;
+  /// Orbit-representative symmetry reduction (modelcheck/symmetry.hpp):
+  /// states are deduplicated by canonical form. The predicate must be
+  /// invariant under the configuration's automorphisms.
   bool symmetry = false;
-  /// Dominance-cache pruning for the systematic engines (see
-  /// systematic_tester::options::state_cache).
-  bool state_cache = false;
-  /// Out-of-core mode for the BFS engines (see explorer::options): resident
-  /// budget for the packed row arena, 0 = fully in-memory. In a
-  /// scheduled sweep this is the PER-JOB budget — every class's engine gets
-  /// its own arena and spill file.
+  /// Out-of-core mode (see explorer::options): resident budget for the
+  /// packed row arena, 0 = fully in-memory. In a scheduled sweep this is
+  /// the PER-JOB budget — every class's explorer gets its own arena and
+  /// spill file.
   std::uint64_t spill_budget_bytes = 0;
   std::string spill_dir;
 };
 
-/// Uniform per-run statistics. For BFS engines `states` counts distinct
-/// global states; for systematic engines it counts executed steps and
-/// `schedules` counts enumerated maximal schedules.
+/// Uniform per-run statistics; `states` counts distinct stored global states.
 struct verify_report {
-  verify_engine engine{};
   bool complete = false;
   bool violated = false;
   std::uint64_t states = 0;
   std::uint64_t edges = 0;
   std::uint64_t dedup_hits = 0;
-  std::uint64_t schedules = 0;
-  std::uint64_t sleep_pruned = 0;
-  std::uint64_t cache_pruned = 0;
   std::uint64_t spill_pages = 0;  ///< arena pages written out-of-core
   std::uint64_t spill_bytes = 0;  ///< bytes written to the spill file
-  /// Canonicalization prune effectiveness (BFS engines; zero for trivial
-  /// groups and the systematic engines). full_applies counts candidates
-  /// whose image was fully materialized (or fully compared on a tie);
-  /// first_word_pruned / prefix_pruned count candidates rejected at word 0 /
-  /// at a later word of the longest-common-prefix compare. A candidate is a
-  /// group element, or a prefix class where the kernel sorts classes (fully
-  /// anonymous identity namings): a sorted class is one full apply.
+  /// Canonicalization prune effectiveness (zero for trivial groups).
+  /// full_applies counts candidates whose image was fully materialized (or
+  /// fully compared on a tie); first_word_pruned / prefix_pruned count
+  /// candidates rejected at word 0 / at a later word of the
+  /// longest-common-prefix compare. A candidate is a group element, or a
+  /// prefix class where the kernel sorts classes (fully anonymous identity
+  /// namings): a sorted class is one full apply.
   std::uint64_t canon_full_applies = 0;
   std::uint64_t canon_first_word_pruned = 0;
   std::uint64_t canon_prefix_pruned = 0;
-  /// Hot-loop phase breakdown (BFS engines; zero for the systematic
-  /// engines; see explore_phase_stats). expand and canonicalize sum the
-  /// generation workers' ticks, so with several workers the phase total is
-  /// partly CPU time and can exceed wall_seconds. probe_groups_scanned /
-  /// probe_max_group_chain are the group-probe seen-table counters.
+  /// Hot-loop phase breakdown (see explore_phase_stats). expand and
+  /// canonicalize sum the generation workers' ticks, so with several
+  /// workers the phase total is partly CPU time and can exceed
+  /// wall_seconds. probe_groups_scanned / probe_max_group_chain are the
+  /// group-probe seen-table counters.
   std::uint64_t expand_ns = 0;
   std::uint64_t canonicalize_ns = 0;
   std::uint64_t probe_ns = 0;
@@ -116,7 +81,7 @@ struct verify_report {
   bool ok() const { return complete && !violated; }
 };
 
-/// A model configuration: what every engine needs to start.
+/// A model configuration: what the explorer needs to start.
 template <class Machine>
 struct model_config {
   int registers = 0;
@@ -124,8 +89,8 @@ struct model_config {
   std::vector<Machine> initial;
 };
 
-/// Bad-state predicate over (registers, machines) — the systematic tester's
-/// native shape; BFS engines adapt it to global_state.
+/// Bad-state predicate over (registers, machines); verify_config adapts it
+/// to global_state.
 template <class Machine>
 using config_predicate =
     std::function<bool(const std::vector<typename Machine::value_type>&,
@@ -136,77 +101,45 @@ verify_report verify_config(const model_config<Machine>& cfg,
                             const config_predicate<Machine>& is_bad,
                             const verify_options& opt = {}) {
   verify_report out;
-  out.engine = opt.engine;
   const auto as_state_pred = [&](const global_state<Machine>& s) {
     return is_bad(s.regs, s.procs);
   };
   stopwatch timer;
-  switch (opt.engine) {
-    case verify_engine::bfs:
-    case verify_engine::parallel_bfs: {
-      typename explorer<Machine>::options eopt;
-      eopt.workers =
-          opt.engine == verify_engine::parallel_bfs ? opt.workers : 1;
-      eopt.max_states = opt.max_states;
-      eopt.record_edges = false;  // safety-only entry point
-      eopt.symmetry = opt.symmetry;
-      eopt.spill_budget_bytes = opt.spill_budget_bytes;
-      eopt.spill_dir = opt.spill_dir;
-      explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
-      const auto res = e.explore(as_state_pred);
-      out.complete = res.complete;
-      out.violated = res.safety_violated();
-      out.states = res.num_states;
-      out.edges = res.num_edges;
-      out.dedup_hits = res.dedup_hits;
-      out.violating_schedule = res.bad_schedule;
-      const arena_spill_stats spill = e.spill_stats();
-      out.spill_pages = spill.spilled_pages;
-      out.spill_bytes = spill.spill_bytes;
-      const canonicalize_stats cs = e.canonicalize_counters();
-      out.canon_full_applies = cs.full_applies;
-      out.canon_first_word_pruned = cs.first_word_pruned;
-      out.canon_prefix_pruned = cs.prefix_pruned;
-      const explore_phase_stats& ph = e.phase_counters();
-      out.expand_ns = ph.expand_ns;
-      out.canonicalize_ns = ph.canonicalize_ns;
-      out.probe_ns = ph.probe_ns;
-      out.encode_ns = ph.encode_ns;
-      out.probe_groups_scanned = ph.probe_groups_scanned;
-      out.probe_max_group_chain = ph.probe_max_group_chain;
-      break;
-    }
-    case verify_engine::systematic:
-    case verify_engine::systematic_sleep: {
-      systematic_tester<Machine> tester(cfg.registers, cfg.naming,
-                                        cfg.initial);
-      typename systematic_tester<Machine>::options topt;
-      topt.max_steps = opt.max_steps;
-      topt.max_preemptions = opt.max_preemptions;
-      topt.max_runs = opt.max_runs;
-      topt.sleep_sets = opt.engine == verify_engine::systematic_sleep;
-      topt.state_cache = opt.state_cache || opt.symmetry;
-      topt.symmetry = opt.symmetry;
-      const auto res = tester.run(is_bad, topt);
-      out.complete = res.complete;
-      out.violated = res.violated;
-      out.states = res.states_visited;
-      out.schedules = res.runs;
-      out.sleep_pruned = res.sleep_pruned;
-      out.cache_pruned = res.cache_pruned;
-      out.violating_schedule = res.violating_schedule;
-      break;
-    }
-  }
+  typename explorer<Machine>::options eopt;
+  eopt.workers = opt.workers;
+  eopt.max_states = opt.max_states;
+  eopt.record_edges = false;  // safety-only entry point
+  eopt.symmetry = opt.symmetry;
+  eopt.spill_budget_bytes = opt.spill_budget_bytes;
+  eopt.spill_dir = opt.spill_dir;
+  explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
+  const auto res = e.explore(as_state_pred);
+  out.complete = res.complete;
+  out.violated = res.safety_violated();
+  out.states = res.num_states;
+  out.edges = res.num_edges;
+  out.dedup_hits = res.dedup_hits;
+  out.violating_schedule = res.bad_schedule;
+  const arena_spill_stats spill = e.spill_stats();
+  out.spill_pages = spill.spilled_pages;
+  out.spill_bytes = spill.spill_bytes;
+  const canonicalize_stats cs = e.canonicalize_counters();
+  out.canon_full_applies = cs.full_applies;
+  out.canon_first_word_pruned = cs.first_word_pruned;
+  out.canon_prefix_pruned = cs.prefix_pruned;
+  const explore_phase_stats& ph = e.phase_counters();
+  out.expand_ns = ph.expand_ns;
+  out.canonicalize_ns = ph.canonicalize_ns;
+  out.probe_ns = ph.probe_ns;
+  out.encode_ns = ph.encode_ns;
+  out.probe_groups_scanned = ph.probe_groups_scanned;
+  out.probe_max_group_chain = ph.probe_max_group_chain;
   out.wall_seconds = timer.elapsed_seconds();
   if (obs::enabled()) {
     auto& reg = obs::metrics_registry::global();
     reg.counter("verify.runs").add(1);
     reg.counter("verify.states").add(out.states);
-    reg.counter("verify.schedules").add(out.schedules);
     reg.counter("verify.dedup_hits").add(out.dedup_hits);
-    reg.counter("verify.sleep_pruned").add(out.sleep_pruned);
-    reg.counter("verify.cache_pruned").add(out.cache_pruned);
     reg.counter("canonicalize.full_applies").add(out.canon_full_applies);
     reg.counter("canonicalize.first_word_pruned")
         .add(out.canon_first_word_pruned);
@@ -228,15 +161,11 @@ verify_report verify_config(const model_config<Machine>& cfg,
 /// docs/modelcheck.md documents as the machine-readable verify record.
 inline obs::json_value to_json(const verify_report& report) {
   obs::json_value out = obs::json_value::make_object();
-  out.set("engine", to_string(report.engine));
   out.set("complete", report.complete);
   out.set("violated", report.violated);
   out.set("states", report.states);
   out.set("edges", report.edges);
   out.set("dedup_hits", report.dedup_hits);
-  out.set("schedules", report.schedules);
-  out.set("sleep_pruned", report.sleep_pruned);
-  out.set("cache_pruned", report.cache_pruned);
   out.set("spill_pages", report.spill_pages);
   out.set("spill_bytes", report.spill_bytes);
   out.set("canon_full_applies", report.canon_full_applies);
@@ -256,11 +185,11 @@ inline obs::json_value to_json(const verify_report& report) {
 }
 
 /// Orchestration for verify_naming_sweep: orbit classes run as independent
-/// jobs on a work-stealing pool, a checkpoint journal makes an interrupted
-/// sweep resumable, and max_classes caps how many fresh classes one run
-/// verifies (the deterministic "kill" used by tests and the CI resume
-/// smoke). Per-job memory budgets ride in verify_options — each class's
-/// engine gets its own arena (and spill file) sized by spill_budget_bytes.
+/// jobs on a thread pool, claimed in class order from one shared index; a
+/// checkpoint journal makes an interrupted sweep resumable, and max_classes
+/// caps how many fresh classes one run verifies (the deterministic "kill"
+/// used by tests and the CI resume smoke). Per-job memory budgets ride in verify_options — each class's
+/// explorer gets its own arena (and spill file) sized by spill_budget_bytes.
 /// With workers > 1 the bad-state predicate runs concurrently, so it must be
 /// thread-safe (stateless predicates, the common case, trivially are).
 struct sweep_schedule_options {
@@ -451,51 +380,20 @@ naming_sweep_report verify_naming_sweep(
     }
   };
 
+  // Classes are independent jobs of very uneven cost (milliseconds to
+  // seconds each): every worker claims the next class in `todo` order from
+  // one shared index until none is left.
+  std::atomic<std::size_t> next{0};
+  const std::function<void(int)> drain = [&](int) {
+    for (std::size_t k = next++; k < todo.size(); k = next++)
+      run_class(todo[k]);
+  };
   const int nworkers =
       std::max(1, std::min(sched.workers, static_cast<int>(todo.size())));
-  if (nworkers <= 1) {
-    for (const std::uint64_t idx : todo) run_class(idx);
-  } else {
-    // Classes are independent jobs of very uneven cost: seed per-worker
-    // Chase-Lev deques with contiguous slices and let dry workers steal.
-    auto deques =
-        std::make_unique<padded<ws_deque>[]>(static_cast<std::size_t>(nworkers));
-    for (int w = 0; w < nworkers; ++w) {
-      const std::size_t lo =
-          todo.size() * static_cast<std::size_t>(w) /
-          static_cast<std::size_t>(nworkers);
-      const std::size_t hi =
-          todo.size() * static_cast<std::size_t>(w + 1) /
-          static_cast<std::size_t>(nworkers);
-      ws_deque& d = deques[static_cast<std::size_t>(w)].value;
-      d.reset(hi - lo);
-      for (std::size_t k = hi; k > lo; --k) d.push(todo[k - 1]);
-    }
-    thread_pool pool(nworkers);
-    pool.run([&](int w) {
-      ws_deque& own = deques[static_cast<std::size_t>(w)].value;
-      std::uint64_t idx = 0;
-      for (;;) {
-        if (own.pop(idx)) {
-          run_class(idx);
-          continue;
-        }
-        bool stole = false;
-        bool maybe_work = false;
-        for (int k = 1; k < nworkers && !stole; ++k) {
-          ws_deque& victim =
-              deques[static_cast<std::size_t>((w + k) % nworkers)].value;
-          if (victim.steal(idx)) stole = true;
-          else if (!victim.empty()) maybe_work = true;
-        }
-        if (stole) {
-          run_class(idx);
-          continue;
-        }
-        if (!maybe_work && own.empty()) return;
-      }
-    });
-  }
+  if (nworkers <= 1)
+    drain(0);
+  else
+    thread_pool(nworkers).run(drain);
 
   // Aggregate by class index, not completion order — the totals are a pure
   // function of which classes are done, so any interrupt/resume split that

@@ -1,6 +1,6 @@
 // Open-addressed group-probing index from a precomputed hash to a
-// caller-side record index — the explorer's seen table, the hash-consing
-// state pool and the systematic tester's state cache.
+// caller-side record index — the explorer's seen table and the hash-consing
+// state pool.
 //
 // Layout: 8-byte cells packing a 32-bit hash fragment with the entry index,
 // plus one 1-byte tag per cell (util/probe_group.hpp). A probe walks

@@ -1,13 +1,13 @@
-// Differential testing of the verification engines.
+// Differential testing of the verification surface.
 //
 // For randomized terminating configurations (machines running small random
-// register programs under random namings) the BFS explorer, the parallel
-// explorer and the systematic tester — the latter run exhaustively, with and
-// without sleep-set reduction — must return IDENTICAL safety verdicts, and
-// every reported violating schedule must replay to the same violation on a
-// fresh simulator. For the (non-terminating) Fig. 1 mutex the systematic
-// tester is depth-bounded, so the engines are checked for consistency on
-// the mutual-exclusion verdict instead.
+// register programs under random namings) verify_config at one and at
+// several explorer workers must return IDENTICAL results, and every
+// reported violating schedule must replay to the same violation on a fresh
+// simulator. The packed row arena is diffed against the plain object-level
+// BFS of reference_explorer.hpp: verdicts, counts and counterexamples must
+// match, and the packed bytes must undercut the verbatim 4-byte-word
+// layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/mutex_check.hpp"
-#include "modelcheck/systematic.hpp"
+#include "modelcheck/reference_explorer.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
@@ -62,53 +62,30 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
           return case_bad(c, regs, procs);
         };
 
-    verify_options bfs_opt;
-    bfs_opt.engine = verify_engine::bfs;
-    const auto bfs = verify_config(cfg, bad, bfs_opt);
-    // BFS engines stop early on a violation (complete stays false) and
+    const auto bfs = verify_config(cfg, bad);
+    // The explorer stops early on a violation (complete stays false) and
     // otherwise must exhaust the tiny state space.
     ASSERT_TRUE(bfs.complete || bfs.violated);
 
     verify_options par_opt;
-    par_opt.engine = verify_engine::parallel_bfs;
     par_opt.workers = 3;
     const auto par = verify_config(cfg, bad, par_opt);
     ASSERT_TRUE(par.complete || par.violated);
     EXPECT_EQ(bfs.complete, par.complete);
 
-    // Exhaustive schedule enumeration: deep and preemption-unbounded, so
-    // the depth bound covers every maximal schedule.
-    verify_options sys_opt;
-    sys_opt.engine = verify_engine::systematic;
-    sys_opt.max_steps = c.total_ops + 1;
-    sys_opt.max_preemptions = c.total_ops + 1;
-    const auto sys = verify_config(cfg, bad, sys_opt);
-
-    verify_options sleep_opt = sys_opt;
-    sleep_opt.engine = verify_engine::systematic_sleep;
-    const auto sleep = verify_config(cfg, bad, sleep_opt);
-
-    // Identical safety verdicts across all four engine modes.
+    // One and several workers agree exactly, not just on the verdict — on
+    // violating runs too.
     EXPECT_EQ(bfs.violated, par.violated);
-    EXPECT_EQ(bfs.violated, sys.violated);
-    EXPECT_EQ(bfs.violated, sleep.violated);
-    // One and several BFS workers agree exactly, not just on the verdict —
-    // on violating runs too.
     EXPECT_EQ(bfs.states, par.states);
     EXPECT_EQ(bfs.edges, par.edges);
     EXPECT_EQ(bfs.dedup_hits, par.dedup_hits);
     EXPECT_EQ(bfs.violating_schedule, par.violating_schedule);
-    // Sleep sets only ever prune.
-    EXPECT_LE(sleep.schedules, sys.schedules);
-    EXPECT_LE(sleep.states, sys.states);
 
     // Every reported counterexample replays to the same violation.
     if (bfs.violated) {
       ++violated_cases;
       EXPECT_TRUE(replays_to_violation(c, bfs.violating_schedule));
       EXPECT_TRUE(replays_to_violation(c, par.violating_schedule));
-      EXPECT_TRUE(replays_to_violation(c, sys.violating_schedule));
-      EXPECT_TRUE(replays_to_violation(c, sleep.violating_schedule));
     }
   }
   // The seed family must exercise both outcomes, or the test is vacuous.
@@ -117,9 +94,8 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 1 mutex: the systematic tester is depth-bounded (the machines never
-// terminate), so the engines are compared on the ME verdict they can both
-// decide: no violation may be reported by anyone, with or without reduction.
+// Fig. 1 mutex: every two-process configuration up to m = 5 is exhausted at
+// two workers, and none may break mutual exclusion.
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
@@ -143,30 +119,20 @@ TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
           };
 
       verify_options par_opt;
-      par_opt.engine = verify_engine::parallel_bfs;
       par_opt.workers = 2;
       par_opt.max_states = 5'000'000;
       const auto par = verify_config(cfg, two_in_cs, par_opt);
       ASSERT_TRUE(par.complete);
       EXPECT_FALSE(par.violated) << "Fig. 1 never breaks ME for 2 processes";
-
-      for (bool sleep : {false, true}) {
-        verify_options sys_opt;
-        sys_opt.engine =
-            sleep ? verify_engine::systematic_sleep : verify_engine::systematic;
-        sys_opt.max_steps = 20;
-        sys_opt.max_preemptions = 2;
-        const auto sys = verify_config(cfg, two_in_cs, sys_opt);
-        EXPECT_FALSE(sys.violated) << "sleep=" << sleep;
-      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Compressed row arena vs verbatim storage: the encoding is an internal
+// Packed row arena vs the reference oracle: the encoding is an internal
 // representation choice, so every observable result — verdicts, state and
-// edge counts, dedup hits, counterexamples — must be bit-identical.
+// edge counts, dedup hits, counterexamples — must equal the plain BFS's, at
+// every worker count.
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
@@ -177,33 +143,22 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
       return case_bad(c, s.regs, s.procs);
     };
 
-    explorer<scribbler>::options verb_opt;
-    verb_opt.compress_arena = false;
-    explorer<scribbler> verb(c.registers, c.naming, c.machines, verb_opt);
-    const auto vres = verb.explore(bad);
+    reference_explorer<scribbler> ref(c.registers, c.naming, c.machines);
+    const auto want = ref.explore(bad);
 
-    explorer<scribbler>::options comp_opt;
-    comp_opt.compress_arena = true;
-    explorer<scribbler> comp(c.registers, c.naming, c.machines, comp_opt);
-    const auto cres = comp.explore(bad);
-
-    EXPECT_EQ(cres.complete, vres.complete);
-    EXPECT_EQ(cres.num_states, vres.num_states);
-    EXPECT_EQ(cres.num_edges, vres.num_edges);
-    EXPECT_EQ(cres.dedup_hits, vres.dedup_hits);
-    EXPECT_EQ(cres.bad_state, vres.bad_state);
-    EXPECT_EQ(cres.bad_schedule, vres.bad_schedule);
-
-    explorer<scribbler>::options par_opt;
-    par_opt.workers = 3;
-    par_opt.compress_arena = true;
-    explorer<scribbler> par(c.registers, c.naming, c.machines, par_opt);
-    const auto pres = par.explore(bad);
-    EXPECT_EQ(pres.complete, vres.complete);
-    EXPECT_EQ(pres.bad_schedule, vres.bad_schedule);
-    EXPECT_EQ(pres.num_states, vres.num_states);
-    EXPECT_EQ(pres.num_edges, vres.num_edges);
-    EXPECT_EQ(pres.dedup_hits, vres.dedup_hits);
+    for (const int workers : {1, 3}) {
+      const std::string where = "workers=" + std::to_string(workers);
+      explorer<scribbler>::options opt;
+      opt.workers = workers;
+      explorer<scribbler> e(c.registers, c.naming, c.machines, opt);
+      const auto got = e.explore(bad);
+      EXPECT_EQ(got.complete, want.complete) << where;
+      EXPECT_EQ(got.num_states, want.num_states) << where;
+      EXPECT_EQ(got.num_edges, want.num_edges) << where;
+      EXPECT_EQ(got.dedup_hits, want.dedup_hits) << where;
+      EXPECT_EQ(got.bad_state, want.bad_state) << where;
+      EXPECT_EQ(got.bad_schedule, want.bad_schedule) << where;
+    }
   }
 }
 
@@ -222,21 +177,18 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
         {identity_permutation(tc.m), rotation_permutation(tc.m, tc.stride)});
     const auto ms = detail::mutex_machines(tc.m, naming, {1, 2});
 
-    explorer<anon_mutex>::options verb_opt;
-    verb_opt.compress_arena = false;
-    explorer<anon_mutex> verb(tc.m, naming, ms, verb_opt);
-    const auto vres = detail::run_mutex_check(verb);
-    const std::uint64_t verb_bytes = verb.stored_row_bytes();
+    reference_explorer<anon_mutex> ref(tc.m, naming, ms);
+    const auto want = detail::run_mutex_check(ref);
+    // Verbatim rows: one 4-byte word per column, m registers + 2 machines.
+    const std::uint64_t verb_bytes =
+        want.num_states * static_cast<std::uint64_t>(tc.m + 2) * 4;
 
-    explorer<anon_mutex>::options comp_opt;
-    comp_opt.compress_arena = true;
-    explorer<anon_mutex> comp(tc.m, naming, ms, comp_opt);
+    explorer<anon_mutex> comp(tc.m, naming, ms);
     const auto cres = detail::run_mutex_check(comp);
-
-    EXPECT_EQ(cres.verdict(), vres.verdict());
-    EXPECT_EQ(cres.num_states, vres.num_states);
-    EXPECT_EQ(cres.stuck_states, vres.stuck_states);
-    EXPECT_EQ(cres.counterexample, vres.counterexample);
+    EXPECT_EQ(cres.verdict(), want.verdict());
+    EXPECT_EQ(cres.num_states, want.num_states);
+    EXPECT_EQ(cres.stuck_states, want.stuck_states);
+    EXPECT_EQ(cres.counterexample, want.counterexample);
     // The packed arena must actually shrink the footprint. Width epochs
     // open only when a column outgrows its width, so there are few of them,
     // and the store stays within the final row width per state plus at most
@@ -257,23 +209,19 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
               cres.num_states * ((row_bits + 7) / 8) +
                   comp.keyframe_rows() * byte_arena::kPageSize);
 
-    std::uint64_t par_bytes = 0;
     for (int workers : {1, 2, 4, 8}) {
       const std::string where = "workers=" + std::to_string(workers);
       explorer<anon_mutex>::options par_opt;
       par_opt.workers = workers;
-      par_opt.compress_arena = true;
       explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
       const auto pres = detail::run_mutex_check(par);
-      EXPECT_EQ(pres.verdict(), vres.verdict()) << where;
-      EXPECT_EQ(pres.num_states, vres.num_states) << where;
-      EXPECT_EQ(pres.counterexample, vres.counterexample) << where;
+      EXPECT_EQ(pres.verdict(), want.verdict()) << where;
+      EXPECT_EQ(pres.num_states, want.num_states) << where;
+      EXPECT_EQ(pres.counterexample, want.counterexample) << where;
       // Workers intern in thread-timing order, but each window's columns
       // are sized from the pools' id bounds, so the packed bytes depend
       // neither on the worker count nor on the run.
-      if (par_bytes == 0) par_bytes = par.stored_row_bytes();
-      EXPECT_EQ(par.stored_row_bytes(), par_bytes) << where;
-      EXPECT_LT(par.stored_row_bytes(), verb_bytes) << where;
+      EXPECT_EQ(par.stored_row_bytes(), comp.stored_row_bytes()) << where;
     }
   }
 }

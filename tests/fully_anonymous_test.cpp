@@ -35,7 +35,6 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/symmetry.hpp"
-#include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
@@ -558,35 +557,6 @@ TEST(FaQuotientDifferentialTest, CounterexampleFoldsBackThroughBothFactors) {
     raw_step(identity_naming(2, 4), regs4, procs4, p);
   EXPECT_EQ(total_tokens(procs4), 4);  // the (2, 2) tie, concretely
   EXPECT_EQ(raised_count(regs4), 4);
-}
-
-TEST(FaQuotientDifferentialTest, SystematicTesterComposesWithProductGroup) {
-  // The dominance cache keys on canonical forms; under the product group it
-  // must prune strictly more than the plain cache without changing the
-  // (negative) verdict.
-  systematic_tester<fa_mutex> t(3, identity_naming(2, 3),
-                                mutex_machines(3, 2));
-  const config_predicate<fa_mutex> pred =
-      [](const std::vector<std::uint64_t>&, const std::vector<fa_mutex>& ps) {
-        int c = 0;
-        for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-        return c >= 2;
-      };
-  systematic_tester<fa_mutex>::options opt;
-  opt.max_steps = 12;
-  opt.max_preemptions = 12;
-  const auto plain = t.run(pred, opt);
-  opt.sleep_sets = true;
-  opt.state_cache = true;
-  const auto cached = t.run(pred, opt);
-  opt.symmetry = true;
-  const auto sym = t.run(pred, opt);
-  EXPECT_TRUE(plain.complete && cached.complete && sym.complete);
-  EXPECT_FALSE(plain.violated);
-  EXPECT_EQ(cached.violated, plain.violated);
-  EXPECT_EQ(sym.violated, plain.violated);
-  EXPECT_GT(sym.cache_pruned, 0u);
-  EXPECT_LE(sym.states_visited, cached.states_visited);
 }
 
 TEST(FaQuotientDifferentialTest, NamingSweepQuotientsByBothFactors) {

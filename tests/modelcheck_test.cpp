@@ -7,6 +7,7 @@
 
 #include <tuple>
 
+#include "baselines/ca_consensus.hpp"
 #include "core/fa_mutex.hpp"
 #include "mem/payloads.hpp"
 #include "modelcheck/agreement_check.hpp"
@@ -14,6 +15,7 @@
 #include "modelcheck/mutex_check.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
+#include "util/hash.hpp"
 #include "util/permutation.hpp"
 
 namespace anoncoord {
@@ -250,6 +252,61 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) +
              std::to_string(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Commit-adopt consensus (the baseline with agreed slots): rounds are
+// unbounded, so each process gets a step budget that makes the state space
+// finite. The explorer then covers every schedule in which no process takes
+// more than kSteps steps.
+// ---------------------------------------------------------------------------
+
+/// ca_consensus that stops (peek() is none) once it has taken kSteps steps.
+/// The remaining budget is part of the state, so hash and == include it.
+struct step_budget_ca {
+  using value_type = ca_record;
+  static constexpr int kSteps = 44;
+
+  ca_consensus inner;
+  int left = kSteps;
+
+  op_desc peek() const {
+    return left > 0 ? inner.peek() : op_desc{op_kind::none, -1};
+  }
+  template <class Mem>
+  void step(Mem& mem) {
+    inner.step(mem);
+    --left;
+  }
+  friend bool operator==(const step_budget_ca&,
+                         const step_budget_ca&) = default;
+  std::size_t hash() const {
+    std::size_t seed = inner.hash();
+    hash_combine(seed, left);
+    return seed;
+  }
+};
+
+TEST(CaConsensusModelCheck, SafeUnderEveryScheduleWithinStepBudget) {
+  const int n = 2;
+  explorer<step_budget_ca> e(
+      ca_consensus::register_count(n),
+      naming_assignment::identity(n, ca_consensus::register_count(n)),
+      {step_budget_ca{ca_consensus(0, n, 1)},
+       step_budget_ca{ca_consensus(1, n, 2)}});
+  const auto res = e.explore([](const global_state<step_budget_ca>& s) {
+    const ca_consensus& a = s.procs[0].inner;
+    const ca_consensus& b = s.procs[1].inner;
+    if (a.done() && b.done() && *a.decision() != *b.decision())
+      return true;  // agreement violation
+    for (const ca_consensus* p : {&a, &b})
+      if (p->done() && *p->decision() != 1 && *p->decision() != 2)
+        return true;  // validity violation
+    return false;
+  });
+  EXPECT_TRUE(res.complete);
+  EXPECT_FALSE(res.safety_violated());
+  EXPECT_EQ(res.num_states, 5'098u);
+}
 
 // ---------------------------------------------------------------------------
 // Fig. 3 renaming: exhaustive uniqueness/perfectness for n = 2.

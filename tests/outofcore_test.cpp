@@ -6,9 +6,11 @@
 // across worker counts, and across a kill-and-resume split of the classes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -62,7 +64,6 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnBothEngines) {
   const model_config<anon_mutex> cfg{5, identity_naming(2, 5), machines(5, 2)};
   for (const bool parallel : {false, true}) {
     verify_options opt;
-    opt.engine = parallel ? verify_engine::parallel_bfs : verify_engine::bfs;
     opt.workers = parallel ? 3 : 1;
     const auto mem = verify_config(cfg, two_in_cs, opt);
     ASSERT_TRUE(mem.complete);
@@ -84,7 +85,6 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnViolation) {
   const model_config<anon_mutex> cfg{2, identity_naming(3, 2), machines(2, 3)};
   for (const bool parallel : {false, true}) {
     verify_options opt;
-    opt.engine = parallel ? verify_engine::parallel_bfs : verify_engine::bfs;
     opt.workers = parallel ? 2 : 1;
     const auto mem = verify_config(cfg, two_in_cs, opt);
     ASSERT_TRUE(mem.violated);
@@ -213,6 +213,62 @@ TEST(SweepSchedulerTest, CheckpointResumeMatchesUninterrupted) {
   EXPECT_EQ(replay.resumed_classes, 24u);
   expect_sweeps_identical(whole, replay);
 
+  std::remove(ckpt.c_str());
+}
+
+/// The class indices a sweep journal records, sorted.
+std::vector<std::uint64_t> journal_classes(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);  // header
+  std::vector<std::uint64_t> out;
+  while (std::getline(in, line)) {
+    std::uint64_t idx = 0;
+    sweep_class_record rec;
+    if (parse_sweep_record(line, idx, rec)) out.push_back(idx);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SweepSchedulerTest, EveryClassRunsExactlyOnce) {
+  // Workers claim classes from one shared index: at any worker count the
+  // journal must record each of the 24 m = 4 orbit classes exactly once,
+  // and a max_classes cap must verify exactly the first classes in order.
+  const std::string ckpt =
+      ::testing::TempDir() + "anoncoord-sweep-once-test.ckpt";
+  verify_options opt;
+  opt.max_states = 500'000;
+  const auto seq = verify_naming_sweep(4, machines(4, 2), two_in_cs, true,
+                                       opt);
+  ASSERT_EQ(seq.configs, 24u);
+  std::vector<std::uint64_t> every(24);
+  std::iota(every.begin(), every.end(), std::uint64_t{0});
+  for (const int workers : {1, 2, 3, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::remove(ckpt.c_str());
+    sweep_schedule_options sched;
+    sched.workers = workers;
+    sched.checkpoint_path = ckpt;
+    const auto got = verify_naming_sweep(4, machines(4, 2), two_in_cs, true,
+                                         opt, false, sched);
+    expect_sweeps_identical(seq, got);
+    EXPECT_EQ(journal_classes(ckpt), every);
+  }
+
+  std::remove(ckpt.c_str());
+  sweep_schedule_options capped;
+  capped.workers = 8;
+  capped.checkpoint_path = ckpt;
+  capped.max_classes = 7;
+  const auto part = verify_naming_sweep(4, machines(4, 2), two_in_cs, true,
+                                        opt, false, capped);
+  EXPECT_EQ(part.configs, 7u);
+  EXPECT_EQ(part.pending_classes, 24u - 7u);
+  EXPECT_EQ(journal_classes(ckpt),
+            std::vector<std::uint64_t>(every.begin(), every.begin() + 7));
+  EXPECT_EQ(part.verdicts,
+            std::vector<char>(seq.verdicts.begin(), seq.verdicts.begin() + 7));
   std::remove(ckpt.c_str());
 }
 

@@ -136,10 +136,10 @@ TEST(ParallelExplorerTest, EdgeAndDedupCountsMatchSequential) {
 }
 
 TEST(ParallelExplorerTest, VerifyConfigEnginesReportEqualCounts) {
-  // Fig. 1 at m = 3, rotation 1 (14,032 states): bfs and parallel_bfs are
-  // the same explorer at different worker counts, so verify_config reports
-  // the same states, edges and dedup hits for both — edges are counted even
-  // though verify_config stores none.
+  // Fig. 1 at m = 3, rotation 1 (14,032 states): verify_config runs the
+  // same explorer at every worker count, so it reports the same states,
+  // edges and dedup hits for each — edges are counted even though
+  // verify_config stores none.
   const naming_assignment naming(
       {identity_permutation(3), rotation_permutation(3, 1)});
   const model_config<anon_mutex> cfg{3, naming,
@@ -153,13 +153,11 @@ TEST(ParallelExplorerTest, VerifyConfigEnginesReportEqualCounts) {
         return c >= 2;
       };
   verify_options vopt;
-  vopt.engine = verify_engine::bfs;
   const verify_report seq = verify_config(cfg, bad, vopt);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(seq.states, 14'032u);
   EXPECT_EQ(seq.edges, 28'064u);
   EXPECT_EQ(seq.edges, seq.states - 1 + seq.dedup_hits);
-  vopt.engine = verify_engine::parallel_bfs;
   for (int workers : {1, 2, 4}) {
     vopt.workers = workers;
     const verify_report par = verify_config(cfg, bad, vopt);

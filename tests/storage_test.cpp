@@ -1,6 +1,5 @@
 // Unit tests for the memory-lean storage layer: the paged byte arena, the
-// bit-packed row store, the Chase-Lev work-stealing deque, and flat_index
-// edge cases.
+// bit-packed row store, and flat_index edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "util/flat_index.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/work_steal.hpp"
 
 namespace anoncoord {
 namespace {
@@ -121,13 +119,11 @@ TEST(RowStoreTest, CompressedRoundTripsAgainstVerbatim) {
                                    std::size_t{64}, std::size_t{67}}) {
     SCOPED_TRACE("stride=" + std::to_string(stride));
     const auto rows = climbing_rows(stride, 3000, 11 + stride);
-    row_store packed, verb;
-    packed.configure(stride, /*compress=*/true);
-    verb.configure(stride, /*compress=*/false);
-    for (const auto& row : rows) {
-      EXPECT_EQ(packed.append(row.data()), verb.size());
-      verb.append(row.data());
-    }
+    // `rows` holds the verbatim truth every packed row must decode to.
+    row_store packed;
+    packed.configure(stride);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      EXPECT_EQ(packed.append(rows[i].data()), i);
     EXPECT_EQ(packed.size(), rows.size());
     // Every width grows at most 32 times. Stride 1's lone column is zero
     // (width 0) until the last row jumps it straight to width 32.
@@ -143,8 +139,7 @@ TEST(RowStoreTest, CompressedRoundTripsAgainstVerbatim) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       packed.load(i, out.data());
       ASSERT_EQ(out, rows[i]) << "row " << i;
-      verb.load(i, out.data());
-      ASSERT_EQ(out, rows[i]) << "row " << i;
+      ASSERT_TRUE(packed.equals(i, rows[i].data())) << "row " << i;
     }
   }
 }
@@ -155,7 +150,7 @@ TEST(RowStoreTest, EpochsOpenOnlyWhenAColumnOutgrows) {
   // order, touches only that row.
   const std::size_t stride = 3;
   row_store rs;
-  rs.configure(stride, true);
+  rs.configure(stride);
   std::vector<std::vector<std::uint32_t>> truth;
   const auto add = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c) {
     truth.push_back({a, b, c});
@@ -186,7 +181,7 @@ TEST(RowStoreTest, ReserveWidensAheadOfRows) {
   // no-op.
   const std::size_t stride = 3;
   row_store rs;
-  rs.configure(stride, true);
+  rs.configure(stride);
   const std::vector<std::uint32_t> small = {1, 1, 1};
   rs.append(small.data());
   const std::vector<std::uint32_t> bound = {7, 0, 300};
@@ -223,7 +218,7 @@ TEST(RowStoreTest, RowsAtPageTailsRoundTrip) {
       row_store rs;
       row_store_options opt;
       opt.page_bits = page_bits;
-      rs.configure(stride, true, opt);
+      rs.configure(stride, opt);
       for (const auto& row : rows) rs.append(row.data());
       std::vector<std::uint32_t> out(stride);
       for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -241,7 +236,7 @@ TEST(RowStoreTest, RowWiderThanAPageRejectedCleanly) {
   row_store rs;
   row_store_options opt;
   opt.page_bits = 6;
-  rs.configure(stride, true, opt);
+  rs.configure(stride, opt);
   const std::vector<std::uint32_t> narrow(stride, 7);
   rs.append(narrow.data());
   const std::vector<std::uint32_t> wide(stride, 0xFFFFFFFFu);
@@ -258,9 +253,9 @@ TEST(RowStoreTest, RowWiderThanAPageRejectedCleanly) {
 
 TEST(RowStoreTest, StrideBoundsEnforced) {
   row_store rs;
-  EXPECT_THROW(rs.configure(0, true), precondition_error);
-  EXPECT_THROW(rs.configure(std::size_t{1} << 13, true), precondition_error);
-  EXPECT_NO_THROW(rs.configure((std::size_t{1} << 13) - 1, true));
+  EXPECT_THROW(rs.configure(0), precondition_error);
+  EXPECT_THROW(rs.configure(std::size_t{1} << 13), precondition_error);
+  EXPECT_NO_THROW(rs.configure((std::size_t{1} << 13) - 1));
 }
 
 TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
@@ -279,7 +274,7 @@ TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
       opt.page_bits = 8;
       opt.spill.budget_bytes = 1024;
     }
-    rs.configure(stride, true, opt);
+    rs.configure(stride, opt);
     for (const auto& row : rows) rs.append(row.data());
     rs.spill_over_budget();
     std::atomic<int> mismatches{0};
@@ -371,7 +366,7 @@ TEST(RowStoreSpillTest, SpilledForestRoundTripsAgainstInMemory) {
   row_store_options opt;
   opt.page_bits = 8;
   opt.spill.budget_bytes = 1024;
-  rs.configure(stride, /*compress=*/true, opt);
+  rs.configure(stride, opt);
   for (const auto& row : rows) rs.append(row.data());
   EXPECT_GT(rs.spill_stats().spilled_pages, 0u);
   std::vector<std::uint32_t> out(stride);
@@ -391,7 +386,7 @@ TEST(RowStoreSpillTest, PrefetchRowsFaultsOnePageRange) {
   row_store_options opt;
   opt.page_bits = 6;
   opt.spill.budget_bytes = 2 * 64;
-  rs.configure(stride, true, opt);
+  rs.configure(stride, opt);
   std::vector<std::uint32_t> row = {1000, 2000, 3000, 4000};  // 6 bytes/row
   for (int i = 0; i < 500; ++i) rs.append(row.data());
   ASSERT_GT(rs.spill_stats().spilled_pages, 0u);
@@ -416,7 +411,7 @@ TEST(RowStoreSpillTest, EqualsReadsSpilledRowsWithoutFaulting) {
   row_store_options opt;
   opt.page_bits = 8;
   opt.spill.budget_bytes = 1024;
-  rs.configure(stride, true, opt);
+  rs.configure(stride, opt);
   for (const auto& row : rows) rs.append(row.data());
   const arena_spill_stats before = rs.spill_stats();
   ASSERT_GT(before.spilled_pages, 0u);
@@ -443,7 +438,7 @@ TEST(RowStoreSpillTest, WindowedScanStaysWithinBudget) {
   row_store_options opt;
   opt.page_bits = 6;
   opt.spill.budget_bytes = 4 * 64;
-  rs.configure(stride, true, opt);
+  rs.configure(stride, opt);
   const std::vector<std::uint32_t> row = {1000, 2000, 3000, 4000};  // 6 B
   for (int i = 0; i < 2000; ++i) rs.append(row.data());  // 200 pages
   const arena_spill_stats before = rs.spill_stats();
@@ -468,7 +463,7 @@ TEST(RowStoreSpillTest, OffsetsBeyondFourGiB) {
   row_store rs;
   row_store_options opt;
   opt.spill.budget_bytes = 4 * byte_arena::kPageSize;
-  rs.configure(stride, true, opt);
+  rs.configure(stride, opt);
   std::vector<std::vector<std::uint32_t>> truth;
   xoshiro256 rng(77);
   const auto append_random = [&](int count) {
@@ -489,77 +484,6 @@ TEST(RowStoreSpillTest, OffsetsBeyondFourGiB) {
     rs.load(i, out.data());
     ASSERT_EQ(out, truth[i]) << "row " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// work_steal.hpp
-// ---------------------------------------------------------------------------
-
-TEST(WsDequeTest, OwnerPopsLifoThiefStealsFifo) {
-  ws_deque d;
-  d.reset(8);
-  for (std::uint64_t v = 1; v <= 3; ++v) d.push(v);
-  std::uint64_t v = 0;
-  EXPECT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 1u);  // oldest from the top
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 3u);  // newest from the bottom
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(d.pop(v));
-  EXPECT_FALSE(d.steal(v));
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(WsDequeTest, ResetRoundsCapacityAndReusesBuffer) {
-  ws_deque d;
-  d.reset(100);  // rounds to 128
-  for (std::uint64_t v = 0; v < 128; ++v) d.push(v);
-  EXPECT_THROW(d.push(128), precondition_error);
-  d.reset(4);  // shrink request keeps the larger buffer
-  EXPECT_TRUE(d.empty());
-  for (std::uint64_t v = 0; v < 128; ++v) d.push(v);
-  std::uint64_t v = 0;
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 127u);
-}
-
-TEST(WsDequeTest, ConcurrentStealsPartitionTheItems) {
-  // One owner popping, three thieves stealing: every item is taken exactly
-  // once (sums match) and nothing is lost to the last-item CAS races.
-  constexpr int kItems = 20000;
-  constexpr int kThieves = 3;
-  ws_deque d;
-  d.reset(kItems);
-  for (std::uint64_t v = 1; v <= kItems; ++v) d.push(v);
-  std::atomic<std::uint64_t> stolen_sum{0};
-  std::atomic<std::uint64_t> stolen_count{0};
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::uint64_t v = 0;
-      int misses = 0;
-      while (misses < 1000) {
-        if (d.steal(v)) {
-          stolen_sum.fetch_add(v, std::memory_order_relaxed);
-          stolen_count.fetch_add(1, std::memory_order_relaxed);
-          misses = 0;
-        } else if (d.empty()) {
-          ++misses;  // spurious failures retry; persistent empty exits
-        }
-      }
-    });
-  }
-  std::uint64_t own_sum = 0, own_count = 0, v = 0;
-  while (d.pop(v)) {
-    own_sum += v;
-    ++own_count;
-  }
-  for (auto& th : thieves) th.join();
-  EXPECT_EQ(own_count + stolen_count.load(), kItems);
-  EXPECT_EQ(own_sum + stolen_sum.load(),
-            std::uint64_t{kItems} * (kItems + 1) / 2);
-  EXPECT_TRUE(d.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Symmetry reduction: the automorphism group, orbit canonicalization, the
-// interned compact state store, naming-orbit sweeps, and the dominance cache.
+// interned compact state store and naming-orbit sweeps.
 //
 // The load-bearing claims, each machine-checked here:
 //   * the computed group really is the configuration's automorphism group
@@ -31,7 +31,6 @@
 #include "modelcheck/mutex_check.hpp"
 #include "modelcheck/state_pool.hpp"
 #include "modelcheck/symmetry.hpp"
-#include "modelcheck/systematic.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
@@ -784,71 +783,10 @@ TEST(StatePoolTest, ExplorerStoresFarFewerComponentsThanStates) {
 }
 
 // ---------------------------------------------------------------------------
-// Systematic tester: dominance cache (and its symmetry composition).
+// verify_config forwards the symmetry flag to the explorer.
 // ---------------------------------------------------------------------------
 
-TEST(SystematicCacheTest, CachePrunesWithoutChangingVerdicts) {
-  // Exhaustive regime (preemptions >= depth) where sleep sets are sound,
-  // stacking the reductions: plain > sleep > sleep+cache > sleep+cache+sym.
-  for (auto [m, n] : {std::pair{3, 2}, std::pair{2, 3}}) {
-    systematic_tester<anon_mutex> t(m, identity_naming(n, m), machines(m, n));
-    const auto pred = [](const std::vector<process_id>&,
-                         const std::vector<anon_mutex>& ps) {
-      int c = 0;
-      for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-      return c >= 2;
-    };
-    systematic_tester<anon_mutex>::options opt;
-    opt.max_steps = 12;
-    opt.max_preemptions = 12;
-    const auto plain = t.run(pred, opt);
-    opt.sleep_sets = true;
-    const auto sleep = t.run(pred, opt);
-    opt.state_cache = true;
-    const auto cached = t.run(pred, opt);
-    opt.symmetry = true;
-    const auto sym = t.run(pred, opt);
-
-    EXPECT_EQ(sleep.violated, plain.violated);
-    EXPECT_EQ(cached.violated, plain.violated);
-    EXPECT_EQ(sym.violated, plain.violated);
-    EXPECT_TRUE(plain.complete && cached.complete && sym.complete);
-    EXPECT_GT(cached.cache_pruned, 0u);
-    EXPECT_GT(sym.cache_pruned, 0u);
-    EXPECT_LT(cached.states_visited, sleep.states_visited);
-    EXPECT_LE(sym.states_visited, cached.states_visited);
-  }
-}
-
-TEST(SystematicCacheTest, CacheFindsShallowViolations) {
-  // The race machine violates at depth 4; every option combination must
-  // still find it (the cache only skips dominated — covered — nodes).
-  const auto naming = identity_naming(2, 2);
-  std::vector<race_machine> procs{race_machine(1), race_machine(2)};
-  for (const bool sleep_sets : {false, true})
-    for (const bool cache : {false, true}) {
-      systematic_tester<race_machine> t(2, naming, procs);
-      systematic_tester<race_machine>::options opt;
-      opt.max_steps = 8;
-      opt.max_preemptions = 8;
-      opt.sleep_sets = sleep_sets;
-      opt.state_cache = cache;
-      opt.symmetry = cache;  // no-op for race_machine: trivial group
-      const auto res = t.run(both_won, opt);
-      EXPECT_TRUE(res.violated) << "sleep=" << sleep_sets << " cache=" << cache;
-      ASSERT_FALSE(res.violating_schedule.empty());
-      // Replay the schedule; the violation must be concrete.
-      std::vector<process_id> regs(2, no_process);
-      auto replay = procs;
-      for (int p : res.violating_schedule) {
-        permuted_vector_memory<process_id> view(regs, naming.of(p));
-        replay[static_cast<std::size_t>(p)].step(view);
-      }
-      EXPECT_TRUE(both_won(regs, replay));
-    }
-}
-
-TEST(SystematicCacheTest, VerifyConfigWiresTheCacheThrough) {
+TEST(SymmetryReductionTest, VerifyConfigWiresSymmetryThrough) {
   model_config<anon_mutex> cfg{2, identity_naming(3, 2), machines(2, 3)};
   const config_predicate<anon_mutex> pred =
       [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
@@ -857,23 +795,11 @@ TEST(SystematicCacheTest, VerifyConfigWiresTheCacheThrough) {
         return c >= 2;
       };
   verify_options opt;
-  opt.engine = verify_engine::systematic_sleep;
-  opt.max_steps = 12;
-  opt.max_preemptions = 12;
-  const auto base = verify_config(cfg, pred, opt);
-  opt.symmetry = true;  // implies the state cache
-  const auto sym = verify_config(cfg, pred, opt);
-  EXPECT_EQ(sym.violated, base.violated);
-  EXPECT_GT(sym.cache_pruned, 0u);
-  EXPECT_LT(sym.states, base.states);
-
-  opt.symmetry = false;
-  opt.engine = verify_engine::bfs;
-  const auto bfs_raw = verify_config(cfg, pred, opt);
+  const auto raw = verify_config(cfg, pred, opt);
   opt.symmetry = true;
-  const auto bfs_sym = verify_config(cfg, pred, opt);
-  EXPECT_EQ(bfs_sym.violated, bfs_raw.violated);
-  EXPECT_LT(bfs_sym.states, bfs_raw.states);
+  const auto sym = verify_config(cfg, pred, opt);
+  EXPECT_EQ(sym.violated, raw.violated);
+  EXPECT_LT(sym.states, raw.states);
 }
 
 }  // namespace
