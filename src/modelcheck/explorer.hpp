@@ -72,7 +72,12 @@
 // group element only when the group is non-trivial, and the recorded edges
 // as per-state successor slots — a state's successors are probed together
 // and in state order, so one 32-bit target per edge plus a one-byte
-// out-degree per state replaces (from, to) pairs. bookkeeping_bytes()
+// out-degree per state replaces (from, to) pairs. Each record is a
+// chunked_vector (util/chunked_vector.hpp): appends never double or copy,
+// so its resident bytes are its element bytes plus at most one 64 Ki-element
+// chunk. The seen table is needed only while states are discovered, so
+// explore() frees it on return and check_progress()'s reverse CSR reuses
+// its memory; the next explore() starts a fresh table. bookkeeping_bytes()
 // reports these records next to stored_row_bytes().
 #pragma once
 
@@ -90,6 +95,7 @@
 #include "modelcheck/symmetry.hpp"
 #include "runtime/step_machine.hpp"
 #include "util/check.hpp"
+#include "util/chunked_vector.hpp"
 #include "util/flat_index.hpp"
 #include "util/hash.hpp"
 #include "util/padded.hpp"
@@ -121,10 +127,12 @@ struct explore_phase_stats {
 };
 
 /// The explorer's resident bytes outside the row store, none of which the
-/// spill budget bounds. Counted from element counts, not vector capacities,
+/// spill budget bounds. Counted from element counts, not allocated chunks,
 /// so the figures are deterministic.
 struct explorer_bookkeeping {
-  std::uint64_t seen_table = 0;       ///< seen-table cells and probe tags
+  /// Seen-table cells and probe tags when explore() returned — the table's
+  /// high-water mark, since it only grows. explore() frees it then.
+  std::uint64_t seen_table = 0;
   std::uint64_t provenance = 0;       ///< parent, via and group element
   std::uint64_t successor_slots = 0;  ///< edge targets and out-degrees
   std::uint64_t csr = 0;  ///< check_progress's reverse adjacency
@@ -337,24 +345,29 @@ class explorer {
     std::vector<char> reaches_goal(n, 0);
     // Reverse adjacency in CSR form, cached across calls (naming sweeps
     // re-check the same run with different predicates, and reduced/raw
-    // comparison runs re-enter here per run). Count in-degrees, take
-    // inclusive prefix sums (offsets[t] = end of t's bucket), then walk the
-    // successor slots backwards, decrementing into place: each bucket ends
-    // up holding its predecessors in ascending order, and offsets[t] ends
-    // at the bucket's start.
+    // comparison runs re-enter here per run). Count in-degrees one slot to
+    // the right and take prefix sums (offsets[t] = start of t's bucket),
+    // then walk the successor slots forwards, incrementing into place: each
+    // bucket ends up holding its predecessors in ascending order, and
+    // offsets[t] ends at the bucket's end, so one shift right restores the
+    // starts. Both scans run chunk by chunk.
     if (csr_offsets_.size() != n + 1) {
       ANONCOORD_REQUIRE(succ_.size() < flat_index::npos,
                         "edge count exceeds the 32-bit CSR offsets");
       csr_offsets_.assign(n + 1, 0);
-      for (const std::uint32_t to : succ_) ++csr_offsets_[to];
-      for (std::size_t i = 1; i < n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
-      csr_offsets_[n] = static_cast<std::uint32_t>(succ_.size());
+      for (const std::uint32_t to : succ_) ++csr_offsets_[to + 1];
+      for (std::size_t i = 1; i <= n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
       csr_sources_.resize(succ_.size());
-      std::size_t slot = succ_.size();
-      for (std::size_t from = n; from-- > 0;)
-        for (std::uint8_t d = outdeg_[from]; d > 0; --d)
-          csr_sources_[--csr_offsets_[succ_[--slot]]] =
-              static_cast<std::uint32_t>(from);
+      auto slot = succ_.begin();
+      std::uint32_t from = 0;
+      for (const std::uint8_t d : outdeg_) {
+        for (std::uint8_t k = 0; k < d; ++k, ++slot)
+          csr_sources_[csr_offsets_[*slot]++] = from;
+        ++from;
+      }
+      std::copy_backward(csr_offsets_.begin(), csr_offsets_.end() - 1,
+                         csr_offsets_.end());
+      csr_offsets_[0] = 0;
     }
     const std::vector<std::uint32_t>& offsets = csr_offsets_;
     const std::vector<std::uint32_t>& sources = csr_sources_;
@@ -422,7 +435,7 @@ class explorer {
       return static_cast<std::uint64_t>(v.size() * sizeof(v[0]));
     };
     explorer_bookkeeping b;
-    b.seen_table = bytes(index_.cells) + bytes(index_.tags);
+    b.seen_table = seen_table_bytes_;
     b.provenance = bytes(parent_) + bytes(via_) + bytes(elem_);
     b.successor_slots = bytes(succ_) + bytes(outdeg_);
     b.csr = bytes(csr_offsets_) + bytes(csr_sources_);
@@ -872,6 +885,11 @@ class explorer {
 
   void finish(result& res) {
     res.num_states = num_states();
+    // Nothing reads the seen table after discovery: free it here, on every
+    // return path of explore(), so check_progress() reuses its memory.
+    seen_table_bytes_ = index_.cells.size() * sizeof(index_.cells[0]) +
+                        index_.tags.size() * sizeof(index_.tags[0]);
+    index_ = flat_index{};
     // Convert tick accumulators to nanoseconds with one end-of-run
     // calibration (rdtsc frequency is not the core clock; measuring the
     // ratio against steady_clock over the whole run sidesteps knowing it;
@@ -907,16 +925,17 @@ class explorer {
 
   state_pool<Machine> pool_;
   row_store rows_;    ///< seen rows, bit-packed
-  flat_index index_;  ///< group-probing seen table
+  flat_index index_;  ///< group-probing seen table, freed by explore()
+  std::uint64_t seen_table_bytes_ = 0;  ///< its size when explore() returned
   // Provenance per state: BFS-tree parent, the process that stepped into
   // it and, for a non-trivial group only, its canonicalizing element.
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint8_t> via_;
-  std::vector<int> elem_;
+  chunked_vector<std::uint32_t> parent_;
+  chunked_vector<std::uint8_t> via_;
+  chunked_vector<int> elem_;
   // Recorded edges as successor slots: state s's targets are the outdeg_[s]
   // entries of succ_ after those of states 0..s-1.
-  std::vector<std::uint32_t> succ_;
-  std::vector<std::uint8_t> outdeg_;
+  chunked_vector<std::uint32_t> succ_;
+  chunked_vector<std::uint8_t> outdeg_;
   // Reverse-CSR progress structure, built lazily by check_progress and
   // reused by subsequent calls on the same run.
   mutable std::vector<std::uint32_t> csr_offsets_;

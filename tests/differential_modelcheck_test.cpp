@@ -135,33 +135,6 @@ TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
 // every worker count.
 // ---------------------------------------------------------------------------
 
-TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnRandomCases) {
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const random_case c = make_case(seed);
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const auto bad = [&c](const global_state<scribbler>& s) {
-      return case_bad(c, s.regs, s.procs);
-    };
-
-    reference_explorer<scribbler> ref(c.registers, c.naming, c.machines);
-    const auto want = ref.explore(bad);
-
-    for (const int workers : {1, 3}) {
-      const std::string where = "workers=" + std::to_string(workers);
-      explorer<scribbler>::options opt;
-      opt.workers = workers;
-      explorer<scribbler> e(c.registers, c.naming, c.machines, opt);
-      const auto got = e.explore(bad);
-      EXPECT_EQ(got.complete, want.complete) << where;
-      EXPECT_EQ(got.num_states, want.num_states) << where;
-      EXPECT_EQ(got.num_edges, want.num_edges) << where;
-      EXPECT_EQ(got.dedup_hits, want.dedup_hits) << where;
-      EXPECT_EQ(got.bad_state, want.bad_state) << where;
-      EXPECT_EQ(got.bad_schedule, want.bad_schedule) << where;
-    }
-  }
-}
-
 TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
   // m = 4 at stride 2 deadlocks (Theorem 3.1's even-m witness), so this
   // drives the counterexample reconstructor through the packed-decode path;

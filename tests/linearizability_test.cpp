@@ -146,13 +146,15 @@ TEST(LinearizabilityTest, BoxedRegisterHistoryIsLinearizable) {
     }
     auto reader = [&](int lane) {
       auto& ops = reader_ops[static_cast<std::size_t>(lane)];
-      while (!stop) {
+      // do-while: each reader records at least one read, even when the
+      // writer finishes before the reader is first scheduled.
+      do {
         const auto t0 = now_ns();
         const auto rec = file.read(0);
         const auto t1 = now_ns();
         if (ops.size() < 60000)
           ops.push_back({kind::read, rec.val, t0, t1, lane + 1});
-      }
+      } while (!stop);
     };
     std::jthread r1(reader, 0);
     std::jthread r2(reader, 1);
@@ -189,13 +191,13 @@ TEST(LinearizabilityTest, LockFreeRegisterHistoryIsLinearizable) {
       stop = true;
     });
     std::jthread reader([&] {
-      while (!stop) {
+      do {
         const auto t0 = now_ns();
         const auto v = file.read(0);
         const auto t1 = now_ns();
         if (ops_reader.size() < 60000)
           ops_reader.push_back({kind::read, v, t0, t1, 1});
-      }
+      } while (!stop);
     });
   }
   std::vector<history_op> history = ops_writer;

@@ -5,13 +5,16 @@
 // strictly stronger than the schedule sweeps for the configurations covered.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "baselines/ca_consensus.hpp"
 #include "core/fa_mutex.hpp"
 #include "mem/payloads.hpp"
 #include "modelcheck/agreement_check.hpp"
 #include "modelcheck/explorer.hpp"
+#include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
@@ -134,6 +137,105 @@ TEST(ExplorerTest, BookkeepingKeepsGroupElementsOnlyUnderSymmetry) {
   const auto res = e.explore();
   ASSERT_TRUE(res.complete);
   EXPECT_EQ(e.bookkeeping_bytes().provenance, 9 * res.num_states);
+}
+
+/// One explore(bad) + check_progress(premise, goal) pass and what it left
+/// behind: the result, the stored row bytes and the bookkeeping.
+template <class Machine>
+struct full_run {
+  typename explorer<Machine>::result res;
+  std::uint64_t row_bytes = 0;
+  std::uint64_t bookkeeping = 0;
+};
+
+template <class Machine, class Bad, class Premise, class Goal>
+full_run<Machine> run_once(explorer<Machine>& e, const Bad& bad,
+                           const Premise& premise, const Goal& goal) {
+  full_run<Machine> out;
+  out.res = e.explore(bad);
+  EXPECT_TRUE(out.res.complete);
+  EXPECT_FALSE(out.res.safety_violated());
+  e.check_progress(out.res, premise, goal);
+  out.row_bytes = e.stored_row_bytes();
+  out.bookkeeping = e.bookkeeping_bytes().total();
+  return out;
+}
+
+template <class Machine>
+void expect_same_run(const full_run<Machine>& want,
+                     const full_run<Machine>& got, const std::string& what) {
+  EXPECT_EQ(got.res.complete, want.res.complete) << what;
+  EXPECT_EQ(got.res.num_states, want.res.num_states) << what;
+  EXPECT_EQ(got.res.num_edges, want.res.num_edges) << what;
+  EXPECT_EQ(got.res.dedup_hits, want.res.dedup_hits) << what;
+  EXPECT_EQ(got.res.stuck_states, want.res.stuck_states) << what;
+  EXPECT_EQ(got.res.stuck_state, want.res.stuck_state) << what;
+  EXPECT_EQ(got.res.bad_schedule, want.res.bad_schedule) << what;
+  EXPECT_EQ(got.res.stuck_schedule, want.res.stuck_schedule) << what;
+  EXPECT_EQ(got.row_bytes, want.row_bytes) << what;
+  EXPECT_EQ(got.bookkeeping, want.bookkeeping) << what;
+}
+
+/// explore() frees the seen table on return; a second explore() on the same
+/// explorer must rebuild it and reproduce the first run, which must in turn
+/// equal a fresh explorer's run. Returns the first run at 2 workers.
+template <class Machine, class Bad, class Premise, class Goal>
+full_run<Machine> expect_reexplore_matches(int m, const naming_assignment& naming,
+                              const std::vector<Machine>& machines,
+                              typename explorer<Machine>::options opt,
+                              const Bad& bad, const Premise& premise,
+                              const Goal& goal, const std::string& what) {
+  full_run<Machine> first;
+  for (const int workers : {1, 2}) {
+    opt.workers = workers;
+    const std::string tag = what + " workers=" + std::to_string(workers);
+    explorer<Machine> e(m, naming, machines, opt);
+    first = run_once(e, bad, premise, goal);
+    const auto second = run_once(e, bad, premise, goal);
+    explorer<Machine> fresh(m, naming, machines, opt);
+    expect_same_run(first, second, tag + " second run");
+    expect_same_run(first, run_once(fresh, bad, premise, goal),
+                    tag + " fresh explorer");
+    if (opt.spill_budget_bytes > 0) {
+      EXPECT_GT(e.spill_stats().spilled_pages, 0u) << tag;
+    }
+  }
+  return first;
+}
+
+TEST(ExplorerTest, ReexploreAfterRelease) {
+  const auto mutex_bad = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 2;
+  };
+  const auto mutex_goal = [](const global_state<anon_mutex>& s) {
+    return mutex_cs_count(s) >= 1;
+  };
+  // Fig. 1 at m = 4, stride 2: Theorem 3.1's deadlock, so the progress
+  // pass finds stuck states and a stuck schedule.
+  const naming_assignment naming(
+      {identity_permutation(4), rotation_permutation(4, 2)});
+  const auto machines = detail::mutex_machines(4, naming, {1, 2});
+  EXPECT_GT(expect_reexplore_matches(4, naming, machines, {}, mutex_bad,
+                                     mutex_someone_trying, mutex_goal,
+                                     "fig1 m=4")
+                .res.stuck_states,
+            0u);
+  // The same run with the rows spilling under a 64 KiB budget.
+  explorer<anon_mutex>::options spill;
+  spill.spill_budget_bytes = 64 * 1024;
+  expect_reexplore_matches(4, naming, machines, spill, mutex_bad,
+                           mutex_someone_trying, mutex_goal,
+                           "fig1 m=4 spill");
+  // fa n = 3, m = 3 under S_3 x C_3: the group elements are chunked too.
+  explorer<fa_mutex>::options sym;
+  sym.symmetry = true;
+  expect_reexplore_matches(
+      3, naming_assignment::identity(3, 3), std::vector<fa_mutex>(3, fa_mutex(3)),
+      sym,
+      [](const global_state<fa_mutex>& s) { return fa_mutex_cs_count(s) >= 2; },
+      fa_mutex_someone_trying,
+      [](const global_state<fa_mutex>& s) { return fa_mutex_cs_count(s) >= 1; },
+      "fa n=3 m=3 symmetry");
 }
 
 // ---------------------------------------------------------------------------

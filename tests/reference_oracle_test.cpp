@@ -10,14 +10,16 @@
 // violating runs too — and store the same row bytes at every worker count,
 // on Fig. 1 (every rotation stride), the fully anonymous mutex (identity,
 // relabeled identity and rotation namings, up to n = 4 and including the
-// n = 2, m = 4 deadlock), the random scribbler family and the pinned
-// reference config; Fig. 1's even-m half rotations must deadlock there.
+// n = 2, m = 4 deadlock), the random scribbler family (also at 3 workers,
+// whose slices of a window are uneven) and the pinned reference config;
+// Fig. 1's even-m half rotations must deadlock there.
 // check_progress re-run on one result with other predicates must match a
 // fresh single check, on both engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -97,15 +99,16 @@ void expect_equal(const Oracle& want, const Got& got, const std::string& what) {
   EXPECT_EQ(got.stuck_schedule, want.stuck_schedule) << what;
 }
 
-/// The oracle and the explorer at 1/2/4/8 workers on one configuration:
-/// every worker count must equal the oracle, and store the same row bytes.
-/// Returns the oracle's result.
+/// The oracle and the explorer at each of `worker_counts` on one
+/// configuration: every worker count must equal the oracle, and store the
+/// same row bytes. Returns the oracle's result.
 template <class Machine>
 typename explorer<Machine>::result expect_engines_match_oracle(
     int m, const naming_assignment& naming,
     const std::vector<Machine>& initial, bool symmetry,
     const predicate<Machine>& bad, const predicate<Machine>& premise,
-    const predicate<Machine>& goal, const std::string& what) {
+    const predicate<Machine>& goal, const std::string& what,
+    std::initializer_list<int> worker_counts = {1, 2, 4, 8}) {
   typename reference_explorer<Machine>::options ropt;
   ropt.symmetry = symmetry;
   reference_explorer<Machine> oracle(m, naming, initial, ropt);
@@ -113,7 +116,7 @@ typename explorer<Machine>::result expect_engines_match_oracle(
   EXPECT_GT(want.num_states, 0u) << what;
 
   std::uint64_t bytes = 0;
-  for (const int workers : {1, 2, 4, 8}) {
+  for (const int workers : worker_counts) {
     const std::string tag = what + " workers=" + std::to_string(workers);
     typename explorer<Machine>::options eopt;
     eopt.workers = workers;
@@ -300,9 +303,10 @@ TEST(ReferenceOracleTest, RandomScribblerSeeds) {
     reference_explorer<test_support::scribbler> oracle(c.registers, c.naming,
                                                        c.machines);
     if (oracle.explore(bad).safety_violated()) ++violated;
+    // 3 workers splits the 128-parent windows into uneven slices.
     expect_engines_match_oracle<test_support::scribbler>(
         c.registers, c.naming, c.machines, false, bad, {}, {},
-        "seed=" + std::to_string(seed));
+        "seed=" + std::to_string(seed), {1, 2, 3, 4, 8});
   }
   EXPECT_GT(violated, 0);
   EXPECT_LT(violated, 12);

@@ -1,12 +1,15 @@
 // Unit tests for src/util: hashing, RNG, arithmetic, permutations,
-// statistics, tables and CLI parsing.
+// statistics, tables, CLI parsing and the chunked record container.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/chunked_vector.hpp"
 #include "util/hash.hpp"
 #include "util/math.hpp"
 #include "util/permutation.hpp"
@@ -17,6 +20,57 @@
 
 namespace anoncoord {
 namespace {
+
+// ---------------------------------------------------------------------------
+// chunked_vector.hpp
+// ---------------------------------------------------------------------------
+
+/// Append n values i * 7 + 1 (as T) and check every element both indexed
+/// and by iteration, and the allocation bound: element bytes plus one chunk.
+template <class T>
+void fill_and_check(chunked_vector<T>& v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) v.push_back(static_cast<T>(i * 7 + 1));
+  ASSERT_EQ(v.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(v[i], static_cast<T>(i * 7 + 1)) << "index " << i;
+  std::size_t i = 0;
+  for (const T x : v) {
+    ASSERT_EQ(x, static_cast<T>(i * 7 + 1)) << "iterated " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+  EXPECT_LE(v.allocated_bytes(),
+            n * sizeof(T) + chunked_vector<T>::kChunkSize * sizeof(T));
+  EXPECT_GE(v.allocated_bytes(), n * sizeof(T));
+}
+
+TEST(ChunkedVectorTest, PushAndReadAcrossTheFirstChunkBoundary) {
+  constexpr std::size_t k = chunked_vector<std::uint32_t>::kChunkSize;
+  ASSERT_EQ(k, std::size_t{65536});
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1,
+                              2 * k, 2 * k + 3}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    chunked_vector<std::uint32_t> words;
+    fill_and_check(words, n);
+    chunked_vector<std::uint8_t> bytes;
+    fill_and_check(bytes, n);
+  }
+}
+
+TEST(ChunkedVectorTest, ClearFreesAndRefills) {
+  constexpr std::size_t k = chunked_vector<int>::kChunkSize;
+  chunked_vector<int> v;
+  fill_and_check(v, 2 * k + 5);
+  EXPECT_EQ(v.allocated_bytes(), 3 * k * sizeof(int));
+  v.clear();
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(v.allocated_bytes(), 0u);
+  EXPECT_TRUE(v.begin() == v.end());
+  fill_and_check(v, k + 1);
+  EXPECT_EQ(v.allocated_bytes(), 2 * k * sizeof(int));
+  v.clear();
+  fill_and_check(v, 10);
+}
 
 // ---------------------------------------------------------------------------
 // check.hpp
