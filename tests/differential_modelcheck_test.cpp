@@ -142,7 +142,8 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
   const struct {
     int m;
     int stride;
-  } cases[] = {{4, 2}, {3, 1}};
+    std::uint64_t row_bytes;
+  } cases[] = {{4, 2, 381'832}, {3, 1, 56'011}};
   for (const auto& tc : cases) {
     SCOPED_TRACE("m=" + std::to_string(tc.m) + " stride=" +
                  std::to_string(tc.stride));
@@ -167,6 +168,7 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     // and the store stays within the final row width per state plus at most
     // one page-tail per epoch. The final row's bits are bounded through the
     // pools: no column holds an id above its pool's largest.
+    EXPECT_EQ(comp.stored_row_bytes(), tc.row_bytes);
     EXPECT_LT(comp.stored_row_bytes(), verb_bytes);
     EXPECT_GT(comp.keyframe_rows(), 0u);
     EXPECT_LT(comp.keyframe_rows(), cres.num_states);

@@ -115,6 +115,9 @@ TEST(ExplorerTest, BookkeepingBytesOnReferenceConfig) {
   EXPECT_EQ(b.csr, 0u);
   // 8-byte cells plus 1-byte tags, at most 70% full.
   EXPECT_GE(b.seen_table * 7, 9 * states * 10);
+  // The packed rows: 5.8576 B/state, within the 12 B/state bound.
+  EXPECT_EQ(e.stored_row_bytes(), 2'008'506u);
+  EXPECT_LE(e.stored_row_bytes(), 12 * states);
 
   e.check_progress(res, mutex_someone_trying,
                    [](const global_state<anon_mutex>& s) {

@@ -17,6 +17,7 @@
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
+#include "modelcheck/mutex_check.hpp"
 #include "modelcheck/verify.hpp"
 #include "util/check.hpp"
 #include "util/permutation.hpp"
@@ -119,6 +120,43 @@ TEST(OutOfCoreVerifyTest, StoredBytesIdenticalAcrossWorkersUnderSpill) {
     if (workers == 1) spilled = e.spill_stats().spilled_pages;
     EXPECT_GT(e.spill_stats().spilled_pages, 0u) << where;
     EXPECT_EQ(e.spill_stats().spilled_pages, spilled) << where;
+  }
+}
+
+TEST(OutOfCoreVerifyTest, ReferenceConfigHoldsThirdOfInMemoryBudget) {
+  // Fig. 1 at n = 2, m = 5, stride 2 with the full ME + progress check,
+  // its packed arena capped at a third of its in-memory footprint. At one
+  // and two workers the verdict, state count and counterexample equal the
+  // in-memory run's, pages really spill, and the resident high-water mark
+  // stays within the budget plus slack: the open head page rides over, and
+  // the frontier window being expanded stays resident.
+  const naming_assignment naming(
+      {identity_permutation(5), rotation_permutation(5, 2)});
+  const auto procs = detail::mutex_machines(5, naming, {1, 2});
+  explorer<anon_mutex> mem(5, naming, procs);
+  const mutex_check_result want = detail::run_mutex_check(mem);
+  const std::uint64_t budget = mem.stored_row_bytes() / 3;
+  EXPECT_EQ(budget, 669'502u);
+  const std::uint64_t slack = 8 * byte_arena::kPageSize;
+  for (const int workers : {1, 2}) {
+    const std::string where = "workers=" + std::to_string(workers);
+    explorer<anon_mutex>::options opt;
+    opt.workers = workers;
+    opt.spill_budget_bytes = budget;
+    explorer<anon_mutex> e(5, naming, procs, opt);
+    const mutex_check_result got = detail::run_mutex_check(e);
+    const arena_spill_stats st = e.spill_stats();
+    EXPECT_EQ(got.verdict(), want.verdict()) << where;
+    EXPECT_EQ(got.num_states, want.num_states) << where;
+    EXPECT_EQ(got.counterexample, want.counterexample) << where;
+    EXPECT_GT(st.spilled_pages, 0u) << where;
+    EXPECT_LE(st.resident_hw_bytes, budget + slack) << where;
+    // Each frontier window and the progress pass read their rows as one
+    // page range, so a cold page faults back in at most once per scan;
+    // scattered access would re-fault the same pages many times over.
+    if (workers == 1) {
+      EXPECT_LE(st.faulted_pages, 2 * st.spilled_pages);
+    }
   }
 }
 

@@ -358,7 +358,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SymmetryReductionTest, MeasuredReductionFactorsHold) {
   // n = 2, identity naming: |G| = 2 and almost no fixed points, so the
   // stored set halves (2.0x measured). n = 3 on two registers: |G| = 6
-  // gives 5.5x to the (violating) verdict. The n! ceiling is the honest
+  // gives 5.53x to the (violating) verdict. The n! ceiling is the honest
   // limit of sound in-exploration reduction — see docs/modelcheck.md.
   explorer<anon_mutex>::options opt;
   explorer<anon_mutex> raw5(5, identity_naming(2, 5), machines(5, 2), opt);
@@ -367,7 +367,9 @@ TEST(SymmetryReductionTest, MeasuredReductionFactorsHold) {
   explorer<anon_mutex> red5(5, identity_naming(2, 5), machines(5, 2), opt);
   const auto q5 = red5.explore(two_in_cs);
   ASSERT_TRUE(r5.complete && q5.complete);
-  EXPECT_GE(r5.num_states, q5.num_states * 19 / 10);
+  EXPECT_EQ(r5.num_states, 371'618u);
+  EXPECT_EQ(q5.num_states, 185'812u);
+  EXPECT_EQ(raw5.pool().storage_bytes(), 2'195'456u);
 
   opt.symmetry = false;
   explorer<anon_mutex> raw2(2, identity_naming(3, 2), machines(2, 3), opt);
@@ -376,7 +378,10 @@ TEST(SymmetryReductionTest, MeasuredReductionFactorsHold) {
   explorer<anon_mutex> red2(2, identity_naming(3, 2), machines(2, 3), opt);
   const auto q2 = red2.explore(two_in_cs);
   ASSERT_TRUE(r2.safety_violated() && q2.safety_violated());
-  EXPECT_GE(r2.num_states, q2.num_states * 3);
+  EXPECT_EQ(r2.bad_schedule.size(), q2.bad_schedule.size());
+  EXPECT_EQ(r2.num_states, 198'343u);
+  EXPECT_EQ(q2.num_states, 35'873u);
+  EXPECT_EQ(raw2.pool().storage_bytes(), 2'228'224u);
 }
 
 TEST(SymmetryReductionTest, NonSymmetricMachineSymmetryFlagIsNoOp) {

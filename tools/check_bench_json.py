@@ -7,14 +7,7 @@ required top-level keys and types, per-result summary-statistic sanity
 section is the registry-snapshot shape ({"counters": {...},
 "histograms": {...}}).
 
-Out-of-core counters get extra scrutiny when present: spill_pages,
-spill_bytes, resumed_classes, pending_classes, spill_faulted_pages and
-spill_evicted_pages must be non-negative integers, and spill traffic must
-be internally consistent (spill_bytes and spill_pages are zero together, a
-spilled page wrote at least one byte so spill_bytes >= spill_pages, and
-pages can only fault back in after something spilled).
-
-Sharded-sweep counters (bench_modelcheck_scaling part 8) gate when
+Sharded-sweep counters (bench_modelcheck_scaling's sharded sweep) gate when
 present: shard_totals_match must be 1 (the merged two-shard journal must
 reproduce the single-process weighted totals bit-identically) and
 shard_merge_missing must be 0 (the shards covered every orbit class).
@@ -48,11 +41,6 @@ REQUIRED = {
     "metrics": dict,
 }
 
-# Result series with a fixed unit contract: memory footprints must be
-# reported in bytes (and be positive — a zero bytes-per-state figure means
-# the bench divided by a missing state count).
-BYTES_SERIES = ("bytes_per_stored_state",)
-
 
 def check_result(entry: object, where: str) -> list[str]:
     errors = []
@@ -77,13 +65,6 @@ def check_result(entry: object, where: str) -> list[str]:
         if not lo <= entry[key] <= hi:
             errors.append(f"{where}: result {name!r} {key}={entry[key]} "
                           f"outside [{lo}, {hi}]")
-    if name in BYTES_SERIES:
-        if entry["unit"] != "B":
-            errors.append(f"{where}: result {name!r} unit {entry['unit']!r} "
-                          "!= 'B'")
-        if lo <= 0:
-            errors.append(f"{where}: result {name!r} min {lo} is not "
-                          "positive")
     return errors
 
 
@@ -119,49 +100,8 @@ def check_report(path: Path) -> list[str]:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             errors.append(f"{path}: counter {name!r} = {value!r} is not a "
                           "non-negative integer")
-    errors.extend(check_spill_counters(counters, str(path)))
     errors.extend(check_contention_counters(counters, str(path)))
     errors.extend(check_shard_counters(counters, str(path)))
-    return errors
-
-
-# Out-of-core counters (bench_modelcheck_scaling part 6 and the resumable
-# --sweep-m sweep). Optional — older reports predate them — but when present
-# they must be well-formed non-negative integers.
-SPILL_COUNTERS = ("spill_pages", "spill_bytes", "resumed_classes",
-                  "pending_classes", "spill_faulted_pages",
-                  "spill_evicted_pages")
-
-
-def check_spill_counters(counters: object, where: str) -> list[str]:
-    if not isinstance(counters, dict):
-        return []
-    errors = []
-    ok = {}
-    for name in SPILL_COUNTERS:
-        if name not in counters:
-            continue
-        value = counters[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            errors.append(f"{where}: counter {name!r} = {value!r} is not a "
-                          "non-negative integer")
-        else:
-            ok[name] = value
-    if "spill_pages" in ok and "spill_bytes" in ok:
-        pages, nbytes = ok["spill_pages"], ok["spill_bytes"]
-        if (pages == 0) != (nbytes == 0):
-            errors.append(f"{where}: spill_pages={pages} and "
-                          f"spill_bytes={nbytes} disagree about whether "
-                          "anything spilled")
-        elif nbytes < pages:
-            errors.append(f"{where}: spill_bytes={nbytes} < "
-                          f"spill_pages={pages} (each spilled page writes "
-                          "at least one byte)")
-    if "spill_faulted_pages" in ok and ok.get("spill_pages") == 0 \
-            and ok["spill_faulted_pages"] > 0:
-        errors.append(f"{where}: spill_faulted_pages="
-                      f"{ok['spill_faulted_pages']} with spill_pages=0 "
-                      "(a page can only fault back in after being spilled)")
     return errors
 
 
@@ -205,7 +145,7 @@ def check_contention_counters(counters: object, where: str) -> list[str]:
     return errors
 
 
-# Sharded-sweep counters (bench_modelcheck_scaling part 8). Optional, but
+# Sharded-sweep counters (bench_modelcheck_scaling). Optional, but
 # when present they gate: the merged two-shard journal must reproduce the
 # single-process weighted totals bit-identically and cover every class.
 SHARD_COUNTERS = ("shard_count", "shard_merge_records",
