@@ -59,8 +59,8 @@ bool run_worker_table(int reps, benchjson::bench_reporter& report) {
   const naming_assignment naming(
       {identity_permutation(m), rotation_permutation(m, 2)});
   const std::vector<int> worker_counts{1, 2, 4, 8};
-  mutex_check_result seq_res;
-  std::vector<mutex_check_result> par_res(worker_counts.size());
+  verify_report seq_res;
+  std::vector<verify_report> par_res(worker_counts.size());
   double seq_time = 0;
   std::vector<double> par_time(worker_counts.size(), 0);
   for (int rep = 0; rep < reps; ++rep) {
@@ -81,16 +81,16 @@ bool run_worker_table(int reps, benchjson::bench_reporter& report) {
   }
 
   report.sample("bfs_seconds", seq_time, "s");
-  report.sample("bfs_states", static_cast<double>(seq_res.num_states));
+  report.sample("bfs_states", static_cast<double>(seq_res.states));
   ascii_table table({"engine", "workers", "states", "verdict", "ms",
                      "speedup"});
-  table.add("bfs (baseline)", 1, seq_res.num_states, seq_res.verdict(),
+  table.add("bfs (baseline)", 1, seq_res.states, seq_res.verdict(),
             seq_time * 1e3, 1.0);
   bool identical = true;
   double speedup_at_8 = 0;
   for (std::size_t w = 0; w < worker_counts.size(); ++w) {
-    const mutex_check_result& res = par_res[w];
-    identical = identical && res.num_states == seq_res.num_states &&
+    const verify_report& res = par_res[w];
+    identical = identical && res.states == seq_res.states &&
                 res.verdict() == seq_res.verdict() &&
                 res.counterexample == seq_res.counterexample;
     const double speedup = seq_time / par_time[w];
@@ -98,7 +98,7 @@ bool run_worker_table(int reps, benchjson::bench_reporter& report) {
     report.sample(
         "parallel_bfs_seconds/workers=" + std::to_string(worker_counts[w]),
         par_time[w], "s");
-    table.add("parallel", worker_counts[w], res.num_states, res.verdict(),
+    table.add("parallel", worker_counts[w], res.states, res.verdict(),
               par_time[w] * 1e3, speedup);
   }
   report.sample("parallel_speedup_at_8", speedup_at_8, "x");
@@ -143,13 +143,7 @@ bool run_shard_sweep(int reps, unsigned hw_cores,
   std::vector<anon_mutex> procs;
   procs.emplace_back(1, m);
   procs.emplace_back(2, m);
-  const config_predicate<anon_mutex> two_in_cs =
-      [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-        int c = 0;
-        for (const auto& p : ps)
-          if (p.in_critical_section()) ++c;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> two_in_cs = mutex_two_in_cs<anon_mutex>;
   verify_options opt;
   opt.max_states = 8'000'000;
   const shard_journals journals;

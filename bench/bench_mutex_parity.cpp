@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
     for (const auto& perm : perms) {
       const auto res = check_anon_mutex_pair(m, perm, 8'000'000);
       complete = complete && res.complete;
-      me_ok = me_ok && res.mutual_exclusion;
-      if (res.complete && !res.progress) ++stuck_configs;
-      if (res.num_states > worst_states) worst_states = res.num_states;
+      me_ok = me_ok && !res.violated;
+      if (res.verdict() == "DEADLOCK") ++stuck_configs;
+      if (res.states > worst_states) worst_states = res.states;
     }
     const bool theorem_says_possible = (m % 2 == 1);
     const bool observed_possible = (stuck_configs == 0);

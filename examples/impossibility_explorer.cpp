@@ -30,8 +30,8 @@ void explore_31(int m) {
     const auto res = check_anon_mutex_pair(m, rotation_permutation(m, s),
                                            8'000'000);
     std::cout << "  offset " << s << ": " << res.verdict() << " ("
-              << res.num_states << " states";
-    if (!res.progress && res.complete) {
+              << res.states << " states";
+    if (res.verdict() == "DEADLOCK") {
       std::cout << ", " << res.stuck_states << " stuck";
       any_stuck = true;
     }

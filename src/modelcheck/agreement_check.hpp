@@ -1,4 +1,4 @@
-// Model-checking harnesses for the Fig. 2 consensus and Fig. 3 renaming
+// Model-checking specs for the Fig. 2 consensus and Fig. 3 renaming
 // algorithms: exhaustive verification of their safety properties over every
 // interleaving of a small configuration, plus the obstruction-freedom-shaped
 // progress property "from every reachable state, a state where all processes
@@ -6,120 +6,123 @@
 // process alone in turn — finishes the job).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/anon_consensus.hpp"
 #include "core/anon_renaming.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
+#include "modelcheck/verify.hpp"
 
 namespace anoncoord {
 
-struct agreement_check_result {
-  bool complete = false;
-  bool safety = false;       ///< agreement+validity / uniqueness+range
-  bool termination_possible = false;  ///< EF(all done) from every state
-  std::uint64_t num_states = 0;
-  std::vector<int> counterexample;
-
-  bool ok() const { return complete && safety && termination_possible; }
-  std::string verdict() const {
-    if (!complete) return "INCOMPLETE";
-    if (!safety) return "SAFETY-VIOLATION";
-    if (!termination_possible) return "STUCK";
-    return "OK";
+/// Two of `procs` decided different values.
+template <class Machine>
+bool decisions_disagree(const std::vector<Machine>& procs) {
+  std::optional<std::uint64_t> seen;
+  for (const auto& p : procs) {
+    const auto d = p.decision();
+    if (!d) continue;
+    if (seen && *seen != *d) return true;
+    seen = d;
   }
-};
-
-namespace detail {
-
-template <class Machine, class BadPred>
-agreement_check_result run_agreement_check(int registers,
-                                           const naming_assignment& naming,
-                                           std::vector<Machine> machines,
-                                           BadPred is_bad,
-                                           std::uint64_t max_states) {
-  using ex = explorer<Machine>;
-  typename ex::options opt;
-  opt.max_states = max_states;
-  ex e(registers, naming, std::move(machines), opt);
-
-  auto res = e.explore(is_bad);
-
-  agreement_check_result out;
-  out.complete = res.complete;
-  out.num_states = res.num_states;
-  out.safety = !res.safety_violated();
-  if (res.safety_violated()) {
-    out.counterexample = res.bad_schedule;
-    return out;
-  }
-  if (!res.complete) return out;
-
-  e.check_progress(
-      res, [](const global_state<Machine>&) { return true; },
-      [](const global_state<Machine>& s) {
-        for (const auto& p : s.procs)
-          if (!p.done()) return false;
-        return true;
-      });
-  out.termination_possible = !res.progress_violated();
-  if (res.progress_violated()) out.counterexample = res.stuck_schedule;
-  return out;
+  return false;
 }
 
-}  // namespace detail
+/// Some of `procs` decided a value outside `inputs`. A spec builds the
+/// input set once: the input multiset is invariant under every symmetry
+/// group the explorer uses, so no state needs its own.
+template <class Machine>
+bool decision_outside(const std::vector<Machine>& procs,
+                      const std::set<std::uint64_t>& inputs) {
+  for (const auto& p : procs) {
+    const auto d = p.decision();
+    if (d && inputs.count(*d) == 0) return true;
+  }
+  return false;
+}
 
-/// Exhaustively check Fig. 2 for the given naming and inputs: agreement
-/// (all decisions equal) and validity (decisions come from the inputs).
-inline agreement_check_result check_anon_consensus(
+/// From every reachable state, a state where every process is done is
+/// reachable (verdict STUCK).
+template <class Machine>
+typename check_spec<Machine>::progress_property termination_possible() {
+  return {"STUCK", [](const global_state<Machine>&) { return true; },
+          [](const global_state<Machine>& s) {
+            return std::all_of(s.procs.begin(), s.procs.end(),
+                               [](const Machine& p) { return p.done(); });
+          }};
+}
+
+/// Fig. 2's claims for processes proposing `inputs`: agreement (all
+/// decisions equal) and validity (decisions come from the inputs) as one
+/// safety property (SAFETY-VIOLATION), then termination_possible.
+inline check_spec<anon_consensus> consensus_spec(
+    const std::vector<std::uint64_t>& inputs) {
+  check_spec<anon_consensus> spec;
+  spec.safety.push_back(
+      {"SAFETY-VIOLATION",
+       [in = std::set(inputs.begin(), inputs.end())](
+           const global_state<anon_consensus>& s) {
+         return decisions_disagree(s.procs) || decision_outside(s.procs, in);
+       }});
+  spec.progress = termination_possible<anon_consensus>();
+  return spec;
+}
+
+/// Fig. 3's claims for n processes: names are unique and drawn from
+/// {1, .., n} (perfectness; adaptivity is checked by the simulator-based
+/// tests, which control the participant set) as one safety property
+/// (SAFETY-VIOLATION), then termination_possible.
+inline check_spec<anon_renaming> renaming_spec(int n) {
+  check_spec<anon_renaming> spec;
+  spec.safety.push_back(
+      {"SAFETY-VIOLATION", [n](const global_state<anon_renaming>& s) {
+         for (std::size_t i = 0; i < s.procs.size(); ++i) {
+           const auto name = s.procs[i].name();
+           if (!name) continue;
+           if (*name < 1 || *name > static_cast<std::uint32_t>(n)) return true;
+           for (std::size_t j = 0; j < i; ++j)
+             if (s.procs[j].name() == name) return true;  // duplicate name
+         }
+         return false;
+       }});
+  spec.progress = termination_possible<anon_renaming>();
+  return spec;
+}
+
+/// Exhaustively check Fig. 2 for the given naming and inputs.
+inline verify_report check_anon_consensus(
     int n, const naming_assignment& naming,
     const std::vector<std::pair<process_id, std::uint64_t>>& id_and_input,
     std::uint64_t max_states = 2'000'000) {
   std::vector<anon_consensus> machines;
-  std::set<std::uint64_t> inputs;
+  std::vector<std::uint64_t> inputs;
   for (auto [id, in] : id_and_input) {
     machines.emplace_back(id, in, n);
-    inputs.insert(in);
+    inputs.push_back(in);
   }
-  return detail::run_agreement_check(
-      2 * n - 1, naming, std::move(machines),
-      [inputs](const global_state<anon_consensus>& s) {
-        std::set<std::uint64_t> decisions;
-        for (const auto& p : s.procs)
-          if (p.decision()) decisions.insert(*p.decision());
-        if (decisions.size() > 1) return true;  // agreement violated
-        for (auto d : decisions)
-          if (!inputs.count(d)) return true;  // validity violated
-        return false;
-      },
-      max_states);
+  verify_options opt;
+  opt.max_states = max_states;
+  return verify_config<anon_consensus>({2 * n - 1, naming, std::move(machines)},
+                                       consensus_spec(inputs), opt);
 }
 
-/// Exhaustively check Fig. 3 for the given naming and ids: names are unique
-/// and drawn from {1, .., n} (perfectness; adaptivity is checked by the
-/// simulator-based tests, which control the participant set).
-inline agreement_check_result check_anon_renaming(
-    int n, const naming_assignment& naming, const std::vector<process_id>& ids,
-    std::uint64_t max_states = 2'000'000) {
+/// Exhaustively check Fig. 3 for the given naming and ids.
+inline verify_report check_anon_renaming(int n,
+                                         const naming_assignment& naming,
+                                         const std::vector<process_id>& ids,
+                                         std::uint64_t max_states = 2'000'000) {
   std::vector<anon_renaming> machines;
   for (auto id : ids) machines.emplace_back(id, n);
-  return detail::run_agreement_check(
-      2 * n - 1, naming, std::move(machines),
-      [n](const global_state<anon_renaming>& s) {
-        std::set<std::uint32_t> names;
-        for (const auto& p : s.procs) {
-          if (!p.name()) continue;
-          const std::uint32_t v = *p.name();
-          if (v < 1 || v > static_cast<std::uint32_t>(n)) return true;
-          if (!names.insert(v).second) return true;  // duplicate name
-        }
-        return false;
-      },
-      max_states);
+  verify_options opt;
+  opt.max_states = max_states;
+  return verify_config<anon_renaming>({2 * n - 1, naming, std::move(machines)},
+                                      renaming_spec(n), opt);
 }
 
 }  // namespace anoncoord

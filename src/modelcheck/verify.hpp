@@ -1,23 +1,22 @@
-// verify_config(): the safety entry point over the BFS explorer.
-//
-// The explorer (explorer.hpp, whose generation stage runs on
-// options.workers threads) is the one mechanical prover: it exhausts the
-// reachable state space, so its verdict holds over every interleaving.
-// verify_config() runs it on a uniform model_config with a predicate over
-// (registers, machines) and returns uniform per-run stats (states, edges,
-// dedup hits, spill and canonicalization counters, phase times, wall time),
-// which is what the scaling bench, the naming sweeps and the differential
-// tests consume.
+// verify_config(): the one check entry point. A check_spec names a
+// configuration's safety properties (bad-state predicates, each with the
+// verdict it yields) and at most one progress property; run_check() drives
+// any engine with explorer's explore/check_progress shape (explorer.hpp and
+// the reference oracle) through it to one verify_report, whose verdict()
+// names the first failing property. verify_config() runs it on the
+// explorer, whose verdict holds over every interleaving, and adds its
+// per-run stats (spill and canonicalization counters, phase times, wall
+// time), which the check_* functions, the benches, the naming sweeps and
+// the differential tests consume.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,13 +44,17 @@ struct verify_options {
   std::string spill_dir;
 };
 
-/// Uniform per-run statistics; `states` counts distinct stored global states.
+/// One check's verdict and uniform per-run statistics; `states` counts
+/// distinct stored global states.
 struct verify_report {
   bool complete = false;
-  bool violated = false;
+  bool violated = false;  ///< a safety property failed
   std::uint64_t states = 0;
   std::uint64_t edges = 0;
   std::uint64_t dedup_hits = 0;
+  /// Premise states from which the progress goal is unreachable (0 unless
+  /// the spec has a progress property and the run was complete and safe).
+  std::uint64_t stuck_states = 0;
   std::uint64_t spill_pages = 0;  ///< arena pages written out-of-core
   std::uint64_t spill_bytes = 0;  ///< bytes written to the spill file
   /// Canonicalization prune effectiveness (zero for trivial groups).
@@ -76,9 +79,18 @@ struct verify_report {
   std::uint64_t probe_groups_scanned = 0;
   std::uint64_t probe_max_group_chain = 0;
   double wall_seconds = 0.0;
-  std::vector<int> violating_schedule;
+  /// The failing property's failure string; empty when none failed.
+  std::string failure;
+  /// Schedule to the bad state, or to the first stuck state.
+  std::vector<int> counterexample;
 
-  bool ok() const { return complete && !violated; }
+  bool ok() const { return complete && failure.empty(); }
+  /// The failing property's failure string, else INCOMPLETE when a cap
+  /// stopped the run, else OK.
+  std::string verdict() const {
+    if (!failure.empty()) return failure;
+    return complete ? "OK" : "INCOMPLETE";
+  }
 };
 
 /// A model configuration: what the explorer needs to start.
@@ -89,37 +101,94 @@ struct model_config {
   std::vector<Machine> initial;
 };
 
+/// What a check claims of a configuration. Every safety property is a
+/// bad-state predicate checked on every stored state; the first one in
+/// spec order that holds on the bad state names the verdict. The progress
+/// property, run only on a complete safe run, asks that from every
+/// reachable premise state some goal state is reachable. Under symmetry
+/// every predicate must be invariant under the configuration's group.
+template <class Machine>
+struct check_spec {
+  using predicate = std::function<bool(const global_state<Machine>&)>;
+  struct safety_property {
+    std::string failure;  ///< the verdict when a reachable state is bad
+    predicate is_bad;
+  };
+  struct progress_property {
+    std::string failure;  ///< the verdict when a premise state is stuck
+    predicate premise;
+    predicate goal;
+  };
+  std::vector<safety_property> safety;
+  std::optional<progress_property> progress;
+};
+
 /// Bad-state predicate over (registers, machines); verify_config adapts it
-/// to global_state.
+/// to a one-property spec whose failure is SAFETY-VIOLATION.
 template <class Machine>
 using config_predicate =
     std::function<bool(const std::vector<typename Machine::value_type>&,
                        const std::vector<Machine>&)>;
 
-template <class Machine>
-verify_report verify_config(const model_config<Machine>& cfg,
-                            const config_predicate<Machine>& is_bad,
-                            const verify_options& opt = {}) {
-  verify_report out;
-  const auto as_state_pred = [&](const global_state<Machine>& s) {
-    return is_bad(s.regs, s.procs);
+/// The one check harness: explore with the spec's safety properties, name
+/// the first failing one, and run the progress property on a complete safe
+/// run (an explorer must record edges for it). Fills the verdict and the
+/// engine-independent counts only.
+template <class Engine, class Machine>
+verify_report run_check(Engine& e, const check_spec<Machine>& spec) {
+  using state = global_state<Machine>;
+  const auto first_bad = [&spec](const state& s) {
+    return std::find_if(spec.safety.begin(), spec.safety.end(),
+                        [&s](const auto& p) { return p.is_bad(s); });
   };
-  stopwatch timer;
-  typename explorer<Machine>::options eopt;
-  eopt.workers = opt.workers;
-  eopt.max_states = opt.max_states;
-  eopt.record_edges = false;  // safety-only entry point
-  eopt.symmetry = opt.symmetry;
-  eopt.spill_budget_bytes = opt.spill_budget_bytes;
-  eopt.spill_dir = opt.spill_dir;
-  explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
-  const auto res = e.explore(as_state_pred);
+  // A one-property spec hands its predicate to explore() as is, so a fresh
+  // state pays no extra std::function hop.
+  auto res = spec.safety.size() == 1
+                 ? e.explore(spec.safety.front().is_bad)
+                 : e.explore([&](const state& s) {
+                     return first_bad(s) != spec.safety.end();
+                   });
+  verify_report out;
   out.complete = res.complete;
   out.violated = res.safety_violated();
   out.states = res.num_states;
   out.edges = res.num_edges;
   out.dedup_hits = res.dedup_hits;
-  out.violating_schedule = res.bad_schedule;
+  if (out.violated) {
+    const auto bad = first_bad(*res.bad_state);
+    ANONCOORD_REQUIRE(bad != spec.safety.end(),
+                      "no safety property holds on the replayed bad state: "
+                      "a predicate is not invariant under the symmetry group");
+    out.failure = bad->failure;
+    out.counterexample = std::move(res.bad_schedule);
+    return out;
+  }
+  if (!spec.progress || !res.complete) return out;
+  e.check_progress(res, spec.progress->premise, spec.progress->goal);
+  out.stuck_states = res.stuck_states;
+  if (res.progress_violated()) {
+    out.failure = spec.progress->failure;
+    out.counterexample = std::move(res.stuck_schedule);
+  }
+  return out;
+}
+
+/// run_check on an explorer built from `cfg` and `opt` (edges recorded only
+/// when the spec has progress), plus the explorer's stats and wall time.
+template <class Machine>
+verify_report verify_config(const model_config<Machine>& cfg,
+                            const check_spec<Machine>& spec,
+                            const verify_options& opt = {}) {
+  stopwatch timer;
+  typename explorer<Machine>::options eopt;
+  eopt.workers = opt.workers;
+  eopt.max_states = opt.max_states;
+  eopt.record_edges = spec.progress.has_value();
+  eopt.symmetry = opt.symmetry;
+  eopt.spill_budget_bytes = opt.spill_budget_bytes;
+  eopt.spill_dir = opt.spill_dir;
+  explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
+  verify_report out = run_check(e, spec);
   const arena_spill_stats spill = e.spill_stats();
   out.spill_pages = spill.spilled_pages;
   out.spill_bytes = spill.spill_bytes;
@@ -149,7 +218,7 @@ verify_report verify_config(const model_config<Machine>& cfg,
     reg.counter("explore.probe_ns").add(out.probe_ns);
     reg.counter("explore.encode_ns").add(out.encode_ns);
     reg.counter("explore.probe_groups_scanned").add(out.probe_groups_scanned);
-    if (out.violated) reg.counter("verify.violations").add(1);
+    if (!out.failure.empty()) reg.counter("verify.violations").add(1);
     if (!out.complete) reg.counter("verify.incomplete").add(1);
     reg.histogram("verify.wall_us")
         .record(static_cast<std::uint64_t>(out.wall_seconds * 1e6));
@@ -157,31 +226,16 @@ verify_report verify_config(const model_config<Machine>& cfg,
   return out;
 }
 
-/// The uniform per-run stats as JSON — what bench reporters embed and what
-/// docs/modelcheck.md documents as the machine-readable verify record.
-inline obs::json_value to_json(const verify_report& report) {
-  obs::json_value out = obs::json_value::make_object();
-  out.set("complete", report.complete);
-  out.set("violated", report.violated);
-  out.set("states", report.states);
-  out.set("edges", report.edges);
-  out.set("dedup_hits", report.dedup_hits);
-  out.set("spill_pages", report.spill_pages);
-  out.set("spill_bytes", report.spill_bytes);
-  out.set("canon_full_applies", report.canon_full_applies);
-  out.set("canon_first_word_pruned", report.canon_first_word_pruned);
-  out.set("canon_prefix_pruned", report.canon_prefix_pruned);
-  out.set("expand_ns", report.expand_ns);
-  out.set("canonicalize_ns", report.canonicalize_ns);
-  out.set("probe_ns", report.probe_ns);
-  out.set("encode_ns", report.encode_ns);
-  out.set("probe_groups_scanned", report.probe_groups_scanned);
-  out.set("probe_max_group_chain", report.probe_max_group_chain);
-  out.set("wall_seconds", report.wall_seconds);
-  obs::json_value sched = obs::json_value::make_array();
-  for (int p : report.violating_schedule) sched.push_back(p);
-  out.set("violating_schedule", std::move(sched));
-  return out;
+/// verify_config on the one-property spec {SAFETY-VIOLATION: is_bad}.
+template <class Machine>
+verify_report verify_config(const model_config<Machine>& cfg,
+                            const config_predicate<Machine>& is_bad,
+                            const verify_options& opt = {}) {
+  const auto bad = [&is_bad](const global_state<Machine>& s) {
+    return is_bad(s.regs, s.procs);
+  };
+  return verify_config(cfg, check_spec<Machine>{{{"SAFETY-VIOLATION", bad}}, {}},
+                       opt);
 }
 
 /// Orchestration for verify_naming_sweep: orbit classes run as independent

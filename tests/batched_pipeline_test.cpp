@@ -39,17 +39,14 @@ naming_assignment identity_naming(int n, int m) {
                                identity_permutation(m)));
 }
 
-bool two_in_cs(const global_state<anon_mutex>& s) {
-  return mutex_cs_count(s) >= 2;
-}
+const explorer<anon_mutex>::state_predicate two_in_cs =
+    mutex_spec<anon_mutex>().safety.front().is_bad;
 
-void expect_results_identical(const mutex_check_result& a,
-                              const mutex_check_result& b,
+void expect_results_identical(const verify_report& a, const verify_report& b,
                               const std::string& what) {
   EXPECT_EQ(a.complete, b.complete) << what;
-  EXPECT_EQ(a.mutual_exclusion, b.mutual_exclusion) << what;
-  EXPECT_EQ(a.progress, b.progress) << what;
-  EXPECT_EQ(a.num_states, b.num_states) << what;
+  EXPECT_EQ(a.verdict(), b.verdict()) << what;
+  EXPECT_EQ(a.states, b.states) << what;
   EXPECT_EQ(a.stuck_states, b.stuck_states) << what;
   EXPECT_EQ(a.counterexample, b.counterexample) << what;
 }
@@ -137,14 +134,7 @@ TEST(BatchedExpansionTest, VerifyReportSurfacesPhaseBreakdown) {
   vopt.symmetry = true;
   const model_config<anon_mutex> cfg{3, identity_naming(2, 3),
                                      machines(3, 2)};
-  const config_predicate<anon_mutex> bad =
-      [](const std::vector<anon_mutex::value_type>&,
-         const std::vector<anon_mutex>& procs) {
-        int c = 0;
-        for (const auto& p : procs)
-          if (p.in_critical_section()) ++c;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> bad = mutex_two_in_cs<anon_mutex>;
 
   for (const int workers : {1, 2}) {
     vopt.workers = workers;

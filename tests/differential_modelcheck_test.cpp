@@ -79,13 +79,13 @@ TEST(DifferentialModelCheckTest, RandomConfigsAllEnginesAgree) {
     EXPECT_EQ(bfs.states, par.states);
     EXPECT_EQ(bfs.edges, par.edges);
     EXPECT_EQ(bfs.dedup_hits, par.dedup_hits);
-    EXPECT_EQ(bfs.violating_schedule, par.violating_schedule);
+    EXPECT_EQ(bfs.counterexample, par.counterexample);
 
     // Every reported counterexample replays to the same violation.
     if (bfs.violated) {
       ++violated_cases;
-      EXPECT_TRUE(replays_to_violation(c, bfs.violating_schedule));
-      EXPECT_TRUE(replays_to_violation(c, par.violating_schedule));
+      EXPECT_TRUE(replays_to_violation(c, bfs.counterexample));
+      EXPECT_TRUE(replays_to_violation(c, par.counterexample));
     }
   }
   // The seed family must exercise both outcomes, or the test is vacuous.
@@ -109,19 +109,11 @@ TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
       machines.emplace_back(1, m);
       machines.emplace_back(2, m);
       model_config<anon_mutex> cfg{m, naming, machines};
-      const config_predicate<anon_mutex> two_in_cs =
-          [](const std::vector<process_id>&,
-             const std::vector<anon_mutex>& procs) {
-            int c = 0;
-            for (const auto& p : procs)
-              if (p.in_critical_section()) ++c;
-            return c >= 2;
-          };
-
       verify_options par_opt;
       par_opt.workers = 2;
       par_opt.max_states = 5'000'000;
-      const auto par = verify_config(cfg, two_in_cs, par_opt);
+      const auto par =
+          verify_config<anon_mutex>(cfg, mutex_two_in_cs<anon_mutex>, par_opt);
       ASSERT_TRUE(par.complete);
       EXPECT_FALSE(par.violated) << "Fig. 1 never breaks ME for 2 processes";
     }
@@ -152,15 +144,15 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     const auto ms = detail::mutex_machines(tc.m, naming, {1, 2});
 
     reference_explorer<anon_mutex> ref(tc.m, naming, ms);
-    const auto want = detail::run_mutex_check(ref);
+    const auto want = run_check(ref, mutex_spec<anon_mutex>());
     // Verbatim rows: one 4-byte word per column, m registers + 2 machines.
     const std::uint64_t verb_bytes =
-        want.num_states * static_cast<std::uint64_t>(tc.m + 2) * 4;
+        want.states * static_cast<std::uint64_t>(tc.m + 2) * 4;
 
     explorer<anon_mutex> comp(tc.m, naming, ms);
-    const auto cres = detail::run_mutex_check(comp);
+    const auto cres = run_check(comp, mutex_spec<anon_mutex>());
     EXPECT_EQ(cres.verdict(), want.verdict());
-    EXPECT_EQ(cres.num_states, want.num_states);
+    EXPECT_EQ(cres.states, want.states);
     EXPECT_EQ(cres.stuck_states, want.stuck_states);
     EXPECT_EQ(cres.counterexample, want.counterexample);
     // The packed arena must actually shrink the footprint. Width epochs
@@ -171,7 +163,7 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
     EXPECT_EQ(comp.stored_row_bytes(), tc.row_bytes);
     EXPECT_LT(comp.stored_row_bytes(), verb_bytes);
     EXPECT_GT(comp.keyframe_rows(), 0u);
-    EXPECT_LT(comp.keyframe_rows(), cres.num_states);
+    EXPECT_LT(comp.keyframe_rows(), cres.states);
     std::uint32_t max_value = 0, max_machine = 0;
     comp.pool().for_each_value_id(
         [&](std::uint32_t id) { max_value = std::max(max_value, id); });
@@ -181,7 +173,7 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
         static_cast<std::uint64_t>(tc.m) * std::bit_width(max_value) +
         2u * std::bit_width(max_machine);
     EXPECT_LE(comp.stored_row_bytes(),
-              cres.num_states * ((row_bits + 7) / 8) +
+              cres.states * ((row_bits + 7) / 8) +
                   comp.keyframe_rows() * byte_arena::kPageSize);
 
     for (int workers : {1, 2, 4, 8}) {
@@ -189,9 +181,9 @@ TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
       explorer<anon_mutex>::options par_opt;
       par_opt.workers = workers;
       explorer<anon_mutex> par(tc.m, naming, ms, par_opt);
-      const auto pres = detail::run_mutex_check(par);
+      const auto pres = run_check(par, mutex_spec<anon_mutex>());
       EXPECT_EQ(pres.verdict(), want.verdict()) << where;
-      EXPECT_EQ(pres.num_states, want.num_states) << where;
+      EXPECT_EQ(pres.states, want.states) << where;
       EXPECT_EQ(pres.counterexample, want.counterexample) << where;
       // Workers intern in thread-timing order, but each window's columns
       // are sized from the pools' id bounds, so the packed bytes depend

@@ -290,8 +290,8 @@ TEST(FaAgreementTest, BoundedThreeProcessSafety) {
   const auto res = check_fa_agreement(5, identity_naming(3, 5), {1, 2, 3},
                                       200'000, /*symmetry=*/true);
   EXPECT_FALSE(res.complete);  // documents that the cap bit
-  EXPECT_TRUE(res.agreement);
-  EXPECT_TRUE(res.validity);
+  // No state within the cap breaks agreement or validity.
+  EXPECT_EQ(res.verdict(), "INCOMPLETE");
 }
 
 // ---------------------------------------------------------------------------
@@ -508,11 +508,11 @@ TEST(FaQuotientDifferentialTest, VerdictsAgreeAcrossEnginesForAllPairNamings) {
                          /*workers=*/2);
       EXPECT_EQ(red.verdict(), raw.verdict());
       EXPECT_EQ(par.verdict(), raw.verdict());
-      EXPECT_EQ(par.num_states, red.num_states);
-      EXPECT_LE(red.num_states, raw.num_states);
+      EXPECT_EQ(par.states, red.states);
+      EXPECT_LE(red.states, raw.states);
       // Quotient bound: each canonical state covers at most |G| raw ones.
-      EXPECT_LE(raw.num_states,
-                red.num_states * static_cast<std::uint64_t>(g.size()));
+      EXPECT_LE(raw.states,
+                red.states * static_cast<std::uint64_t>(g.size()));
       EXPECT_EQ(par.counterexample, red.counterexample);
     }
   }
@@ -542,14 +542,14 @@ TEST(FaQuotientDifferentialTest, ProductGroupBeatsProcessOnlyCeilings) {
     const auto red = check_fa_mutex(m, naming, 2'000'000, /*symmetry=*/true);
     const auto par = check_fa_mutex(m, naming, 2'000'000, /*symmetry=*/true,
                                     /*workers=*/2);
-    EXPECT_EQ(raw.num_states, tc.raw_states);
-    EXPECT_EQ(red.num_states, tc.reduced_states);
-    EXPECT_GT(static_cast<double>(raw.num_states) /
-                  static_cast<double>(red.num_states),
+    EXPECT_EQ(raw.states, tc.raw_states);
+    EXPECT_EQ(red.states, tc.reduced_states);
+    EXPECT_GT(static_cast<double>(raw.states) /
+                  static_cast<double>(red.states),
               tc.ceiling);
     EXPECT_EQ(red.verdict(), raw.verdict());
     EXPECT_EQ(par.verdict(), red.verdict());
-    EXPECT_EQ(par.num_states, red.num_states);
+    EXPECT_EQ(par.states, red.states);
     EXPECT_EQ(par.counterexample, red.counterexample);
   }
 }

@@ -207,37 +207,31 @@ full_run<Machine> expect_reexplore_matches(int m, const naming_assignment& namin
 }
 
 TEST(ExplorerTest, ReexploreAfterRelease) {
-  const auto mutex_bad = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 2;
-  };
-  const auto mutex_goal = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 1;
-  };
+  const auto mutex = mutex_spec<anon_mutex>();
+  const auto& mutex_bad = mutex.safety.front().is_bad;
   // Fig. 1 at m = 4, stride 2: Theorem 3.1's deadlock, so the progress
   // pass finds stuck states and a stuck schedule.
   const naming_assignment naming(
       {identity_permutation(4), rotation_permutation(4, 2)});
   const auto machines = detail::mutex_machines(4, naming, {1, 2});
   EXPECT_GT(expect_reexplore_matches(4, naming, machines, {}, mutex_bad,
-                                     mutex_someone_trying, mutex_goal,
-                                     "fig1 m=4")
+                                     mutex.progress->premise,
+                                     mutex.progress->goal, "fig1 m=4")
                 .res.stuck_states,
             0u);
   // The same run with the rows spilling under a 64 KiB budget.
   explorer<anon_mutex>::options spill;
   spill.spill_budget_bytes = 64 * 1024;
   expect_reexplore_matches(4, naming, machines, spill, mutex_bad,
-                           mutex_someone_trying, mutex_goal,
+                           mutex.progress->premise, mutex.progress->goal,
                            "fig1 m=4 spill");
   // fa n = 3, m = 3 under S_3 x C_3: the group elements are chunked too.
   explorer<fa_mutex>::options sym;
   sym.symmetry = true;
+  const auto fa = mutex_spec<fa_mutex>();
   expect_reexplore_matches(
       3, naming_assignment::identity(3, 3), std::vector<fa_mutex>(3, fa_mutex(3)),
-      sym,
-      [](const global_state<fa_mutex>& s) { return fa_mutex_cs_count(s) >= 2; },
-      fa_mutex_someone_trying,
-      [](const global_state<fa_mutex>& s) { return fa_mutex_cs_count(s) >= 1; },
+      sym, fa.safety.front().is_bad, fa.progress->premise, fa.progress->goal,
       "fa n=3 m=3 symmetry");
 }
 
@@ -252,7 +246,7 @@ TEST(MutexModelCheckTest, M3AllNamingPairsAreCorrect) {
     auto res = check_anon_mutex_pair(3, perm);
     EXPECT_TRUE(res.ok()) << "perm [" << perm[0] << perm[1] << perm[2]
                           << "]: " << res.verdict()
-                          << " states=" << res.num_states;
+                          << " states=" << res.states;
   }
 }
 
@@ -260,7 +254,7 @@ TEST(MutexModelCheckTest, M5AllRotationPairsAreCorrect) {
   for (const auto& perm : all_rotations(5)) {
     auto res = check_anon_mutex_pair(5, perm, 5'000'000);
     EXPECT_TRUE(res.ok()) << "rotation [" << perm[0] << "]: " << res.verdict()
-                          << " states=" << res.num_states;
+                          << " states=" << res.states;
   }
 }
 
@@ -271,8 +265,8 @@ TEST(MutexModelCheckTest, M5AllRotationPairsAreCorrect) {
 TEST(MutexModelCheckTest, M2OppositeOrderDeadlocks) {
   auto res = check_anon_mutex_pair(2, rotation_permutation(2, 1));
   EXPECT_TRUE(res.complete);
-  EXPECT_TRUE(res.mutual_exclusion) << "ME never breaks for Fig. 1";
-  EXPECT_FALSE(res.progress) << "m=2 at offset 1 must deadlock";
+  EXPECT_FALSE(res.violated) << "ME never breaks for Fig. 1";
+  EXPECT_EQ(res.verdict(), "DEADLOCK") << "m=2 at offset 1 must deadlock";
   EXPECT_GT(res.stuck_states, 0u);
   EXPECT_FALSE(res.counterexample.empty());
 }
@@ -280,8 +274,8 @@ TEST(MutexModelCheckTest, M2OppositeOrderDeadlocks) {
 TEST(MutexModelCheckTest, M4HalfRotationDeadlocks) {
   auto res = check_anon_mutex_pair(4, rotation_permutation(4, 2));
   EXPECT_TRUE(res.complete);
-  EXPECT_TRUE(res.mutual_exclusion);
-  EXPECT_FALSE(res.progress) << "m=4 at offset 2 must deadlock";
+  EXPECT_FALSE(res.violated);
+  EXPECT_EQ(res.verdict(), "DEADLOCK") << "m=4 at offset 2 must deadlock";
   EXPECT_GT(res.stuck_states, 0u);
 }
 
@@ -294,8 +288,8 @@ TEST(MutexModelCheckTest, EvenOddTableMatchesTheorem31) {
       auto res = check_anon_mutex_pair(m, rotation_permutation(m, s),
                                        5'000'000);
       ASSERT_TRUE(res.complete) << "m=" << m << " s=" << s;
-      EXPECT_TRUE(res.mutual_exclusion);
-      if (!res.progress) any_violation = true;
+      EXPECT_FALSE(res.violated);
+      if (res.verdict() == "DEADLOCK") any_violation = true;
     }
     EXPECT_EQ(any_violation, m % 2 == 0) << "m=" << m;
   }
@@ -312,7 +306,7 @@ TEST(MutexModelCheckTest, CounterexampleScheduleReplays) {
   // Replay the extracted deadlock schedule in the simulator and confirm it
   // lands in a state from which solo runs cannot reach the CS.
   auto res = check_anon_mutex_pair(4, rotation_permutation(4, 2));
-  ASSERT_FALSE(res.progress);
+  ASSERT_EQ(res.verdict(), "DEADLOCK");
   ASSERT_FALSE(res.counterexample.empty());
 
   naming_assignment naming(
@@ -344,7 +338,7 @@ TEST_P(ConsensusModelCheck, AgreementValidityAndTerminationPotential) {
   naming_assignment naming(
       {identity_permutation(3), rotation_permutation(3, shift)});
   auto res = check_anon_consensus(2, naming, {{1, in0}, {2, in1}});
-  EXPECT_TRUE(res.ok()) << res.verdict() << " states=" << res.num_states;
+  EXPECT_TRUE(res.ok()) << res.verdict() << " states=" << res.states;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -423,14 +417,14 @@ TEST(RenamingModelCheck, TwoProcessesAllRotations) {
         {identity_permutation(3), rotation_permutation(3, shift)});
     auto res = check_anon_renaming(2, naming, {7, 9});
     EXPECT_TRUE(res.ok()) << "shift=" << shift << ": " << res.verdict()
-                          << " states=" << res.num_states;
+                          << " states=" << res.states;
   }
 }
 
 TEST(RenamingModelCheck, TwoProcessesNonRotationNaming) {
   naming_assignment naming({identity_permutation(3), permutation{1, 0, 2}});
   auto res = check_anon_renaming(2, naming, {7, 9});
-  EXPECT_TRUE(res.ok()) << res.verdict() << " states=" << res.num_states;
+  EXPECT_TRUE(res.ok()) << res.verdict() << " states=" << res.states;
 }
 
 }  // namespace

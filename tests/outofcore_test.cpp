@@ -38,12 +38,7 @@ naming_assignment identity_naming(int n, int m) {
                                identity_permutation(m)));
 }
 
-const config_predicate<anon_mutex> two_in_cs =
-    [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-      int c = 0;
-      for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-      return c >= 2;
-    };
+const config_predicate<anon_mutex> two_in_cs = mutex_two_in_cs<anon_mutex>;
 
 void expect_reports_identical(const verify_report& mem,
                               const verify_report& sp) {
@@ -52,7 +47,7 @@ void expect_reports_identical(const verify_report& mem,
   EXPECT_EQ(mem.states, sp.states);
   EXPECT_EQ(mem.edges, sp.edges);
   EXPECT_EQ(mem.dedup_hits, sp.dedup_hits);
-  EXPECT_EQ(mem.violating_schedule, sp.violating_schedule);
+  EXPECT_EQ(mem.counterexample, sp.counterexample);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +87,7 @@ TEST(OutOfCoreVerifyTest, SpillMatchesInMemoryOnViolation) {
     opt.spill_budget_bytes = 1;
     const auto sp = verify_config(cfg, two_in_cs, opt);
     expect_reports_identical(mem, sp);
-    EXPECT_FALSE(sp.violating_schedule.empty());
+    EXPECT_FALSE(sp.counterexample.empty());
   }
 }
 
@@ -134,7 +129,7 @@ TEST(OutOfCoreVerifyTest, ReferenceConfigHoldsThirdOfInMemoryBudget) {
       {identity_permutation(5), rotation_permutation(5, 2)});
   const auto procs = detail::mutex_machines(5, naming, {1, 2});
   explorer<anon_mutex> mem(5, naming, procs);
-  const mutex_check_result want = detail::run_mutex_check(mem);
+  const verify_report want = run_check(mem, mutex_spec<anon_mutex>());
   const std::uint64_t budget = mem.stored_row_bytes() / 3;
   EXPECT_EQ(budget, 669'502u);
   const std::uint64_t slack = 8 * byte_arena::kPageSize;
@@ -144,10 +139,10 @@ TEST(OutOfCoreVerifyTest, ReferenceConfigHoldsThirdOfInMemoryBudget) {
     opt.workers = workers;
     opt.spill_budget_bytes = budget;
     explorer<anon_mutex> e(5, naming, procs, opt);
-    const mutex_check_result got = detail::run_mutex_check(e);
+    const verify_report got = run_check(e, mutex_spec<anon_mutex>());
     const arena_spill_stats st = e.spill_stats();
     EXPECT_EQ(got.verdict(), want.verdict()) << where;
-    EXPECT_EQ(got.num_states, want.num_states) << where;
+    EXPECT_EQ(got.states, want.states) << where;
     EXPECT_EQ(got.counterexample, want.counterexample) << where;
     EXPECT_GT(st.spilled_pages, 0u) << where;
     EXPECT_LE(st.resident_hw_bytes, budget + slack) << where;

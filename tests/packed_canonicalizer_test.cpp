@@ -62,21 +62,17 @@ naming_assignment identity_naming(int n, int m) {
                                identity_permutation(m)));
 }
 
-bool two_in_cs(const global_state<anon_mutex>& s) {
-  return mutex_cs_count(s) >= 2;
-}
+const explorer<anon_mutex>::state_predicate two_in_cs =
+    mutex_spec<anon_mutex>().safety.front().is_bad;
 
-bool fa_two_in_cs(const global_state<fa_mutex>& s) {
-  return fa_mutex_cs_count(s) >= 2;
-}
+const explorer<fa_mutex>::state_predicate fa_two_in_cs =
+    mutex_spec<fa_mutex>().safety.front().is_bad;
 
-void expect_results_identical(const mutex_check_result& a,
-                              const mutex_check_result& b,
+void expect_results_identical(const verify_report& a, const verify_report& b,
                               const std::string& what) {
   EXPECT_EQ(a.complete, b.complete) << what;
-  EXPECT_EQ(a.mutual_exclusion, b.mutual_exclusion) << what;
-  EXPECT_EQ(a.progress, b.progress) << what;
-  EXPECT_EQ(a.num_states, b.num_states) << what;
+  EXPECT_EQ(a.verdict(), b.verdict()) << what;
+  EXPECT_EQ(a.states, b.states) << what;
   EXPECT_EQ(a.stuck_states, b.stuck_states) << what;
   EXPECT_EQ(a.counterexample, b.counterexample) << what;
 }

@@ -101,9 +101,8 @@ TEST(ParallelExplorerTest, BitIdenticalToSequentialOnMutexConfigs) {
                    std::to_string(c.stride) + " workers=" +
                    std::to_string(workers));
       EXPECT_EQ(par.complete, seq.complete);
-      EXPECT_EQ(par.mutual_exclusion, seq.mutual_exclusion);
-      EXPECT_EQ(par.progress, seq.progress);
-      EXPECT_EQ(par.num_states, seq.num_states);
+      EXPECT_EQ(par.verdict(), seq.verdict());
+      EXPECT_EQ(par.states, seq.states);
       EXPECT_EQ(par.stuck_states, seq.stuck_states);
       EXPECT_EQ(par.counterexample, seq.counterexample);
     }
@@ -144,14 +143,7 @@ TEST(ParallelExplorerTest, VerifyConfigEnginesReportEqualCounts) {
       {identity_permutation(3), rotation_permutation(3, 1)});
   const model_config<anon_mutex> cfg{3, naming,
                                      detail::mutex_machines(3, naming, {1, 2})};
-  const config_predicate<anon_mutex> bad =
-      [](const std::vector<anon_mutex::value_type>&,
-         const std::vector<anon_mutex>& procs) {
-        int c = 0;
-        for (const auto& p : procs)
-          if (p.in_critical_section()) ++c;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> bad = mutex_two_in_cs<anon_mutex>;
   verify_options vopt;
   const verify_report seq = verify_config(cfg, bad, vopt);
   ASSERT_TRUE(seq.ok());
@@ -191,9 +183,8 @@ TEST(ParallelExplorerTest, DeterministicAcrossRunsAndWorkerCounts) {
         SCOPED_TRACE("m=" + std::to_string(c.m) + " workers=" +
                      std::to_string(workers) + " rep=" + std::to_string(rep));
         ASSERT_EQ(res.complete, reference.complete);
-        ASSERT_EQ(res.num_states, reference.num_states);
-        ASSERT_EQ(res.mutual_exclusion, reference.mutual_exclusion);
-        ASSERT_EQ(res.progress, reference.progress);
+        ASSERT_EQ(res.states, reference.states);
+        ASSERT_EQ(res.verdict(), reference.verdict());
         ASSERT_EQ(res.stuck_states, reference.stuck_states);
         ASSERT_EQ(res.counterexample, reference.counterexample);
       }

@@ -14,7 +14,12 @@
 // whose slices of a window are uneven) and the pinned reference config;
 // Fig. 1's even-m half rotations must deadlock there.
 // check_progress re-run on one result with other predicates must match a
-// fresh single check, on both engines.
+// fresh single check, on both engines. The one check harness (run_check)
+// must give the oracle's verdict, state and stuck counts and counterexample
+// on the explorer at 1 and 2 workers for every spec family: Fig. 2
+// consensus, Fig. 3 renaming and fully anonymous agreement at n = 2; and on
+// counters it must name the first failing safety property in spec order and
+// read INCOMPLETE when the cap stops the run before a violation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,13 +29,18 @@
 #include <tuple>
 #include <vector>
 
+#include "core/anon_consensus.hpp"
 #include "core/anon_mutex.hpp"
+#include "core/anon_renaming.hpp"
+#include "core/fa_agreement.hpp"
 #include "core/fa_mutex.hpp"
 #include "mem/naming.hpp"
+#include "modelcheck/agreement_check.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/fa_check.hpp"
 #include "modelcheck/mutex_check.hpp"
 #include "modelcheck/reference_explorer.hpp"
+#include "modelcheck/verify.hpp"
 
 #include "random_scribbler.hpp"
 
@@ -74,7 +84,7 @@ template <class Machine>
 using predicate = std::function<bool(const global_state<Machine>&)>;
 
 /// explore(bad), then check_progress(premise, goal) when the run is complete
-/// and safe and a premise is given: the shape run_mutex_check drives.
+/// and safe and a premise is given: the shape run_check drives.
 template <class Engine, class Machine>
 auto run(Engine& e, const predicate<Machine>& bad,
          const predicate<Machine>& premise, const predicate<Machine>& goal) {
@@ -179,12 +189,7 @@ TEST(ReferenceOracleTest, EqualCountersUnderSymmetryGiveMultisetCount) {
 }
 
 TEST(ReferenceOracleTest, AnonMutexEveryStride) {
-  const predicate<anon_mutex> bad = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 2;
-  };
-  const predicate<anon_mutex> goal = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 1;
-  };
+  const auto spec = mutex_spec<anon_mutex>();
   for (int m = 2; m <= 4; ++m)
     for (int stride = 0; stride < m; ++stride)
       for (const bool sym : {false, true}) {
@@ -194,8 +199,9 @@ TEST(ReferenceOracleTest, AnonMutexEveryStride) {
                                  " stride=" + std::to_string(stride) +
                                  " sym=" + std::to_string(sym);
         const auto want = expect_engines_match_oracle<anon_mutex>(
-            m, naming, detail::mutex_machines(m, naming, {1, 2}), sym, bad,
-            mutex_someone_trying, goal, what);
+            m, naming, detail::mutex_machines(m, naming, {1, 2}), sym,
+            spec.safety.front().is_bad, spec.progress->premise,
+            spec.progress->goal, what);
         // Theorem 3.1's even-m half rotation deadlocks, so the stuck count
         // and the first stuck state's schedule, both read through the
         // reverse CSR, are compared at every worker count.
@@ -232,9 +238,7 @@ TEST(ReferenceOracleTest, RecheckedProgressMatchesFreshCheck) {
   const naming_assignment naming(
       {identity_permutation(m), rotation_permutation(m, m / 2)});
   const auto initial = detail::mutex_machines(m, naming, {1, 2});
-  const predicate<anon_mutex> in_cs = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 1;
-  };
+  const predicate<anon_mutex> in_cs = mutex_spec<anon_mutex>().progress->goal;
   const predicate<anon_mutex> anything = [](const global_state<anon_mutex>&) {
     return true;
   };
@@ -252,12 +256,7 @@ TEST(ReferenceOracleTest, RecheckedProgressMatchesFreshCheck) {
 }
 
 TEST(ReferenceOracleTest, FaMutexIdentityAndRotationNamings) {
-  const predicate<fa_mutex> bad = [](const global_state<fa_mutex>& s) {
-    return fa_mutex_cs_count(s) >= 2;
-  };
-  const predicate<fa_mutex> goal = [](const global_state<fa_mutex>& s) {
-    return fa_mutex_cs_count(s) >= 1;
-  };
+  const auto spec = mutex_spec<fa_mutex>();
   struct config {
     int n, m;
     naming_assignment naming;
@@ -284,7 +283,8 @@ TEST(ReferenceOracleTest, FaMutexIdentityAndRotationNamings) {
       expect_engines_match_oracle<fa_mutex>(
           c.m, c.naming,
           std::vector<fa_mutex>(static_cast<std::size_t>(c.n), fa_mutex(c.m)),
-          sym, bad, fa_mutex_someone_trying, goal,
+          sym, spec.safety.front().is_bad, spec.progress->premise,
+          spec.progress->goal,
           "fa n=" + std::to_string(c.n) + " m=" + std::to_string(c.m) + " " +
               c.shape + " sym=" + std::to_string(sym));
     }
@@ -317,13 +317,10 @@ TEST(ReferenceOracleTest, ReferenceConfigSequential) {
   const naming_assignment naming(
       {identity_permutation(5), rotation_permutation(5, 2)});
   const auto initial = detail::mutex_machines(5, naming, {1, 2});
-  const predicate<anon_mutex> bad = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 2;
-  };
-  const predicate<anon_mutex> goal = [](const global_state<anon_mutex>& s) {
-    return mutex_cs_count(s) >= 1;
-  };
-  const predicate<anon_mutex> premise = mutex_someone_trying;
+  const auto spec = mutex_spec<anon_mutex>();
+  const auto& bad = spec.safety.front().is_bad;
+  const auto& premise = spec.progress->premise;
+  const auto& goal = spec.progress->goal;
   reference_explorer<anon_mutex> oracle(5, naming, initial);
   const auto want = run(oracle, bad, premise, goal);
   EXPECT_TRUE(want.complete);
@@ -332,6 +329,176 @@ TEST(ReferenceOracleTest, ReferenceConfigSequential) {
   EXPECT_EQ(want.stuck_states, 0u);
   explorer<anon_mutex> seq(5, naming, initial);
   expect_equal(want, run(seq, bad, premise, goal), "m=5 stride=2 seq");
+}
+
+/// run_check with `spec` on the oracle and on the explorer at 1 and 2
+/// workers: each explorer report must equal the oracle's in verdict, state
+/// and stuck counts and counterexample. Returns the oracle's report.
+template <class Machine>
+verify_report expect_harness_matches_oracle(
+    int registers, const naming_assignment& naming,
+    const std::vector<Machine>& initial, const check_spec<Machine>& spec,
+    const std::string& what, bool symmetry = false,
+    std::uint64_t max_states = 2'000'000) {
+  typename reference_explorer<Machine>::options ropt;
+  ropt.symmetry = symmetry;
+  ropt.max_states = max_states;
+  reference_explorer<Machine> oracle(registers, naming, initial, ropt);
+  const verify_report want = run_check(oracle, spec);
+  for (const int workers : {1, 2}) {
+    const std::string tag = what + " workers=" + std::to_string(workers);
+    typename explorer<Machine>::options eopt;
+    eopt.workers = workers;
+    eopt.symmetry = symmetry;
+    eopt.max_states = max_states;
+    explorer<Machine> e(registers, naming, initial, eopt);
+    const verify_report got = run_check(e, spec);
+    EXPECT_EQ(got.verdict(), want.verdict()) << tag;
+    EXPECT_EQ(got.states, want.states) << tag;
+    EXPECT_EQ(got.stuck_states, want.stuck_states) << tag;
+    EXPECT_EQ(got.counterexample, want.counterexample) << tag;
+  }
+  return want;
+}
+
+TEST(ReferenceOracleTest, ConsensusSpecEveryRotation) {
+  // Fig. 2 at n = 2 on 2n - 1 = 3 registers, equal and distinct inputs.
+  for (int shift = 0; shift < 3; ++shift)
+    for (const std::uint64_t in1 : {1u, 2u}) {
+      const naming_assignment naming(
+          {identity_permutation(3), rotation_permutation(3, shift)});
+      const std::vector<anon_consensus> initial = {anon_consensus(1, 1, 2),
+                                                   anon_consensus(2, in1, 2)};
+      const std::string what = "consensus shift=" + std::to_string(shift) +
+                               " inputs=1," + std::to_string(in1);
+      const verify_report want = expect_harness_matches_oracle(
+          3, naming, initial, consensus_spec({1, in1}), what);
+      EXPECT_EQ(want.verdict(), "OK") << what;
+      const verify_report check =
+          check_anon_consensus(2, naming, {{1, 1}, {2, in1}});
+      EXPECT_EQ(check.verdict(), want.verdict()) << what;
+      EXPECT_EQ(check.states, want.states) << what;
+    }
+}
+
+TEST(ReferenceOracleTest, RenamingSpecEveryRotation) {
+  // Fig. 3 at n = 2 on 3 registers.
+  for (int shift = 0; shift < 3; ++shift) {
+    const naming_assignment naming(
+        {identity_permutation(3), rotation_permutation(3, shift)});
+    const std::vector<anon_renaming> initial = {anon_renaming(7, 2),
+                                                anon_renaming(9, 2)};
+    const std::string what = "renaming shift=" + std::to_string(shift);
+    const verify_report want = expect_harness_matches_oracle(
+        3, naming, initial, renaming_spec(2), what);
+    EXPECT_EQ(want.verdict(), "OK") << what;
+    const verify_report check = check_anon_renaming(2, naming, {7, 9});
+    EXPECT_EQ(check.verdict(), want.verdict()) << what;
+    EXPECT_EQ(check.states, want.states) << what;
+  }
+}
+
+TEST(ReferenceOracleTest, FaAgreementSpecN2M3) {
+  for (const auto& naming : {naming_assignment::identity(2, 3),
+                             naming_assignment::rotations(2, 3, 1)})
+    for (const std::vector<std::uint64_t>& inputs :
+         {std::vector<std::uint64_t>{1, 2}, std::vector<std::uint64_t>{5, 5}})
+      for (const bool sym : {false, true}) {
+        const std::vector<fa_agreement> initial = {fa_agreement(inputs[0], 3),
+                                                   fa_agreement(inputs[1], 3)};
+        const std::string what =
+            "fa_agreement inputs=" + std::to_string(inputs[0]) + "," +
+            std::to_string(inputs[1]) + " sym=" + std::to_string(sym);
+        const verify_report want = expect_harness_matches_oracle(
+            3, naming, initial, fa_agreement_spec(inputs), what, sym);
+        EXPECT_EQ(want.verdict(), "OK") << what;
+        const verify_report check =
+            check_fa_agreement(3, naming, inputs, 2'000'000, sym);
+        EXPECT_EQ(check.verdict(), want.verdict()) << what;
+        EXPECT_EQ(check.states, want.states) << what;
+      }
+}
+
+/// A safety property over counters.
+check_spec<counter>::safety_property counter_property(
+    std::string failure, std::function<bool(const std::vector<counter>&)> f) {
+  return {std::move(failure),
+          [f = std::move(f)](const global_state<counter>& s) {
+            return f(s.procs);
+          }};
+}
+
+bool all_done(const std::vector<counter>& cs) {
+  for (const counter& c : cs)
+    if (c.count < c.limit) return false;
+  return true;
+}
+
+int total_count(const std::vector<counter>& cs) {
+  int t = 0;
+  for (const counter& c : cs) t += c.count;
+  return t;
+}
+
+TEST(CheckHarnessTest, NamesOnlyFailingSecondProperty) {
+  // Counters with limits 2, 3, 1 reach their all-done state last, at depth
+  // 6 (IndependentCountersGiveProductStateCount); no count ever passes its
+  // limit.
+  check_spec<counter> spec;
+  spec.safety.push_back(counter_property("OVERRUN", [](const auto& cs) {
+    for (const counter& c : cs)
+      if (c.count > c.limit) return true;
+    return false;
+  }));
+  spec.safety.push_back(counter_property("ALL-DONE", all_done));
+  const verify_report rep = expect_harness_matches_oracle(
+      1, naming_assignment::identity(3, 1), counters({2, 3, 1}), spec,
+      "second fails");
+  EXPECT_EQ(rep.verdict(), "ALL-DONE");
+  EXPECT_TRUE(rep.violated);
+  EXPECT_FALSE(rep.complete);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_EQ(rep.states, 24u);
+  EXPECT_EQ(rep.counterexample, (std::vector<int>{0, 0, 1, 1, 1, 2}));
+}
+
+TEST(CheckHarnessTest, BothFailingNamesFirstInSpecOrder) {
+  // "all done" and "total count 6" hold on exactly the same state, so the
+  // counterexample state breaks both and spec order decides the verdict,
+  // as fa_agreement's spec puts agreement before validity.
+  const auto done = counter_property("ALL-DONE", all_done);
+  const auto total = counter_property(
+      "TOTAL-SIX", [](const auto& cs) { return total_count(cs) == 6; });
+  for (const bool done_first : {true, false}) {
+    check_spec<counter> spec;
+    spec.safety = done_first ? std::vector{done, total}
+                             : std::vector{total, done};
+    const verify_report rep = expect_harness_matches_oracle(
+        1, naming_assignment::identity(3, 1), counters({2, 3, 1}), spec,
+        done_first ? "done first" : "total first");
+    EXPECT_EQ(rep.verdict(), done_first ? "ALL-DONE" : "TOTAL-SIX");
+    EXPECT_EQ(rep.counterexample, (std::vector<int>{0, 0, 1, 1, 1, 2}));
+  }
+  const check_spec<fa_agreement> fa = fa_agreement_spec({1, 2});
+  ASSERT_EQ(fa.safety.size(), 2u);
+  EXPECT_EQ(fa.safety[0].failure, "AGREEMENT-VIOLATION");
+  EXPECT_EQ(fa.safety[1].failure, "VALIDITY-VIOLATION");
+}
+
+TEST(CheckHarnessTest, ViolationBeyondCapReadsIncomplete) {
+  // The all-done state is the 24th stored; a 10-state cap stops first.
+  check_spec<counter> spec;
+  spec.safety.push_back(counter_property("NEVER", [](const auto&) {
+    return false;
+  }));
+  spec.safety.push_back(counter_property("ALL-DONE", all_done));
+  const verify_report rep = expect_harness_matches_oracle(
+      1, naming_assignment::identity(3, 1), counters({2, 3, 1}), spec,
+      "capped", /*symmetry=*/false, /*max_states=*/10);
+  EXPECT_EQ(rep.verdict(), "INCOMPLETE");
+  EXPECT_FALSE(rep.violated);
+  EXPECT_FALSE(rep.complete);
+  EXPECT_TRUE(rep.counterexample.empty());
 }
 
 }  // namespace

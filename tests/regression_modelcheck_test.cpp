@@ -91,8 +91,8 @@ TEST(Theorem31Regression, EvenMDeadlocksThroughParallelEngine) {
     const auto res = check_anon_mutex(c.m, naming, {1, 2}, 2'000'000,
                                       /*symmetry=*/false, /*workers=*/2);
     ASSERT_TRUE(res.complete) << "m=" << c.m;
-    EXPECT_TRUE(res.mutual_exclusion) << "ME never breaks for Fig. 1";
-    EXPECT_FALSE(res.progress) << "even m must deadlock at stride m/2";
+    EXPECT_FALSE(res.violated) << "ME never breaks for Fig. 1";
+    EXPECT_EQ(res.verdict(), "DEADLOCK") << "even m must deadlock at stride m/2";
     EXPECT_GT(res.stuck_states, 0u);
     ASSERT_FALSE(res.counterexample.empty());
     expect_matches_golden(
@@ -108,7 +108,7 @@ TEST(Theorem31Regression, EvenMDeadlocksThroughParallelEngine) {
     if (!update_goldens()) {
       reference_explorer<anon_mutex> oracle(
           c.m, naming, detail::mutex_machines(c.m, naming, {1, 2}));
-      const auto want = detail::run_mutex_check(oracle);
+      const auto want = run_check(oracle, mutex_spec<anon_mutex>());
       EXPECT_EQ(want.verdict(), "DEADLOCK") << "m=" << c.m;
       EXPECT_EQ(want.stuck_states, res.stuck_states) << "m=" << c.m;
       expect_matches_golden(want.counterexample, c.golden, "");
@@ -129,8 +129,8 @@ TEST(Theorem31Regression, EvenOddBoundaryAtLargeM) {
                                       /*max_states=*/4'000'000,
                                       /*symmetry=*/false, /*workers=*/2);
     ASSERT_TRUE(res.complete) << "m=6 stride=" << stride;
-    EXPECT_TRUE(res.mutual_exclusion) << "ME never breaks for Fig. 1";
-    EXPECT_FALSE(res.progress) << "m=6 stride=" << stride;
+    EXPECT_FALSE(res.violated) << "ME never breaks for Fig. 1";
+    EXPECT_EQ(res.verdict(), "DEADLOCK") << "m=6 stride=" << stride;
     EXPECT_GT(res.stuck_states, 0u);
     ASSERT_FALSE(res.counterexample.empty());
   }

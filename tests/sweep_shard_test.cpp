@@ -15,6 +15,7 @@
 
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
+#include "modelcheck/mutex_check.hpp"
 #include "modelcheck/sweep_journal.hpp"
 #include "modelcheck/verify.hpp"
 #include "util/check.hpp"
@@ -29,12 +30,7 @@ std::vector<anon_mutex> machines(int m, int n) {
   return out;
 }
 
-const config_predicate<anon_mutex> two_in_cs =
-    [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-      int c = 0;
-      for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-      return c >= 2;
-    };
+const config_predicate<anon_mutex> two_in_cs = mutex_two_in_cs<anon_mutex>;
 
 std::string temp_path(const std::string& name) {
   const std::string p = ::testing::TempDir() + name;

@@ -58,9 +58,8 @@ naming_assignment identity_naming(int n, int m) {
                                identity_permutation(m)));
 }
 
-bool two_in_cs(const global_state<anon_mutex>& s) {
-  return mutex_cs_count(s) >= 2;
-}
+const explorer<anon_mutex>::state_predicate two_in_cs =
+    mutex_spec<anon_mutex>().safety.front().is_bad;
 
 /// A deliberately NON-symmetric machine: it reads a fixed physical register
 /// through a behaviour that depends on the numeric value of its id (not just
@@ -280,12 +279,7 @@ TEST(CanonicalizeTest, FastPathBitIdenticalExhaustiveSmallOrbits) {
           m, naming_assignment::rotations(n, m, 1), machines(m, n),
           two_in_cs);
       std::vector<fa_mutex> fa(static_cast<std::size_t>(n), fa_mutex(m));
-      const auto fa_pred = [](const global_state<fa_mutex>& s) {
-        int c = 0;
-        for (const auto& p : s.procs)
-          if (p.in_critical_section()) ++c;
-        return c >= 2;
-      };
+      const auto fa_pred = mutex_spec<fa_mutex>().safety.front().is_bad;
       expect_fast_path_bit_identical(m, identity_naming(n, m), fa, fa_pred);
       expect_fast_path_bit_identical(m, naming_assignment::rotations(n, m, 1),
                                      fa, fa_pred);
@@ -553,24 +547,19 @@ TEST(NamingOrbitTest, MachineCheckedOrbitEquivalence) {
     const auto a = check_anon_mutex(3, naming, {1, 2});
     const auto b = check_anon_mutex(3, canonical_naming(naming), {1, 2});
     EXPECT_EQ(a.verdict(), b.verdict());
-    EXPECT_EQ(a.num_states, b.num_states);
+    EXPECT_EQ(a.states, b.states);
     EXPECT_EQ(a.stuck_states, b.stuck_states);
   }
   for (const auto& naming : all_naming_assignments(3, 2)) {
     const auto a = check_anon_mutex(2, naming, {1, 2, 3});
     const auto b = check_anon_mutex(2, canonical_naming(naming), {1, 2, 3});
     EXPECT_EQ(a.verdict(), b.verdict());
-    EXPECT_EQ(a.num_states, b.num_states);
+    EXPECT_EQ(a.states, b.states);
   }
 }
 
 TEST(NamingOrbitTest, SweepOverRepresentativesDecidesFullSweep) {
-  const config_predicate<anon_mutex> pred =
-      [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-        int c = 0;
-        for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> pred = mutex_two_in_cs<anon_mutex>;
   verify_options opt;
   opt.max_states = 500'000;
   const auto full = verify_naming_sweep(2, machines(2, 3), pred, false, opt);
@@ -664,12 +653,7 @@ TEST(NamingOrbitTest, ProcessInterchangeableDetection) {
 }
 
 TEST(NamingOrbitTest, WeightedClassSweepMatchesFullEnumeration) {
-  const config_predicate<anon_mutex> pred =
-      [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-        int c = 0;
-        for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> pred = mutex_two_in_cs<anon_mutex>;
   verify_options opt;
   opt.max_states = 500'000;
   // n = 3 racers on m = 2 registers: mutual exclusion breaks for some
@@ -793,12 +777,7 @@ TEST(StatePoolTest, ExplorerStoresFarFewerComponentsThanStates) {
 
 TEST(SymmetryReductionTest, VerifyConfigWiresSymmetryThrough) {
   model_config<anon_mutex> cfg{2, identity_naming(3, 2), machines(2, 3)};
-  const config_predicate<anon_mutex> pred =
-      [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-        int c = 0;
-        for (const auto& p : ps) c += p.in_critical_section() ? 1 : 0;
-        return c >= 2;
-      };
+  const config_predicate<anon_mutex> pred = mutex_two_in_cs<anon_mutex>;
   verify_options opt;
   const auto raw = verify_config(cfg, pred, opt);
   opt.symmetry = true;

@@ -36,6 +36,7 @@
 
 #include "core/anon_mutex.hpp"
 #include "mem/naming.hpp"
+#include "modelcheck/mutex_check.hpp"
 #include "modelcheck/verify.hpp"
 #include "util/cli.hpp"
 
@@ -45,13 +46,7 @@ namespace {
 
 /// The Fig. 1 safety question every sweep in this repo asks: can two
 /// processes sit in the critical section at once?
-const config_predicate<anon_mutex> two_in_cs =
-    [](const std::vector<process_id>&, const std::vector<anon_mutex>& ps) {
-      int c = 0;
-      for (const auto& p : ps)
-        if (p.in_critical_section()) ++c;
-      return c >= 2;
-    };
+const config_predicate<anon_mutex> two_in_cs = mutex_two_in_cs<anon_mutex>;
 
 struct shard_params {
   int m = 0;
