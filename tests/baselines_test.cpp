@@ -16,6 +16,8 @@
 #include "baselines/trivial_renaming.hpp"
 #include "mem/naming.hpp"
 #include "modelcheck/explorer.hpp"
+#include "modelcheck/mutex_check.hpp"
+#include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
 
@@ -56,24 +58,11 @@ TEST(PetersonTest, SoloEntryAndExit) {
 }
 
 TEST(PetersonTest, ModelCheckedExhaustively) {
-  explorer<peterson_mutex> e(3, naming_assignment::identity(2, 3),
-                             {peterson_mutex(0), peterson_mutex(1)});
-  auto res = e.explore([](const global_state<peterson_mutex>& s) {
-    return s.procs[0].in_critical_section() &&
-           s.procs[1].in_critical_section();
-  });
-  EXPECT_TRUE(res.complete);
-  EXPECT_FALSE(res.safety_violated());
-  e.check_progress(
-      res,
-      [](const global_state<peterson_mutex>& s) {
-        return s.procs[0].in_entry() || s.procs[1].in_entry();
-      },
-      [](const global_state<peterson_mutex>& s) {
-        return s.procs[0].in_critical_section() ||
-               s.procs[1].in_critical_section();
-      });
-  EXPECT_FALSE(res.progress_violated());
+  const auto rep = verify_config<peterson_mutex>(
+      {3, naming_assignment::identity(2, 3),
+       {peterson_mutex(0), peterson_mutex(1)}},
+      mutex_spec<peterson_mutex>());
+  EXPECT_EQ(rep.verdict(), "OK");
 }
 
 TEST(PetersonTest, RandomSchedulesStayExclusive) {
@@ -121,25 +110,12 @@ TEST(FilterTest, SoloEntry) {
 
 TEST(FilterTest, TwoProcessModelCheck) {
   const int n = 2;
-  explorer<filter_mutex> e(filter_mutex::register_count(n),
-                           naming_assignment::identity(n, 2 * n - 1),
-                           {filter_mutex(0, n), filter_mutex(1, n)});
-  auto res = e.explore([](const global_state<filter_mutex>& s) {
-    return s.procs[0].in_critical_section() &&
-           s.procs[1].in_critical_section();
-  });
-  EXPECT_TRUE(res.complete);
-  EXPECT_FALSE(res.safety_violated());
-  e.check_progress(
-      res,
-      [](const global_state<filter_mutex>& s) {
-        return s.procs[0].in_entry() || s.procs[1].in_entry();
-      },
-      [](const global_state<filter_mutex>& s) {
-        return s.procs[0].in_critical_section() ||
-               s.procs[1].in_critical_section();
-      });
-  EXPECT_FALSE(res.progress_violated());
+  const auto rep = verify_config<filter_mutex>(
+      {filter_mutex::register_count(n),
+       naming_assignment::identity(n, 2 * n - 1),
+       {filter_mutex(0, n), filter_mutex(1, n)}},
+      mutex_spec<filter_mutex>());
+  EXPECT_EQ(rep.verdict(), "OK");
 }
 
 class FilterSweep
@@ -209,25 +185,11 @@ TEST(TournamentTest, SoloEntryClimbsAndReleases) {
 TEST(TournamentTest, TwoProcessModelCheck) {
   const int n = 2;
   const int regs = tournament_mutex::register_count(n);
-  explorer<tournament_mutex> e(regs, naming_assignment::identity(n, regs),
-                               {tournament_mutex(0, n),
-                                tournament_mutex(1, n)});
-  auto res = e.explore([](const global_state<tournament_mutex>& s) {
-    return s.procs[0].in_critical_section() &&
-           s.procs[1].in_critical_section();
-  });
-  EXPECT_TRUE(res.complete);
-  EXPECT_FALSE(res.safety_violated());
-  e.check_progress(
-      res,
-      [](const global_state<tournament_mutex>& s) {
-        return s.procs[0].in_entry() || s.procs[1].in_entry();
-      },
-      [](const global_state<tournament_mutex>& s) {
-        return s.procs[0].in_critical_section() ||
-               s.procs[1].in_critical_section();
-      });
-  EXPECT_FALSE(res.progress_violated());
+  const auto rep = verify_config<tournament_mutex>(
+      {regs, naming_assignment::identity(n, regs),
+       {tournament_mutex(0, n), tournament_mutex(1, n)}},
+      mutex_spec<tournament_mutex>());
+  EXPECT_EQ(rep.verdict(), "OK");
 }
 
 class TournamentSweep

@@ -8,7 +8,8 @@
 
 #include "extensions/hybrid_mutex.hpp"
 #include "mem/naming.hpp"
-#include "modelcheck/explorer.hpp"
+#include "modelcheck/mutex_check.hpp"
+#include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
 #include "runtime/simulator.hpp"
 #include "runtime/threaded.hpp"
@@ -59,25 +60,11 @@ TEST(HybridMutexTest, EvenMModelChecksCleanWhereAnonymousCannot) {
     std::vector<hybrid_mutex> machines;
     machines.emplace_back(1, 4);
     machines.emplace_back(2, 4);
-    explorer<hybrid_mutex> e(4, hybrid_pair(4, perm), std::move(machines));
-    auto res = e.explore([](const global_state<hybrid_mutex>& s) {
-      return s.procs[0].in_critical_section() &&
-             s.procs[1].in_critical_section();
-    });
-    ASSERT_TRUE(res.complete);
-    EXPECT_FALSE(res.safety_violated());
-    e.check_progress(
-        res,
-        [](const global_state<hybrid_mutex>& s) {
-          return s.procs[0].in_entry() || s.procs[1].in_entry();
-        },
-        [](const global_state<hybrid_mutex>& s) {
-          return s.procs[0].in_critical_section() ||
-                 s.procs[1].in_critical_section();
-        });
-    EXPECT_FALSE(res.progress_violated())
-        << "deadlock with unnamed part [" << perm[0] << perm[1] << perm[2]
-        << "]";
+    const auto rep = verify_config<hybrid_mutex>(
+        {4, hybrid_pair(4, perm), std::move(machines)},
+        mutex_spec<hybrid_mutex>());
+    EXPECT_EQ(rep.verdict(), "OK")
+        << "unnamed part [" << perm[0] << perm[1] << perm[2] << "]";
   }
 }
 
@@ -86,13 +73,10 @@ TEST(HybridMutexTest, OddMStillWorks) {
     std::vector<hybrid_mutex> machines;
     machines.emplace_back(1, 5);
     machines.emplace_back(2, 5);
-    explorer<hybrid_mutex> e(5, hybrid_pair(5, perm), std::move(machines));
-    auto res = e.explore([](const global_state<hybrid_mutex>& s) {
-      return s.procs[0].in_critical_section() &&
-             s.procs[1].in_critical_section();
-    });
-    ASSERT_TRUE(res.complete);
-    EXPECT_FALSE(res.safety_violated());
+    const auto rep = verify_config<hybrid_mutex>(
+        {5, hybrid_pair(5, perm), std::move(machines)},
+        mutex_two_in_cs<hybrid_mutex>);
+    EXPECT_EQ(rep.verdict(), "OK");
   }
 }
 

@@ -119,10 +119,8 @@ TEST(ExplorerTest, BookkeepingBytesOnReferenceConfig) {
   EXPECT_EQ(e.stored_row_bytes(), 2'008'506u);
   EXPECT_LE(e.stored_row_bytes(), 12 * states);
 
-  e.check_progress(res, mutex_someone_trying,
-                   [](const global_state<anon_mutex>& s) {
-                     return mutex_cs_count(s) >= 1;
-                   });
+  const auto spec = mutex_spec<anon_mutex>();
+  e.check_progress(res, spec.progress->premise, spec.progress->goal);
   EXPECT_EQ(res.stuck_states, 0u);
   b = e.bookkeeping_bytes();
   EXPECT_EQ(b.csr, 4 * (states + 1) + 4 * edges);
