@@ -1,7 +1,7 @@
 // Contention lab: the paper's algorithms on real contended hardware, under
 // every register memory-order policy, with parked instead of spun waiting.
 //
-// Four parts:
+// Three parts:
 //
 // Part 1 — litmus verdict matrix (deterministic): the axiomatic oracle's
 // "forbidden outcome reachable?" bit for SB/MP/LB/IRIW under seq_cst /
@@ -21,15 +21,10 @@
 // registry, and the futex park/wake/timeout counters. Safety (violations,
 // canary) is gated under seq_cst only; weak-mode counts are recorded.
 //
-// Part 4 — parallel-explorer scaling: the reference Fig. 1 verification on
-// 1/2/4/.. workers. Auto mode records only when >1 core is detected, so the
-// first multi-core CI run records the ROADMAP scaling numbers for free and
-// a single-core host leaves the series absent; --scale-workers=N forces the
-// sweep up to N workers regardless (the docs/modelcheck.md table was
-// collected that way, clearly labeled as oversubscribed).
+// The explorer's worker scaling is timed by bench_modelcheck_scaling.
 //
 //   ./bench_contention_lab [--seconds=0.3] [--m=3] [--litmus-iters=2000]
-//                          [--timed-reps=3] [--scale-workers=0]
+//                          [--timed-reps=3]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -44,7 +39,6 @@
 #include "core/anon_mutex.hpp"
 #include "mem/litmus.hpp"
 #include "mem/naming.hpp"
-#include "modelcheck/verify.hpp"
 #include "obs/obs.hpp"
 #include "runtime/threaded.hpp"
 #include "util/cli.hpp"
@@ -81,10 +75,6 @@ int main(int argc, char** argv) {
   args.define("m", "3", "Fig. 1 register count (odd)");
   args.define("litmus-iters", "2000", "hardware litmus rounds per cell");
   args.define("timed-reps", "3", "repetitions per throughput cell");
-  args.define("scale-workers", "0",
-              "run the part-4 explorer scaling up to this many workers even "
-              "on a single-core host (0 = auto: detected cores, skipped "
-              "when only 1)");
   if (!args.parse(argc, argv)) {
     std::cout << args.help("bench_contention_lab");
     return 0;
@@ -95,7 +85,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("litmus-iters"));
   const int timed_reps =
       std::max(1, static_cast<int>(args.get_int("timed-reps")));
-  const int scale_workers = static_cast<int>(args.get_int("scale-workers"));
   const unsigned hw_cores = std::max(1u, std::thread::hardware_concurrency());
 
   // The acquire-latency histogram and the futex counters flow through the
@@ -278,51 +267,6 @@ int main(int argc, char** argv) {
   report.metric("contention.lost_wakeups", parks_total.park_timeouts);
   report.metric("contention.safety_violations_gated",
                 violations_gated + canary_gap_gated);
-
-  // -------------------------------------------------------------------------
-  // Part 4: parallel-explorer scaling. Auto mode records only on multi-core
-  // hosts (the single-core numbers are pure overhead and would pollute the
-  // baseline); --scale-workers forces the sweep so oversubscribed numbers
-  // can be collected deliberately, e.g. for the docs table.
-  // -------------------------------------------------------------------------
-  const int max_scale_workers =
-      scale_workers > 0 ? scale_workers
-                        : (hw_cores > 1 ? static_cast<int>(hw_cores) : 0);
-  if (max_scale_workers >= 1) {
-    model_config<anon_mutex> cfg{5, naming_assignment::rotations(2, 5, 2), {}};
-    cfg.initial.emplace_back(1, 5);
-    cfg.initial.emplace_back(2, 5);
-    config_predicate<anon_mutex> double_entry =
-        [](const std::vector<process_id>&, const std::vector<anon_mutex>& ms) {
-          int inside = 0;
-          for (const auto& mc : ms) inside += mc.in_critical_section() ? 1 : 0;
-          return inside >= 2;
-        };
-    ascii_table scale({"workers", "states", "violated", "ms"});
-    std::uint64_t base_states = 0;
-    for (int workers = 1; workers <= max_scale_workers; workers *= 2) {
-      verify_options opt;
-      opt.workers = workers;
-      const auto rep = verify_config(cfg, double_entry, opt);
-      if (workers == 1) {
-        base_states = rep.states;
-        report.sample("explorer_states", static_cast<double>(rep.states));
-      }
-      if (rep.violated || rep.states != base_states) ok = false;
-      scale.add(workers, rep.states, rep.violated, rep.wall_seconds * 1e3);
-      report.sample("explorer_seconds/workers=" + std::to_string(workers),
-                    rep.wall_seconds, "s");
-    }
-    std::cout << "explorer worker scaling (reference Fig. 1 config"
-              << (scale_workers > 0 && hw_cores == 1
-                      ? ", FORCED on 1 hardware thread — oversubscribed"
-                      : "")
-              << ")\n"
-              << scale.render() << "\n";
-  } else {
-    std::cout << "explorer worker scaling: skipped (1 core detected; "
-                 "force with --scale-workers=N)\n\n";
-  }
 
   report.metric("verdicts_ok", ok ? 1 : 0);
   report.write();

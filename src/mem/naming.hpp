@@ -107,7 +107,7 @@ struct weighted_naming {
 /// representative enumeration. Weights sum to (m!)^(n-1) — the
 /// representative count — so weight * m! counts full naming tuples per
 /// class. Sound as a sweep reduction ONLY when machines and predicate are
-/// process-symmetric (the explore_options.symmetry contract): permuting
+/// process-symmetric (the verify_options::symmetry contract): permuting
 /// which process holds which numbering must not change the verdict.
 std::vector<weighted_naming> naming_orbit_classes(int processes,
                                                   int registers);

@@ -60,17 +60,20 @@ typename check_spec<Machine>::progress_property termination_possible() {
 
 /// Fig. 2's claims for processes proposing `inputs`: agreement (all
 /// decisions equal) and validity (decisions come from the inputs) as one
-/// safety property (SAFETY-VIOLATION), then termination_possible.
-inline check_spec<anon_consensus> consensus_spec(
-    const std::vector<std::uint64_t>& inputs) {
-  check_spec<anon_consensus> spec;
+/// safety property (SAFETY-VIOLATION), then termination_possible. Any
+/// machine with decision() and done() fits; a caller whose runs cannot
+/// terminate (e.g. the commit-adopt baseline's unbounded rounds) resets
+/// the progress part.
+template <class Machine = anon_consensus>
+check_spec<Machine> consensus_spec(const std::vector<std::uint64_t>& inputs) {
+  check_spec<Machine> spec;
   spec.safety.push_back(
       {"SAFETY-VIOLATION",
        [in = std::set(inputs.begin(), inputs.end())](
-           const global_state<anon_consensus>& s) {
+           const global_state<Machine>& s) {
          return decisions_disagree(s.procs) || decision_outside(s.procs, in);
        }});
-  spec.progress = termination_possible<anon_consensus>();
+  spec.progress = termination_possible<Machine>();
   return spec;
 }
 

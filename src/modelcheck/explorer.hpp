@@ -135,7 +135,8 @@ struct explorer_bookkeeping {
   std::uint64_t seen_table = 0;
   std::uint64_t provenance = 0;       ///< parent, via and group element
   std::uint64_t successor_slots = 0;  ///< edge targets and out-degrees
-  std::uint64_t csr = 0;  ///< check_progress's reverse adjacency
+  /// The reverse adjacency the last check_progress built (and freed).
+  std::uint64_t csr = 0;
 
   std::uint64_t total() const {
     return seen_table + provenance + successor_slots + csr;
@@ -209,6 +210,34 @@ struct global_state {
   }
 };
 
+/// How to run one exploration; explorer<M>::options adds record_edges.
+struct verify_options {
+  /// Workers for the explorer's successor-generation stage (see the file
+  /// comment). Every worker count gives the identical result, stored bytes
+  /// included; 1 runs the stage inline on the calling thread.
+  int workers = 1;
+  /// Exploration cap; a run that reaches it is incomplete.
+  std::uint64_t max_states = 2'000'000;
+  /// Dedup states by their orbit representative under the configuration's
+  /// automorphism group (modelcheck/symmetry.hpp): the naming-conjugation
+  /// group for process_symmetric_machine types, the full S_n x C_m
+  /// product for fully_anonymous_machine types. Sound only when every
+  /// predicate is invariant under the group action; machine types with
+  /// neither trait get the trivial group, making this a no-op rather than
+  /// a wrong answer.
+  bool symmetry = false;
+  /// Out-of-core mode: resident budget in bytes for the row arena; cold
+  /// pages spill to an unlinked temp file under spill_dir ("" = $TMPDIR
+  /// or /tmp). The frontier and the progress pass fault them back window
+  /// by window, evicting behind themselves; duplicate checks read single
+  /// rows from the file without faulting. Verdicts, counts and
+  /// counterexamples are bit-identical to in-memory runs. 0 keeps
+  /// everything resident. In a scheduled sweep this is the PER-JOB budget:
+  /// every class's explorer gets its own arena and spill file.
+  std::uint64_t spill_budget_bytes = 0;
+  std::string spill_dir;
+};
+
 template <class Machine>
 class explorer {
  public:
@@ -216,34 +245,14 @@ class explorer {
   using state_predicate = std::function<bool(const state_type&)>;
   using value_type = typename Machine::value_type;
 
-  struct options {
-    /// Workers for the successor-generation stage (see the file comment).
-    /// Every worker count gives the identical result, stored bytes
-    /// included; 1 runs the stage inline on the calling thread.
-    int workers = 1;
-    /// Exploration cap; result.complete reports whether it was reached.
-    std::uint64_t max_states = 2'000'000;
+  /// The run's settings plus whether to keep the edges check_progress()
+  /// walks. verify_config sets record_edges only when its spec has a
+  /// progress property.
+  struct options : verify_options {
     /// Record successor edges — per-state successor slots, 4 B per edge
     /// plus 1 B per state — for check_progress(); safety-only runs skip
     /// them. result.num_edges counts the edges either way.
     bool record_edges = true;
-    /// Dedup states by their orbit representative under the configuration's
-    /// automorphism group (modelcheck/symmetry.hpp): the naming-conjugation
-    /// group for process_symmetric_machine types, the full S_n x C_m
-    /// product for fully_anonymous_machine types. Sound only when every
-    /// predicate passed to explore()/check_progress() is invariant under
-    /// the group action; machine types with neither trait get the trivial
-    /// group, making this a no-op rather than a wrong answer.
-    bool symmetry = false;
-    /// Out-of-core mode: resident budget in bytes for the row arena; cold
-    /// pages spill to an unlinked temp file under spill_dir ("" = $TMPDIR
-    /// or /tmp). The frontier and the progress pass fault them back window
-    /// by window, evicting behind themselves; duplicate checks read single
-    /// rows from the file without faulting.
-    /// Verdicts, counts and counterexamples are bit-identical to in-memory
-    /// runs. 0 keeps everything resident.
-    std::uint64_t spill_budget_bytes = 0;
-    std::string spill_dir;
   };
 
   struct result {
@@ -301,9 +310,7 @@ class explorer {
     {
       canon_.regs.assign(static_cast<std::size_t>(registers_), value_type{});
       canon_.procs = initial_machines_;
-      canonical_scratch<Machine> cs;
-      const int elem =
-          group_.canonicalize(canon_.regs, canon_.procs, cs, &cstats_);
+      const int elem = group_.orbit_min(canon_.regs, canon_.procs, &cstats_);
       std::vector<std::uint32_t> row;
       for (const auto& r : canon_.regs) row.push_back(pool_.intern_value(r));
       for (const auto& p : canon_.procs) row.push_back(pool_.intern_machine(p));
@@ -333,7 +340,7 @@ class explorer {
   /// the analysis runs on the quotient graph — sound for G-invariant
   /// predicates.
   void check_progress(result& res, const state_predicate& premise,
-                      const state_predicate& goal) const {
+                      const state_predicate& goal) {
     ANONCOORD_REQUIRE(res.complete,
                       "progress analysis needs a complete state space");
     ANONCOORD_REQUIRE(opt_.record_edges,
@@ -343,34 +350,28 @@ class explorer {
     res.stuck_schedule.clear();
     const std::size_t n = num_states();
     std::vector<char> reaches_goal(n, 0);
-    // Reverse adjacency in CSR form, cached across calls (naming sweeps
-    // re-check the same run with different predicates, and reduced/raw
-    // comparison runs re-enter here per run). Count in-degrees one slot to
-    // the right and take prefix sums (offsets[t] = start of t's bucket),
-    // then walk the successor slots forwards, incrementing into place: each
-    // bucket ends up holding its predecessors in ascending order, and
-    // offsets[t] ends at the bucket's end, so one shift right restores the
-    // starts. Both scans run chunk by chunk.
-    if (csr_offsets_.size() != n + 1) {
-      ANONCOORD_REQUIRE(succ_.size() < flat_index::npos,
-                        "edge count exceeds the 32-bit CSR offsets");
-      csr_offsets_.assign(n + 1, 0);
-      for (const std::uint32_t to : succ_) ++csr_offsets_[to + 1];
-      for (std::size_t i = 1; i <= n; ++i) csr_offsets_[i] += csr_offsets_[i - 1];
-      csr_sources_.resize(succ_.size());
-      auto slot = succ_.begin();
-      std::uint32_t from = 0;
-      for (const std::uint8_t d : outdeg_) {
-        for (std::uint8_t k = 0; k < d; ++k, ++slot)
-          csr_sources_[csr_offsets_[*slot]++] = from;
-        ++from;
-      }
-      std::copy_backward(csr_offsets_.begin(), csr_offsets_.end() - 1,
-                         csr_offsets_.end());
-      csr_offsets_[0] = 0;
+    // Reverse adjacency in CSR form. Count in-degrees one slot to the right
+    // and take prefix sums (offsets[t] = start of t's bucket), then walk the
+    // successor slots forwards, incrementing into place: each bucket ends
+    // up holding its predecessors in ascending order, and offsets[t] ends
+    // at the bucket's end, so one shift right restores the starts. Both
+    // scans run chunk by chunk.
+    ANONCOORD_REQUIRE(succ_.size() < flat_index::npos,
+                      "edge count exceeds the 32-bit CSR offsets");
+    std::vector<std::uint32_t> offsets(n + 1, 0);
+    for (const std::uint32_t to : succ_) ++offsets[to + 1];
+    for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+    std::vector<std::uint32_t> sources(succ_.size());
+    auto slot = succ_.begin();
+    std::uint32_t from = 0;
+    for (const std::uint8_t d : outdeg_) {
+      for (std::uint8_t k = 0; k < d; ++k, ++slot)
+        sources[offsets[*slot]++] = from;
+      ++from;
     }
-    const std::vector<std::uint32_t>& offsets = csr_offsets_;
-    const std::vector<std::uint32_t>& sources = csr_sources_;
+    std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+    offsets[0] = 0;
+    csr_bytes_ = (offsets.size() + sources.size()) * sizeof(std::uint32_t);
     std::vector<std::uint32_t> queue;
     queue.reserve(n);
     state_type scratch;
@@ -429,7 +430,7 @@ class explorer {
 
   /// Resident bytes of the per-state records outside the row store (see
   /// explorer_bookkeeping): the seen table, provenance, successor slots
-  /// and, once check_progress has run, the reverse CSR.
+  /// and, once check_progress has run, the reverse CSR it built.
   explorer_bookkeeping bookkeeping_bytes() const {
     const auto bytes = [](const auto& v) {
       return static_cast<std::uint64_t>(v.size() * sizeof(v[0]));
@@ -438,7 +439,7 @@ class explorer {
     b.seen_table = seen_table_bytes_;
     b.provenance = bytes(parent_) + bytes(via_) + bytes(elem_);
     b.successor_slots = bytes(succ_) + bytes(outdeg_);
-    b.csr = bytes(csr_offsets_) + bytes(csr_sources_);
+    b.csr = csr_bytes_;
     return b;
   }
 
@@ -535,8 +536,7 @@ class explorer {
     elem_.clear();
     succ_.clear();
     outdeg_.clear();
-    csr_offsets_.clear();
-    csr_sources_.clear();
+    csr_bytes_ = 0;
   }
 
   /// Parents [lo, hi) of a `wlen`-parent window that worker `w` expands.
@@ -936,10 +936,7 @@ class explorer {
   // entries of succ_ after those of states 0..s-1.
   chunked_vector<std::uint32_t> succ_;
   chunked_vector<std::uint8_t> outdeg_;
-  // Reverse-CSR progress structure, built lazily by check_progress and
-  // reused by subsequent calls on the same run.
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable std::vector<std::uint32_t> csr_sources_;
+  std::uint64_t csr_bytes_ = 0;  ///< the last check_progress's reverse CSR
 
   // Hot-path scratch (members so explore() allocates nothing per successor).
   state_type canon_;
@@ -962,7 +959,7 @@ class explorer {
   std::uint64_t cal_tick0_ = 0;
   // Packed canonicalization kernel (non-trivial group only), shared by the
   // workers; its scratch and counters live per worker. cstats_ covers the
-  // initial state's object-domain canonicalize.
+  // initial state's orbit_min.
   packed_canonicalizer<Machine> pk_;
   canonicalize_stats cstats_;
 };

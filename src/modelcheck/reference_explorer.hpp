@@ -1,13 +1,13 @@
 // Reference oracle for the model checker: a deliberately plain BFS that the
-// fast engines (explorer.hpp, parallel_explorer.hpp) are diffed against.
+// explorer (explorer.hpp) is diffed against at every worker count.
 //
 // Global states are objects deduplicated in a std::unordered_map; a parent's
 // successors are made by stepping a copy of it, process by process in order
-// 0..n-1. Under symmetry a stored state is its orbit minimum by brute force:
-// every group element is applied (symmetry_group::apply) and the
+// 0..n-1. Under symmetry a stored state is its orbit minimum by brute force
+// (symmetry_group::orbit_min: every group element is applied and the
 // lexicographically smallest image wins, ties going to the lowest element
-// index. No interning, row packing, batching, probe tables, SIMD, threads or
-// canonicalization kernels. Counterexamples are re-validated by replay:
+// index). No interning, row packing, batching, probe tables, SIMD, threads
+// or canonicalization kernels. Counterexamples are re-validated by replay:
 // after every step the concrete state must lie in the orbit of the stored
 // quotient state on the path.
 #pragma once
@@ -66,9 +66,9 @@ class reference_explorer {
     state_type init;
     init.regs.assign(static_cast<std::size_t>(registers_), value_type{});
     init.procs = initial_;
-    auto [canon, elem] = orbit_min(std::move(init));
+    const int elem = group_.orbit_min(init.regs, init.procs);
     nodes_.push_back(
-        {&index_.emplace(std::move(canon), 0).first->first, -1, -1, elem, {}});
+        {&index_.emplace(std::move(init), 0).first->first, -1, -1, elem, {}});
     if (is_bad && is_bad(*nodes_[0].state)) return violation(res, 0);
     for (std::size_t s = 0; s < nodes_.size(); ++s) {
       if (nodes_.size() >= opt_.max_states) return finish(res);
@@ -78,9 +78,9 @@ class reference_explorer {
         if (mach.peek().kind == op_kind::none) continue;
         permuted_vector_memory<value_type> view(next.regs, naming_.of(p));
         mach.step(view);
-        auto [image, g] = orbit_min(std::move(next));
+        const int g = group_.orbit_min(next.regs, next.procs);
         const auto idx = static_cast<std::uint32_t>(nodes_.size());
-        const auto [it, fresh] = index_.try_emplace(std::move(image), idx);
+        const auto [it, fresh] = index_.try_emplace(std::move(next), idx);
         nodes_[s].succ.push_back(it->second);
         if (!fresh) {
           ++res.dedup_hits;
@@ -145,39 +145,6 @@ class reference_explorer {
     std::vector<std::uint32_t> succ;
   };
 
-  /// Lexicographic order on (regs, procs): register values by `<`, machines
-  /// by canonical_less — the order whose minimum is the orbit representative.
-  static bool lex_less(const state_type& a, const state_type& b) {
-    if constexpr (symmetry_reducible_machine<Machine>) {
-      for (std::size_t r = 0; r < a.regs.size(); ++r) {
-        if (a.regs[r] < b.regs[r]) return true;
-        if (b.regs[r] < a.regs[r]) return false;
-      }
-      for (std::size_t p = 0; p < a.procs.size(); ++p) {
-        if (canonical_less(a.procs[p], b.procs[p])) return true;
-        if (canonical_less(b.procs[p], a.procs[p])) return false;
-      }
-    }
-    return false;
-  }
-
-  /// Smallest image of `s` over every group element, with the index of the
-  /// first element producing it.
-  std::pair<state_type, int> orbit_min(state_type s) const {
-    if (group_.size() == 1) return {std::move(s), 0};
-    state_type best, image;
-    int best_elem = 0;
-    group_.apply(group_.at(0), s.regs, s.procs, best.regs, best.procs);
-    for (int e = 1; e < group_.size(); ++e) {
-      group_.apply(group_.at(e), s.regs, s.procs, image.regs, image.procs);
-      if (lex_less(image, best)) {
-        std::swap(best, image);
-        best_elem = e;
-      }
-    }
-    return {std::move(best), best_elem};
-  }
-
   result& violation(result& res, std::size_t idx) {
     res.bad_state = concrete(idx, res.bad_schedule);
     return finish(res);
@@ -208,7 +175,9 @@ class reference_explorer {
     std::vector<int> sinv = group_.at(nodes_[path[0]].elem).sigma_inv;
     sched.clear();
     for (std::size_t k = 0;; ++k) {
-      ANONCOORD_REQUIRE(orbit_min(s).first == *nodes_[path[k]].state,
+      state_type canon = s;
+      group_.orbit_min(canon.regs, canon.procs);
+      ANONCOORD_REQUIRE(canon == *nodes_[path[k]].state,
                         "replayed schedule left the stored quotient path");
       if (k + 1 == path.size()) return s;
       const node& v = nodes_[path[k + 1]];

@@ -383,13 +383,12 @@ struct row_store_options {
 /// depth or parent data. Each page keeps kReadSlack bytes after its last
 /// row, so a row's final chunk never reaches past its page.
 ///
-/// load() and equals() are O(1). Appends are single-threaded; loads may run
-/// concurrently from many threads provided no append is in flight — the
-/// same fork-join contract as byte_arena. Every row byte lives in the
-/// arena, so a spill budget (row_store_options) bounds all of them; only
-/// the epoch table stays resident. Scans fault spilled pages back
-/// in window by window (prefetch_rows); duplicate checks read single rows
-/// from the spill file without faulting (equals).
+/// load() and equals() are O(1). Single-threaded, like byte_arena: the
+/// explorer appends and reads on its calling thread. Every row byte lives
+/// in the arena, so a spill budget (row_store_options) bounds all of them;
+/// only the epoch table stays resident. Scans fault spilled pages back in
+/// window by window (prefetch_rows); duplicate checks read single rows from
+/// the spill file without faulting (equals).
 class row_store {
  public:
   /// Bytes a packed row's final 32-bit chunk may run past the row's end;
@@ -473,8 +472,7 @@ class row_store {
   /// in index order (a BFS frontier, a progress pass). Row indices are
   /// arena-append order, so the window is one contiguous page range; under
   /// a spill budget other pages are evicted to make room, so a whole scan
-  /// stays within the budget. The caller must be the only reader (see
-  /// byte_arena::prefetch_range). No-op when fully resident.
+  /// stays within the budget. No-op when fully resident.
   void prefetch_rows(std::uint64_t lo, std::uint64_t hi) const {
     if (!arena_.spill_enabled()) return;
     hi = std::min(hi, count_);
@@ -496,8 +494,7 @@ class row_store {
   bool spill_enabled() const { return arena_.spill_enabled(); }
   arena_spill_stats spill_stats() const { return arena_.spill_stats(); }
 
-  /// Enforce the arena's resident budget now; append-path only (same
-  /// contract as append()).
+  /// Enforce the arena's resident budget now.
   void spill_over_budget() { arena_.spill_over_budget(); }
 
   /// Test hook: pad the arena so subsequent rows land at or past

@@ -191,23 +191,14 @@ bool process_interchangeable_initial(const std::vector<Machine>& initial) {
   }
 }
 
-/// Reusable buffers for canonicalize(), so canonicalization allocates
-/// nothing steady-state.
-template <class Machine>
-struct canonical_scratch {
-  std::vector<typename Machine::value_type> orig_regs, tmp_regs;
-  std::vector<Machine> orig_procs, tmp_procs;
-};
-
-/// Prune-effectiveness counters for canonicalization, in either domain.
-/// A candidate can be rejected on its first word (first_word_pruned),
+/// Prune-effectiveness counters for canonicalization. In the packed kernel
+/// a candidate can be rejected on its first word (first_word_pruned),
 /// rejected after materializing only a longest common prefix of rank words
-/// (prefix_pruned — packed kernel only; the object domain has no partial
-/// apply), or fully materialized (full_applies: it won, tied, or — object
-/// domain — had to be applied before comparing at all). A candidate is one
-/// non-identity element, except where the packed kernel sorts prefix
-/// classes (packed_canonicalizer::sorts_classes): there it is one class,
-/// pruned on its value prefix or sorted and compared.
+/// (prefix_pruned), or fully materialized (full_applies: it won or tied).
+/// A candidate is one non-identity element, except where the kernel sorts
+/// prefix classes (packed_canonicalizer::sorts_classes): there it is one
+/// class, pruned on its value prefix or sorted and compared. The
+/// object-domain orbit_min prunes nothing: every element is a full apply.
 struct canonicalize_stats {
   std::uint64_t full_applies = 0;
   std::uint64_t first_word_pruned = 0;
@@ -415,55 +406,34 @@ class symmetry_group {
     }
   }
 
-  /// Replace (regs, procs) with the lexicographically smallest tuple in its
-  /// orbit. Returns the index of the element mapping the ORIGINAL state to
-  /// the canonical one (0 when the state was already canonical) — the
+  /// The orbit minimum by brute force: replace (regs, procs) with the
+  /// lexicographically least image over every group element (registers by
+  /// `<`, then machines by canonical_less), ties going to the lowest element
+  /// index. Returns that index (0 when the state was already minimal) — the
   /// explorers fold these into the sigma-chain that maps quotient schedules
-  /// back to concrete ones.
-  ///
-  /// Fast path: the lex order compares regs[0] first, and every element's
-  /// image of regs[0] is one renamed source word — regs[pi_inv[0]] through
-  /// rho (rho is the identity for fully anonymous machines, where values
-  /// move unrenamed). An element whose first image word already exceeds the
-  /// incumbent's cannot be lexicographically minimal, so it is skipped
-  /// before the full O(m + n) apply(). This prunes most of the n!·m (resp.
-  /// n!) scan — in a uniform-ish orbit only ~1/m of the elements tie on
-  /// the first word — and preserves the tie-break exactly: the ascending
-  /// scan with strict-less swap still returns the smallest element index
-  /// achieving the minimum, because only elements the full comparison
-  /// would reject are skipped.
-  int canonicalize(std::vector<value_type>& regs, std::vector<Machine>& procs,
-                   canonical_scratch<Machine>& scratch,
-                   canonicalize_stats* stats = nullptr) const {
+  /// back to concrete ones. Every non-identity element is applied, so it
+  /// counts |G| - 1 full_applies. This is the one object-domain orbit
+  /// minimum: the explorer's initial state, the reference oracle and the
+  /// packed kernel's differential tests all call it.
+  int orbit_min(std::vector<value_type>& regs, std::vector<Machine>& procs,
+                canonicalize_stats* stats = nullptr) const {
     if (elements_.size() <= 1) return 0;
-    if constexpr (symmetry_reducible_machine<Machine>) {
-      scratch.orig_regs = regs;
-      scratch.orig_procs = procs;
-      int best = 0;
-      for (int ei = 1; ei < size(); ++ei) {
-        const element& e = elements_[static_cast<std::size_t>(ei)];
-        if (!regs.empty()) {
-          // regs holds the incumbent minimum, so regs[0] is the word to beat.
-          const value_type cand_first = e.rename(
-              scratch.orig_regs[static_cast<std::size_t>(e.pi_inv[0])]);
-          if (regs[0] < cand_first) {
-            if (stats != nullptr) ++stats->first_word_pruned;
-            continue;
-          }
-        }
-        apply(e, scratch.orig_regs, scratch.orig_procs, scratch.tmp_regs,
-              scratch.tmp_procs);
-        if (stats != nullptr) ++stats->full_applies;
-        if (state_less(scratch.tmp_regs, scratch.tmp_procs, regs, procs)) {
-          regs.swap(scratch.tmp_regs);
-          procs.swap(scratch.tmp_procs);
-          best = ei;
-        }
+    const std::vector<value_type> orig_regs = regs;
+    const std::vector<Machine> orig_procs = procs;
+    std::vector<value_type> img_regs;
+    std::vector<Machine> img_procs;
+    int best = 0;
+    for (int ei = 1; ei < size(); ++ei) {
+      apply(elements_[static_cast<std::size_t>(ei)], orig_regs, orig_procs,
+            img_regs, img_procs);
+      if (stats != nullptr) ++stats->full_applies;
+      if (state_less(img_regs, img_procs, regs, procs)) {
+        regs.swap(img_regs);
+        procs.swap(img_procs);
+        best = ei;
       }
-      return best;
-    } else {
-      return 0;
     }
+    return best;
   }
 
  private:
@@ -499,7 +469,7 @@ struct packed_canonical_scratch {
   std::vector<std::uint32_t> tmp;   ///< candidate image assembly buffer
 };
 
-/// The packed-word canonicalization kernel: symmetry_group::canonicalize
+/// The packed-word canonicalization kernel: symmetry_group::orbit_min
 /// rebuilt to run on interned-id rows instead of reconstructed states.
 ///
 /// Interning is injective and each group element's action on a component is
@@ -520,14 +490,13 @@ struct packed_canonical_scratch {
 /// does not cover yet (interned since the last rebuild) fall back to the
 /// object-domain compare, which is the ground truth — snapshots only ever
 /// buy speed. The element scan is ascending with a strict-less swap, exactly
-/// the object path's discipline, so the returned element index (the
-/// tie-break the sigma-chain counterexample fold-back depends on) is
-/// IDENTICAL to the object domain's: the packed-vs-object differential tests
-/// pin both the image row and the index.
+/// orbit_min's discipline, so the returned element index (the tie-break the
+/// sigma-chain counterexample fold-back depends on) is IDENTICAL to
+/// orbit_min's: the packed-vs-object differential tests pin both the image
+/// row and the index.
 ///
-/// The object path's first-word fast path generalizes here to a
-/// longest-common-prefix prune: a candidate is abandoned at its first losing
-/// rank word, having materialized only the tied prefix.
+/// Unlike orbit_min, the scan prunes: a candidate is abandoned at its first
+/// losing rank word, having materialized only the tied prefix.
 ///
 /// Fully anonymous groups mostly skip the element scan. Values move
 /// unrenamed, so the elements sharing one register map pi_inv and one shift
@@ -608,10 +577,10 @@ class packed_canonicalizer {
 
   /// Replace `row` (m value words then n machine words) with the
   /// lexicographically least image in its orbit; returns the canonicalizing
-  /// element index — bit-identical to the object-domain
-  /// symmetry_group::canonicalize on the reconstructed state. Full-class
-  /// fully anonymous groups sort (sort_classes); every other group scans
-  /// its elements here, one stat per element.
+  /// element index — bit-identical to symmetry_group::orbit_min on the
+  /// reconstructed state. Full-class fully anonymous groups sort
+  /// (sort_classes); every other group scans its elements here, one stat
+  /// per element.
   int canonicalize_row(std::uint32_t* row, packed_canonical_scratch& scratch,
                        canonicalize_stats& stats) {
     if constexpr (symmetry_reducible_machine<Machine>) {

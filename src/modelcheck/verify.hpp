@@ -29,21 +29,6 @@
 
 namespace anoncoord {
 
-struct verify_options {
-  int workers = 1;  ///< explorer generation-stage workers
-  std::uint64_t max_states = 2'000'000;
-  /// Orbit-representative symmetry reduction (modelcheck/symmetry.hpp):
-  /// states are deduplicated by canonical form. The predicate must be
-  /// invariant under the configuration's automorphisms.
-  bool symmetry = false;
-  /// Out-of-core mode (see explorer::options): resident budget for the
-  /// packed row arena, 0 = fully in-memory. In a scheduled sweep this is
-  /// the PER-JOB budget — every class's explorer gets its own arena and
-  /// spill file.
-  std::uint64_t spill_budget_bytes = 0;
-  std::string spill_dir;
-};
-
 /// One check's verdict and uniform per-run statistics; `states` counts
 /// distinct stored global states.
 struct verify_report {
@@ -180,13 +165,8 @@ verify_report verify_config(const model_config<Machine>& cfg,
                             const check_spec<Machine>& spec,
                             const verify_options& opt = {}) {
   stopwatch timer;
-  typename explorer<Machine>::options eopt;
-  eopt.workers = opt.workers;
-  eopt.max_states = opt.max_states;
-  eopt.record_edges = spec.progress.has_value();
-  eopt.symmetry = opt.symmetry;
-  eopt.spill_budget_bytes = opt.spill_budget_bytes;
-  eopt.spill_dir = opt.spill_dir;
+  const typename explorer<Machine>::options eopt{opt,
+                                                 spec.progress.has_value()};
   explorer<Machine> e(cfg.registers, cfg.naming, cfg.initial, eopt);
   verify_report out = run_check(e, spec);
   const arena_spill_stats spill = e.spill_stats();
@@ -312,7 +292,7 @@ struct naming_sweep_report {
 /// full_configs / full_violated. That fold is sound only when permuting
 /// processes cannot change the verdict, so it REQUIREs an initial tuple
 /// that is symmetric up to identifier renaming
-/// (process_interchangeable_initial) — and, like explore_options.symmetry,
+/// (process_interchangeable_initial) — and, like verify_options::symmetry,
 /// trusts the predicate to be renaming-invariant. The class canonicalizer
 /// is polynomial (cycle-structure keys, n! candidates), which is what makes
 /// the full m = 6 and m = 7 sweeps (at n = 2) decidable: 398 and 2636

@@ -19,26 +19,20 @@
 // unlinked immediately, so the kernel reclaims it when the arena (or the
 // process) goes away.
 //
-// Thread-safety contract: appends are single-threaded, and concurrent
-// readers are only allowed while no append is in flight (a fork-join
-// barrier between append and read phases is enough; the explorer itself
-// reads and appends from one thread). Eviction therefore happens only on the
-// append path and in prefetch_range(), whose caller must be the only
-// reader. at() fault-ins are mutex-serialized and only ever ADD resident
-// pages, and read() changes nothing, so a pointer a concurrent reader
-// obtained stays valid for the rest of its read phase.
+// Single-threaded: one thread appends and reads (the explorer's calling
+// thread). Eviction happens only on the append path and in
+// prefetch_range(); an at() pointer stays valid until the next append,
+// prefetch_range() or spill_over_budget().
 //
 // This is deliberately NOT a general allocator: nothing is ever freed short
 // of clear(), offsets are 64-bit and strictly increasing, and the only
 // mutation after an append completes is further appends.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -107,8 +101,7 @@ class byte_arena {
   /// Reserve a contiguous span of up to `max_len` bytes for in-place
   /// encoding; pair with commit(actual_len <= max_len). The span stays
   /// private to the writer until commit() returns its offset. Advancing to a
-  /// fresh page seals the previous one and may spill cold pages (append path
-  /// only — see the thread-safety contract above).
+  /// fresh page seals the previous one and may spill cold pages.
   std::uint8_t* reserve(std::size_t max_len) {
     ANONCOORD_REQUIRE(max_len <= page_size_, "arena row larger than a page");
     std::size_t page = static_cast<std::size_t>(head_ >> page_bits_);
@@ -130,27 +123,27 @@ class byte_arena {
   }
 
   /// Read pointer for a committed offset; faults the page back in if it was
-  /// spilled. The pointer stays valid until the next append.
+  /// spilled (for scans, which read the page's other rows next). The
+  /// pointer stays valid until the next append.
   const std::uint8_t* at(std::uint64_t offset) const {
     const std::size_t page = static_cast<std::size_t>(offset >> page_bits_);
     const page_rec* pr = pages_[page].get();
     ANONCOORD_REQUIRE(pr != nullptr, "arena read inside a pad_to hole");
-    const std::uint8_t* p = pr->data.load(std::memory_order_acquire);
-    if (p == nullptr) p = fault_in(page);
+    const std::uint8_t* p = pr->data != nullptr ? pr->data : fault_in(page);
     return p + (static_cast<std::size_t>(offset) & (page_size_ - 1));
   }
 
   /// Bytes [offset, offset + len) of one page without changing residency:
   /// a pointer into the page if it is resident, else the bytes are copied
-  /// out of the spill file into `cold`. Safe from concurrent readers.
+  /// out of the spill file into `cold` (for scattered point reads, which
+  /// would otherwise fault a whole page in per row).
   const std::uint8_t* read(std::uint64_t offset, std::size_t len,
                            std::vector<std::uint8_t>& cold) const {
     const std::size_t page = static_cast<std::size_t>(offset >> page_bits_);
     const page_rec* pr = pages_[page].get();
     ANONCOORD_REQUIRE(pr != nullptr, "arena read inside a pad_to hole");
     const auto in_page = static_cast<std::size_t>(offset) & (page_size_ - 1);
-    if (const std::uint8_t* p = pr->data.load(std::memory_order_acquire))
-      return p + in_page;
+    if (pr->data != nullptr) return pr->data + in_page;
     ANONCOORD_REQUIRE(pr->on_disk && in_page + len <= page_size_,
                       "arena read of a page never written");
     cold.resize(len);
@@ -160,7 +153,6 @@ class byte_arena {
       ANONCOORD_REQUIRE(r > 0, "arena spill read failed");
       done += static_cast<std::size_t>(r);
     }
-    std::lock_guard lk(fault_mu_);
     ++stats_.point_reads;
     return cold.data();
   }
@@ -168,23 +160,19 @@ class byte_arena {
   /// Fault in every page overlapping byte offsets [lo, hi) (a scan's next
   /// window of contiguous rows). Under a spill budget each fault first
   /// evicts other sealed pages down to the budget, so a scan of any length
-  /// stays within budget + the window. The caller must be the only reader:
-  /// eviction invalidates other pages' pointers. Pad holes are skipped.
+  /// stays within budget + the window. Eviction invalidates other pages'
+  /// pointers. Pad holes are skipped.
   void prefetch_range(std::uint64_t lo, std::uint64_t hi) const {
     if (!spill_enabled() || lo >= hi) return;
     const auto first = static_cast<std::size_t>(lo >> page_bits_);
     const auto last = static_cast<std::size_t>((hi - 1) >> page_bits_);
     for (std::size_t page = first; page <= last; ++page) {
       const page_rec* pr = pages_[page].get();
-      if (pr == nullptr || pr->data.load(std::memory_order_acquire) != nullptr)
-        continue;
-      {
-        std::lock_guard lk(fault_mu_);
-        const std::uint64_t room = spill_.budget_bytes > page_size_
-                                       ? spill_.budget_bytes - page_size_
-                                       : 0;
-        evict_down_to(room, first, last);
-      }
+      if (pr == nullptr || pr->data != nullptr) continue;
+      const std::uint64_t room =
+          spill_.budget_bytes > page_size_ ? spill_.budget_bytes - page_size_
+                                           : 0;
+      evict_down_to(room, first, last);
       fault_in(page);
     }
   }
@@ -206,17 +194,12 @@ class byte_arena {
   /// High-water offset (committed bytes including skipped page tails).
   std::uint64_t used() const { return head_; }
 
-  arena_spill_stats spill_stats() const {
-    std::lock_guard lk(fault_mu_);
-    return stats_;
-  }
+  arena_spill_stats spill_stats() const { return stats_; }
 
   /// Enforce the resident budget now (normally driven by reserve()'s page
-  /// advance). Append-path only: callers must guarantee no reader holds an
-  /// arena pointer across this call.
+  /// advance). Invalidates at() pointers into evicted pages.
   void spill_over_budget() {
     if (!spill_enabled()) return;
-    std::lock_guard lk(fault_mu_);
     const std::size_t none = pages_.size();  // keep no page but the head
     evict_down_to(spill_.budget_bytes, none, none);
   }
@@ -234,9 +217,7 @@ class byte_arena {
 
  private:
   struct page_rec {
-    // Readable span, null while the page is cold. Release-published by the
-    // fault path; readers acquire-load so the mapping's bytes are visible.
-    std::atomic<const std::uint8_t*> data{nullptr};
+    const std::uint8_t* data = nullptr;  // readable span, null while cold
     std::unique_ptr<std::uint8_t[]> heap;  // owning buffer while heap-resident
     const std::uint8_t* map_base = nullptr;  // mmap base (system-page aligned)
     std::size_t map_len = 0;
@@ -252,23 +233,19 @@ class byte_arena {
                       "arena head page lost its heap buffer");
     auto pr = std::make_unique<page_rec>();
     pr->heap = std::make_unique<std::uint8_t[]>(page_size_);
-    pr->data.store(pr->heap.get(), std::memory_order_release);
+    pr->data = pr->heap.get();
     pages_[page] = std::move(pr);
     ++allocated_pages_;
-    {
-      std::lock_guard lk(fault_mu_);
-      stats_.resident_bytes += page_size_;
-      if (stats_.resident_bytes > stats_.resident_hw_bytes)
-        stats_.resident_hw_bytes = stats_.resident_bytes;
-    }
+    stats_.resident_bytes += page_size_;
+    if (stats_.resident_bytes > stats_.resident_hw_bytes)
+      stats_.resident_hw_bytes = stats_.resident_bytes;
     spill_over_budget();
   }
 
   /// Walk the clock hand over sealed resident pages until resident bytes
   /// are at most `target`, sparing the head page and pages [keep_lo,
   /// keep_hi]. Recently faulted pages (ref bit set) survive one pass — the
-  /// "LRU pin set" keeping the hot working set resident. Caller holds
-  /// fault_mu_.
+  /// "LRU pin set" keeping the hot working set resident.
   void evict_down_to(std::uint64_t target, std::size_t keep_lo,
                      std::size_t keep_hi) const {
     const std::size_t npages = pages_.size();
@@ -281,7 +258,7 @@ class byte_arena {
       page_rec* pr = pages_[clock_].get();
       if (pr != nullptr && clock_ != head_page &&
           (clock_ < keep_lo || clock_ > keep_hi) &&
-          pr->data.load(std::memory_order_relaxed) != nullptr) {
+          pr->data != nullptr) {
         if (pr->ref) {
           pr->ref = false;
         } else {
@@ -316,19 +293,13 @@ class byte_arena {
       pr.map_len = 0;
       ++stats_.evicted_pages;
     }
-    pr.data.store(nullptr, std::memory_order_relaxed);
+    pr.data = nullptr;
     stats_.resident_bytes -= page_size_;
   }
 
-  /// Map a spilled page back in. Serialized by fault_mu_; safe against other
-  /// concurrent readers because faulting only adds resident pages.
+  /// Map a cold spilled page back in.
   const std::uint8_t* fault_in(std::size_t page) const {
-    std::lock_guard lk(fault_mu_);
     page_rec& pr = *pages_[page];
-    if (const std::uint8_t* p = pr.data.load(std::memory_order_relaxed)) {
-      pr.ref = true;  // raced with another faulting reader; just touch it
-      return p;
-    }
     ANONCOORD_REQUIRE(pr.on_disk, "arena read of a page never written");
     // Arena pages can be smaller than a system page (tests use 64 B pages),
     // and mmap offsets must be system-page aligned: map from the aligned
@@ -349,9 +320,8 @@ class byte_arena {
     stats_.resident_bytes += page_size_;
     if (stats_.resident_bytes > stats_.resident_hw_bytes)
       stats_.resident_hw_bytes = stats_.resident_bytes;
-    const std::uint8_t* p = pr.map_base + (file_off - base);
-    pr.data.store(p, std::memory_order_release);
-    return p;
+    pr.data = pr.map_base + (file_off - base);
+    return pr.data;
   }
 
   void ensure_file() const {
@@ -384,16 +354,14 @@ class byte_arena {
   int page_bits_ = kPageBits;
   std::size_t page_size_ = kPageSize;
   arena_spill_options spill_;
-  // Null entries are pad_to holes. The vector only grows on the append path,
-  // so readers never race a reallocation (see the thread-safety contract).
+  // Null entries are pad_to holes.
   std::vector<std::unique_ptr<page_rec>> pages_;
   std::uint64_t head_ = 0;
   std::size_t allocated_pages_ = 0;
-  // prefetch_range() evicts from const readers, so the eviction hand and
-  // the lazily created file are mutable like the fault-in state.
+  // Reads fault pages in and evict others from const members, so the
+  // eviction hand, the lazily created file and the counters are mutable.
   mutable std::size_t clock_ = 0;  // eviction hand
   mutable int fd_ = -1;
-  mutable std::mutex fault_mu_;
   mutable arena_spill_stats stats_;
 };
 

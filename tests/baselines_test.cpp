@@ -4,8 +4,10 @@
 // model), including exhaustive model checks where the state spaces are tiny.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/bakery_mutex.hpp"
@@ -15,7 +17,7 @@
 #include "baselines/tournament_mutex.hpp"
 #include "baselines/trivial_renaming.hpp"
 #include "mem/naming.hpp"
-#include "modelcheck/explorer.hpp"
+#include "modelcheck/agreement_check.hpp"
 #include "modelcheck/mutex_check.hpp"
 #include "modelcheck/verify.hpp"
 #include "runtime/schedule.hpp"
@@ -176,8 +178,9 @@ TEST(TournamentTest, SoloEntryClimbsAndReleases) {
                [](const tournament_mutex& mc) { return mc.in_remainder(); });
   // All flags released.
   for (int r = 0; r < regs; ++r) {
-    if (r % 3 != 2)  // skip turn registers
+    if (r % 3 != 2) {  // skip turn registers
       EXPECT_EQ(sim.memory().peek(r), 0u) << "register " << r;
+    }
   }
   EXPECT_EQ(sim.machine(2).cs_entries(), 1u);
 }
@@ -335,23 +338,24 @@ TEST(CaConsensusTest, ModelCheckedAgreementTwoProcs) {
   // grow forever under adversarial alternation), so exhaustive exploration
   // cannot terminate; verify agreement/validity over a large BFS prefix,
   // which covers every run of up to that many distinct states.
+  // Fig. 2's agreement/validity spec, without its progress part: a capped
+  // run has no complete graph to check termination on.
   const int n = 2;
-  explorer<ca_consensus>::options opt;
+  const std::vector<std::uint64_t> inputs{1, 2};
+  auto spec = consensus_spec<ca_consensus>(inputs);
+  spec.progress.reset();
+  std::vector<ca_consensus> machines;
+  for (int i = 0; i < n; ++i)
+    machines.emplace_back(i, n, inputs[static_cast<std::size_t>(i)]);
+  verify_options opt;
   opt.max_states = 300'000;
-  explorer<ca_consensus> e(ca_consensus::register_count(n),
-                           naming_assignment::identity(n, 2 * n),
-                           {ca_consensus(0, n, 1), ca_consensus(1, n, 2)},
-                           opt);
-  auto res = e.explore([](const global_state<ca_consensus>& s) {
-    const auto& a = s.procs[0];
-    const auto& b = s.procs[1];
-    if (a.done() && b.done() && *a.decision() != *b.decision()) return true;
-    for (const auto& p : s.procs)
-      if (p.done() && *p.decision() != 1 && *p.decision() != 2) return true;
-    return false;
-  });
-  EXPECT_FALSE(res.complete) << "CA rounds are unbounded by design";
-  EXPECT_FALSE(res.safety_violated());
+  const auto rep = verify_config<ca_consensus>(
+      {ca_consensus::register_count(n), naming_assignment::identity(n, 2 * n),
+       std::move(machines)},
+      spec, opt);
+  EXPECT_FALSE(rep.complete) << "CA rounds are unbounded by design";
+  EXPECT_FALSE(rep.violated);
+  EXPECT_EQ(rep.verdict(), "INCOMPLETE");
 }
 
 class CaSweep

@@ -55,7 +55,7 @@ void expect_results_identical(const verify_report& a, const verify_report& b,
 // Parallel worker-count bit-identity.
 // ---------------------------------------------------------------------------
 
-TEST(BatchedExpansionTest, ParallelWorkersBitIdenticalBatchedOn) {
+TEST(BatchedExpansionTest, ParallelWorkersBitIdentical) {
   const auto seq_anon = check_anon_mutex(3, identity_naming(2, 3), {1, 2},
                                          2'000'000, true);
   const auto seq_fa = check_fa_mutex(3, identity_naming(3, 3), 2'000'000,

@@ -127,7 +127,7 @@ TEST(DifferentialModelCheckTest, MutexMeVerdictConsistentAcrossEngines) {
 // every worker count.
 // ---------------------------------------------------------------------------
 
-TEST(DifferentialModelCheckTest, CompressedArenaMatchesVerbatimOnMutex) {
+TEST(DifferentialModelCheckTest, PackedArenaMatchesOracleOnMutex) {
   // m = 4 at stride 2 deadlocks (Theorem 3.1's even-m witness), so this
   // drives the counterexample reconstructor through the packed-decode path;
   // m = 3 at stride 1 covers the all-OK verdict.

@@ -437,7 +437,7 @@ TEST(FaSymmetryGroupTest, GroupIsClosedUnderComposition) {
 
 /// Exhaustive orbit-collapse over a complete reachable set: every state's
 /// full orbit maps to ONE canonical key, the mapping element reported by
-/// canonicalize really maps the original to the canonical form, and
+/// orbit_min really maps the original to the canonical form, and
 /// canonicalization is idempotent.
 template <class Machine>
 void check_orbit_collapse(int m, const naming_assignment& naming,
@@ -448,14 +448,13 @@ void check_orbit_collapse(int m, const naming_assignment& naming,
   const auto res = e.explore();
   ASSERT_TRUE(res.complete);
   const auto g = symmetry_group<Machine>::compute(naming, initial);
-  canonical_scratch<Machine> cs;
   std::vector<typename Machine::value_type> orbit_regs;
   std::vector<Machine> orbit_procs;
   for (std::uint64_t i = 0; i < res.num_states; ++i) {
     const auto s = e.state(i);
     auto canon_regs = s.regs;
     auto canon_procs = s.procs;
-    const int elem = g.canonicalize(canon_regs, canon_procs, cs);
+    const int elem = g.orbit_min(canon_regs, canon_procs);
     // The reported element maps the original tuple to the canonical one.
     g.apply(g.at(elem), s.regs, s.procs, orbit_regs, orbit_procs);
     ASSERT_EQ(orbit_regs, canon_regs) << "state " << i;
@@ -463,7 +462,7 @@ void check_orbit_collapse(int m, const naming_assignment& naming,
     // The WHOLE orbit maps to the same canonical key.
     for (int ei = 0; ei < g.size(); ++ei) {
       g.apply(g.at(ei), s.regs, s.procs, orbit_regs, orbit_procs);
-      g.canonicalize(orbit_regs, orbit_procs, cs);
+      g.orbit_min(orbit_regs, orbit_procs);
       ASSERT_EQ(orbit_regs, canon_regs) << "state " << i << " elem " << ei;
       ASSERT_TRUE(orbit_procs == canon_procs)
           << "state " << i << " elem " << ei;

@@ -1,7 +1,7 @@
 // The packed-word canonicalization kernel (modelcheck/symmetry.hpp,
 // packed_canonicalizer): differential evidence that the interned-id
-// gather + rank-row compare is a drop-in replacement for the object-domain
-// symmetry_group::canonicalize.
+// gather + rank-row compare is a drop-in replacement for the brute-force
+// object-domain symmetry_group::orbit_min.
 //
 // Pinned here:
 //   * kernel vs object bit-identity — canonical image AND canonicalizing
@@ -19,16 +19,15 @@
 //   * candidate accounting — each canonicalization ticks exactly one
 //     counter per prefix class when the kernel sorts, and one per
 //     non-identity element when it scans (full apply, first-word prune or
-//     longest-common-prefix prune);
-//   * engine-level equivalence — the explorer stays bit-identical to its
-//     one-worker run at 2/4/8 workers (the TSan CI job re-runs this suite
-//     to certify the shared memo tables race-free); its verdicts, counts
-//     and schedules are pinned against the reference oracle in
-//     reference_oracle_test.cpp.
+//     longest-common-prefix prune), and through the engine the counters
+//     sum to that per edge.
+// Worker-count bit-identity, which exercises the shared memo tables from
+// several threads, is pinned in batched_pipeline_test.cpp; verdicts,
+// counts and schedules against the reference oracle in
+// reference_oracle_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -67,15 +66,6 @@ const explorer<anon_mutex>::state_predicate two_in_cs =
 
 const explorer<fa_mutex>::state_predicate fa_two_in_cs =
     mutex_spec<fa_mutex>().safety.front().is_bad;
-
-void expect_results_identical(const verify_report& a, const verify_report& b,
-                              const std::string& what) {
-  EXPECT_EQ(a.complete, b.complete) << what;
-  EXPECT_EQ(a.verdict(), b.verdict()) << what;
-  EXPECT_EQ(a.states, b.states) << what;
-  EXPECT_EQ(a.stuck_states, b.stuck_states) << what;
-  EXPECT_EQ(a.counterexample, b.counterexample) << what;
-}
 
 // ---------------------------------------------------------------------------
 // Kernel vs object-domain differential.
@@ -119,7 +109,6 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   pk.attach(&g, &pool, m, n);
   ASSERT_EQ(pk.sorts_classes(), sorts);
   packed_canonical_scratch pks;
-  canonical_scratch<Machine> cs;
   canonicalize_stats pstats{}, ostats{};
   bool went_stale = false;
   std::vector<std::uint32_t> row;
@@ -134,7 +123,7 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
 
     auto oregs = s.regs;
     auto oprocs = s.procs;
-    const int oelem = g.canonicalize(oregs, oprocs, cs, &ostats);
+    const int oelem = g.orbit_min(oregs, oprocs, &ostats);
 
     ASSERT_EQ(pelem, oelem) << "element index diverged at state " << i;
     for (int r = 0; r < m; ++r)
@@ -148,13 +137,12 @@ void expect_kernel_bit_identical(int m, const naming_assignment& naming,
   }
 
   if (g.size() > 1) {
-    // Exactly one counter ticks per (state, candidate); the object domain
-    // scans elements and never partial-applies.
+    // Exactly one counter ticks per (state, candidate); orbit_min applies
+    // every non-identity element in full and prunes nothing.
     EXPECT_EQ(tally(pstats), res.num_states * candidates_per_row(pk, g));
-    const std::uint64_t elements =
-        res.num_states * static_cast<std::uint64_t>(g.size() - 1);
-    EXPECT_EQ(ostats.full_applies + ostats.first_word_pruned, elements);
-    EXPECT_EQ(ostats.prefix_pruned, 0u);
+    EXPECT_EQ(ostats.full_applies,
+              res.num_states * static_cast<std::uint64_t>(g.size() - 1));
+    EXPECT_EQ(ostats.first_word_pruned + ostats.prefix_pruned, 0u);
     if (!refresh_each && res.num_states > 1) {
       EXPECT_TRUE(went_stale) << "stale-snapshot variant never went stale";
     }
@@ -221,35 +209,6 @@ TEST(PackedCanonicalizationTest, MemoLookupPastDirectoryIsUnset) {
   EXPECT_THROW(memo.store(past, 7), precondition_error);
   memo.store(past - 1, 7);
   EXPECT_EQ(memo.lookup(past - 1), 7u);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level equivalence: sequential vs parallel.
-// ---------------------------------------------------------------------------
-
-TEST(PackedCanonicalizationTest, ParallelWorkersBitIdenticalPackedOn) {
-  const auto seq_anon = check_anon_mutex(3, identity_naming(2, 3), {1, 2},
-                                         2'000'000, true);
-  const auto seq_fa = check_fa_mutex(3, identity_naming(3, 3), 2'000'000,
-                                     true);
-  const auto seq_dead = check_fa_mutex(4, identity_naming(2, 4), 2'000'000,
-                                       true);
-  for (int workers : {1, 2, 4, 8}) {
-    const std::string tag = "workers=" + std::to_string(workers);
-    expect_results_identical(
-        seq_anon,
-        check_anon_mutex(3, identity_naming(2, 3), {1, 2}, 2'000'000, true,
-                         workers),
-        "anon " + tag);
-    expect_results_identical(
-        seq_fa,
-        check_fa_mutex(3, identity_naming(3, 3), 2'000'000, true, workers),
-        "fa " + tag);
-    expect_results_identical(
-        seq_dead,
-        check_fa_mutex(4, identity_naming(2, 4), 2'000'000, true, workers),
-        "fa deadlock " + tag);
-  }
 }
 
 TEST(PackedCanonicalizationTest, EngineCountersAccountForEveryCandidate) {

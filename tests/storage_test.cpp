@@ -258,49 +258,6 @@ TEST(RowStoreTest, StrideBoundsEnforced) {
   EXPECT_NO_THROW(rs.configure((std::size_t{1} << 13) - 1));
 }
 
-TEST(RowStoreConcurrencyTest, FourReadersDecodeWithNoWriter) {
-  // The explorers' read phase: the store is frozen and four threads decode
-  // and compare overlapping row sets at once, in memory and spilled. Loads
-  // fault spilled pages back in under the arena's fault mutex; equals()
-  // reads spilled rows straight from the spill file.
-  constexpr int kReaders = 4;
-  const std::size_t stride = 6;
-  const auto rows = climbing_rows(stride, 4000, 31);
-  for (const bool spill : {false, true}) {
-    SCOPED_TRACE(spill ? "spilled" : "in memory");
-    row_store rs;
-    row_store_options opt;
-    if (spill) {
-      opt.page_bits = 8;
-      opt.spill.budget_bytes = 1024;
-    }
-    rs.configure(stride, opt);
-    for (const auto& row : rows) rs.append(row.data());
-    rs.spill_over_budget();
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&, t] {
-        std::vector<std::uint32_t> out(stride);
-        // Each reader walks every row from its own start; odd readers
-        // compare (the seen-table probe), even readers decode.
-        const std::size_t n = rows.size();
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::size_t i = (k + n * static_cast<std::size_t>(t) / kReaders) % n;
-          if (t % 2 == 1) {
-            if (!rs.equals(i, rows[i].data())) mismatches.fetch_add(1);
-          } else {
-            rs.load(i, out.data());
-            if (out != rows[i]) mismatches.fetch_add(1);
-          }
-        }
-      });
-    }
-    for (auto& r : readers) r.join();
-    EXPECT_EQ(mismatches.load(), 0);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // out-of-core spill path: byte_arena + row_store
 // ---------------------------------------------------------------------------

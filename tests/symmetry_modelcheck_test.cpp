@@ -19,6 +19,7 @@
 //     and the golden counterexample schedules stay valid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -171,7 +172,6 @@ TEST(CanonicalizeTest, ProjectsOrbitsAndReportsMappingElement) {
   const auto naming = identity_naming(2, 3);
   const auto g = symmetry_group<anon_mutex>::compute(naming, machines(3, 2));
   ASSERT_EQ(g.size(), 2);
-  canonical_scratch<anon_mutex> cs;
 
   // Walk a few steps to get past the (fixed-point) initial state.
   std::vector<process_id> regs(3, no_process);
@@ -183,7 +183,7 @@ TEST(CanonicalizeTest, ProjectsOrbitsAndReportsMappingElement) {
 
   auto canon_regs = regs;
   auto canon_procs = procs;
-  const int elem = g.canonicalize(canon_regs, canon_procs, cs);
+  const int elem = g.orbit_min(canon_regs, canon_procs);
 
   // The reported element maps the original tuple to the canonical one.
   std::vector<process_id> mapped_regs;
@@ -197,92 +197,76 @@ TEST(CanonicalizeTest, ProjectsOrbitsAndReportsMappingElement) {
     std::vector<process_id> alt_regs;
     std::vector<anon_mutex> alt_procs;
     g.apply(g.at(ei), regs, procs, alt_regs, alt_procs);
-    g.canonicalize(alt_regs, alt_procs, cs);
+    g.orbit_min(alt_regs, alt_procs);
     EXPECT_EQ(alt_regs, canon_regs) << "element " << ei;
     EXPECT_EQ(alt_procs, canon_procs) << "element " << ei;
   }
 }
 
-/// Brute-force reference canonicalizer: apply EVERY group element and keep
-/// the lexicographic minimum, ascending scan with strict-less swap — the
-/// exact discipline canonicalize() used before the first-word fast path.
-/// The differential test below pins the fast path to this bit-for-bit,
-/// including the returned element index (the tie-break).
-template <class Machine>
-int reference_canonicalize(const symmetry_group<Machine>& g,
-                           std::vector<typename Machine::value_type>& regs,
-                           std::vector<Machine>& procs) {
-  const auto lex_less = [](const std::vector<typename Machine::value_type>& ar,
-                           const std::vector<Machine>& ap,
-                           const std::vector<typename Machine::value_type>& br,
-                           const std::vector<Machine>& bp) {
-    for (std::size_t i = 0; i < ar.size(); ++i) {
-      if (ar[i] < br[i]) return true;
-      if (br[i] < ar[i]) return false;
-    }
-    for (std::size_t i = 0; i < ap.size(); ++i) {
-      if (canonical_less(ap[i], bp[i])) return true;
-      if (canonical_less(bp[i], ap[i])) return false;
-    }
-    return false;
-  };
-  const auto orig_regs = regs;
-  const auto orig_procs = procs;
-  std::vector<typename Machine::value_type> tmp_regs;
-  std::vector<Machine> tmp_procs;
-  int best = 0;
-  for (int ei = 1; ei < g.size(); ++ei) {
-    g.apply(g.at(ei), orig_regs, orig_procs, tmp_regs, tmp_procs);
-    if (lex_less(tmp_regs, tmp_procs, regs, procs)) {
-      regs.swap(tmp_regs);
-      procs.swap(tmp_procs);
-      best = ei;
-    }
-  }
-  return best;
-}
-
-/// Explore (unreduced) and check every reachable stored state.
+/// Explore (unreduced) and check orbit_min on every reachable stored state
+/// against every image in its orbit: the image it returns is the one
+/// element `elem` maps the state to, no image is lexicographically smaller
+/// (registers by `<`, then machines by canonical_less), and no element
+/// below `elem` reaches it (the tie-break the counterexample fold-back
+/// relies on).
 template <class Machine, class Pred>
-void expect_fast_path_bit_identical(int m, const naming_assignment& naming,
-                                    const std::vector<Machine>& initial,
-                                    const Pred& pred) {
+void expect_orbit_min_least(int m, const naming_assignment& naming,
+                            const std::vector<Machine>& initial,
+                            const Pred& pred) {
+  using value_type = typename Machine::value_type;
   const auto g = symmetry_group<Machine>::compute(naming, initial);
+  const auto less = [](const std::vector<value_type>& ar,
+                       const std::vector<Machine>& ap,
+                       const std::vector<value_type>& br,
+                       const std::vector<Machine>& bp) {
+    if (ar != br) return ar < br;
+    return std::lexicographical_compare(
+        ap.begin(), ap.end(), bp.begin(), bp.end(),
+        [](const Machine& x, const Machine& y) { return canonical_less(x, y); });
+  };
   typename explorer<Machine>::options opt;
   opt.max_states = 30'000;  // plenty of orbit coverage even when capped
   explorer<Machine> e(m, naming, initial, opt);
   const auto res = e.explore(pred);
-  canonical_scratch<Machine> cs;
+  std::vector<value_type> img_regs;
+  std::vector<Machine> img_procs;
   for (std::uint64_t i = 0; i < res.num_states; ++i) {
     const auto s = e.state(i);
-    auto fast_regs = s.regs;
-    auto fast_procs = s.procs;
-    const int fast_elem = g.canonicalize(fast_regs, fast_procs, cs);
-    auto ref_regs = s.regs;
-    auto ref_procs = s.procs;
-    const int ref_elem = reference_canonicalize(g, ref_regs, ref_procs);
-    ASSERT_EQ(fast_elem, ref_elem) << "state " << i;
-    ASSERT_EQ(fast_regs, ref_regs) << "state " << i;
-    ASSERT_TRUE(fast_procs == ref_procs) << "state " << i;
+    auto min_regs = s.regs;
+    auto min_procs = s.procs;
+    canonicalize_stats stats;
+    const int elem = g.orbit_min(min_regs, min_procs, &stats);
+    ASSERT_EQ(stats.full_applies, static_cast<std::uint64_t>(g.size() - 1));
+    for (int ei = 0; ei < g.size(); ++ei) {
+      g.apply(g.at(ei), s.regs, s.procs, img_regs, img_procs);
+      ASSERT_FALSE(less(img_regs, img_procs, min_regs, min_procs))
+          << "state " << i << " elem " << ei;
+      const bool same = img_regs == min_regs && img_procs == min_procs;
+      if (ei == elem) {
+        ASSERT_TRUE(same) << "state " << i;
+      }
+      if (ei < elem) {
+        ASSERT_FALSE(same) << "state " << i << " elem " << ei;
+      }
+    }
   }
 }
 
-TEST(CanonicalizeTest, FastPathBitIdenticalExhaustiveSmallOrbits) {
+TEST(CanonicalizeTest, OrbitMinIsLeastImageExhaustiveSmallOrbits) {
   // Process-symmetric regime (groups up to n!) and the fully anonymous
   // product regime (groups up to n!*m), exhaustively for n <= 3 x m <= 3
   // under identity naming (the largest groups) plus a rotation naming.
   for (int n : {2, 3})
     for (int m : {2, 3}) {
-      expect_fast_path_bit_identical(m, identity_naming(n, m), machines(m, n),
-                                     two_in_cs);
-      expect_fast_path_bit_identical(
-          m, naming_assignment::rotations(n, m, 1), machines(m, n),
-          two_in_cs);
+      expect_orbit_min_least(m, identity_naming(n, m), machines(m, n),
+                             two_in_cs);
+      expect_orbit_min_least(m, naming_assignment::rotations(n, m, 1),
+                             machines(m, n), two_in_cs);
       std::vector<fa_mutex> fa(static_cast<std::size_t>(n), fa_mutex(m));
       const auto fa_pred = mutex_spec<fa_mutex>().safety.front().is_bad;
-      expect_fast_path_bit_identical(m, identity_naming(n, m), fa, fa_pred);
-      expect_fast_path_bit_identical(m, naming_assignment::rotations(n, m, 1),
-                                     fa, fa_pred);
+      expect_orbit_min_least(m, identity_naming(n, m), fa, fa_pred);
+      expect_orbit_min_least(m, naming_assignment::rotations(n, m, 1), fa,
+                             fa_pred);
     }
 }
 
